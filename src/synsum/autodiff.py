@@ -209,6 +209,9 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # primitives
 
 
+_ACCUMULATE_MAX_COLS = 512  # widest one-row output folded by add.accumulate
+
+
 def matmul(a, b) -> Tensor:
     """2-D matrix product with sequential accumulation over the inner axis.
 
@@ -223,8 +226,10 @@ def matmul(a, b) -> Tensor:
     inner = av.shape[1]
     if inner == 0:
         out_data = np.zeros((av.shape[0], bv.shape[1]))
-    elif av.shape[0] == 1:
-        # add.accumulate is a strict left fold, same association as the loop
+    elif av.shape[0] == 1 and bv.shape[1] <= _ACCUMULATE_MAX_COLS:
+        # add.accumulate is a strict left fold, same association as the loop;
+        # it wins on narrow rows, where the loop's per-k Python cost dominates,
+        # but scans the strided axis and loses to the loop on wide ones
         out_data = np.add.accumulate(av[0, :, None] * bv, axis=0)[-1:].copy()
     else:
         out_data = av[:, 0, None] * bv[0]

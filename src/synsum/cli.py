@@ -54,9 +54,12 @@ class CliError(Exception):
     """Fatal condition reported to stderr with a nonzero exit code."""
 
 
+def bytes_hash(data: bytes) -> str:
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
 def file_hash(path: str | Path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    return bytes_hash(Path(path).read_bytes())
 
 
 def write_manifest(path: Path, manifest: dict) -> None:
@@ -224,7 +227,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    # one read: the manifest hashes the very bytes that were parsed
+    ckpt_bytes = Path(args.checkpoint).read_bytes()
+    ckpt = load_checkpoint(ckpt_bytes)
+    checkpoint_hash = bytes_hash(ckpt_bytes)
+    del ckpt_bytes  # free the raw copy before the parameters are built
     vocab_hash = file_hash(args.vocab)
     if vocab_hash != ckpt.vocab_hash:
         raise CliError(
@@ -271,7 +278,7 @@ def cmd_decode(args) -> int:
         },
         "inputs": {
             "checkpoint": str(args.checkpoint),
-            "checkpoint_hash": file_hash(args.checkpoint),
+            "checkpoint_hash": checkpoint_hash,
             "corpus": str(args.corpus),
             "corpus_hash": file_hash(args.corpus),
             "vocab": str(args.vocab),

@@ -23,7 +23,11 @@ Beam search ranks finished hypotheses by log-probability divided by the
 length penalty ((5 + len) / 6) ** alpha, where len counts emitted tokens
 including STOP. Score ties are broken toward the lexicographically smaller
 token sequence. Hypotheses still alive at the step limit are forced to emit
-STOP, scored like any other token.
+STOP, scored like any other token. Each step scores every (live hypothesis,
+token) pair in one numpy array and builds hypotheses only for the short
+list that can reach the beam: the ``beam + len(live)`` best scores plus
+every candidate tied with the last of them, so the tie rule above still
+decides on exact scores.
 """
 
 from __future__ import annotations
@@ -367,11 +371,19 @@ def beam_search(
     ``max_len`` caps emitted tokens including STOP; any hypothesis alive at
     the last step is forced to emit STOP with its model score. Candidates
     are scanned in raw cumulative log-probability order (all live
-    hypotheses share a length): STOP-terminated ones retire to the finished
+    hypotheses share a length), ties broken toward the lexicographically
+    smaller token sequence: STOP-terminated ones retire to the finished
     pool, others refill the beam, and the scan cuts off once the beam is
     full, so a STOP ranked below the cutoff is pruned exactly like any
     other candidate. With beam=1 this reduces to greedy decoding. Finished
     hypotheses compete by length-penalized score.
+
+    Each live hypothesis has one STOP candidate, so the scan never reads
+    past its ``beam + len(live)``-th candidate. Cumulative scores are kept
+    as one numpy array over every (live hypothesis, token) pair, and only
+    the candidates scoring at least the ``beam + len(live)``-th best score,
+    every tie at that cutoff included, become ``Hypothesis`` objects and
+    are sorted. The result equals a full sort of all candidates.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
@@ -380,21 +392,21 @@ def beam_search(
     live = [Hypothesis([], 0.0, init_state)]
     finished: list[Hypothesis] = []
     for step in range(max_len):
-        last = step == max_len - 1
-        candidates: list[Hypothesis] = []
+        expanded = []
         for hyp in live:
             prev = hyp.tokens[-1] if hyp.tokens else start_id
             log_probs, state = step_fn(hyp.state, prev)
-            allowed = [stop_id] if last else range(len(log_probs))
-            for token in allowed:
-                candidates.append(
-                    Hypothesis(
-                        hyp.tokens + [token],
-                        hyp.log_prob + float(log_probs[token]),
-                        state,
-                        finished=token == stop_id,
-                    )
-                )
+            expanded.append((hyp, np.asarray(log_probs, dtype=np.float64),
+                             state))
+        if step == max_len - 1:
+            candidates = [
+                Hypothesis(hyp.tokens + [stop_id],
+                           hyp.log_prob + float(log_probs[stop_id]),
+                           state, finished=True)
+                for hyp, log_probs, state in expanded
+            ]
+        else:
+            candidates = _top_candidates(expanded, beam + len(live), stop_id)
         candidates.sort(key=lambda h: (-h.log_prob, tuple(h.tokens)))
         next_live: list[Hypothesis] = []
         for cand in candidates:
@@ -411,6 +423,37 @@ def beam_search(
     if return_pool:
         return best, finished
     return best
+
+
+def _top_candidates(
+    expanded: list[tuple[Hypothesis, np.ndarray, object]],
+    k: int,
+    stop_id: int,
+) -> list[Hypothesis]:
+    """Every one-token extension scoring at least the k-th best score.
+
+    Scores form one (live x extended vocabulary) array of
+    ``hyp.log_prob + log_probs``, the same float64 addition as adding each
+    token's log-probability on its own. Keeping every tie at the cutoff
+    makes the result a prefix of the fully sorted candidates.
+    """
+    scores = np.stack(
+        [hyp.log_prob + log_probs for hyp, log_probs, _ in expanded]
+    ).ravel()
+    if scores.size > k:
+        cutoff = np.partition(scores, scores.size - k)[scores.size - k]
+        picked = np.flatnonzero(scores >= cutoff)
+    else:
+        picked = np.arange(scores.size)
+    rows, tokens = np.divmod(picked, expanded[0][1].size)
+    candidates = []
+    for index, row, token in zip(picked.tolist(), rows.tolist(),
+                                 tokens.tolist()):
+        hyp, _, state = expanded[row]
+        candidates.append(Hypothesis(hyp.tokens + [token],
+                                     float(scores[index]), state,
+                                     finished=token == stop_id))
+    return candidates
 
 
 # ---------------------------------------------------------------------------

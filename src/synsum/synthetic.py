@@ -21,6 +21,7 @@ the copy mechanism, which is the point of the exercise.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,14 +133,28 @@ def generate_documents(
     adjectives = _Deck(grammar.adjectives, rng)
     places = _Deck(grammar.places, rng)
 
+    template = grammar.template_types()
     used_entities: set[str] = set()
+    pool_size: int | None = None  # counted at the first rejected draw
 
     def fresh_entity() -> str:
+        nonlocal pool_size
         while True:
             name = "".join(rng.choice(grammar.syllables) for _ in range(3))
-            if name not in used_entities and name not in grammar.template_types():
+            if name not in used_entities and name not in template:
                 used_entities.add(name)
                 return name
+            if pool_size is None:
+                pool_size = len({
+                    "".join(parts)
+                    for parts in itertools.product(grammar.syllables, repeat=3)
+                } - template)
+            if len(used_entities) >= pool_size:
+                raise ValueError(
+                    f"syllable pool {grammar.syllables} makes only "
+                    f"{pool_size} entity names; all are used after "
+                    f"{len(docs)} of {size} documents"
+                )
 
     docs = []
     for index in range(size):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -403,18 +404,34 @@ def _write_record(fh, path: str, array: np.ndarray) -> None:
     fh.write(arr.tobytes(order="C"))
 
 
-def _read_record(fh) -> tuple[str, np.ndarray]:
-    raw = fh.read(4)
-    if len(raw) < 4:
-        raise CheckpointError("truncated checkpoint: missing record header")
-    (path_len,) = struct.unpack("<I", raw)
-    path = fh.read(path_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    payload = fh.read(count * 8)
-    if len(payload) != count * 8:
-        raise CheckpointError(f"truncated payload for tensor {path!r}")
+class _Reader:
+    """Cursor over a checkpoint's bytes; every short read is an error."""
+
+    def __init__(self, blob: bytes):
+        self._view = memoryview(blob)
+        self._pos = 0
+
+    def take(self, size: int, what: str) -> memoryview:
+        end = self._pos + size
+        if end > len(self._view):
+            raise CheckpointError(f"truncated checkpoint: {what}")
+        chunk = self._view[self._pos:end]
+        self._pos = end
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> int:
+        (value,) = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        return value
+
+
+def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
+    path_len = reader.unpack("<I", "missing record header")
+    path = str(reader.take(path_len, "record path"), "utf-8")
+    ndim = reader.unpack("<I", f"record header of tensor {path!r}")
+    shape = tuple(reader.unpack("<Q", f"shape of tensor {path!r}")
+                  for _ in range(ndim))
+    payload = reader.take(math.prod(shape) * 8,
+                          f"payload of tensor {path!r}")
     array = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return path, array.reshape(shape)
 
@@ -456,31 +473,34 @@ def save_checkpoint(
     return path
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        expected = (
-            len(header["params"]) + len(header["accumulators"])
-            + len(header["extras"])
-        )
-        arrays: dict[str, np.ndarray] = {}
-        accumulators: dict[str, np.ndarray] = {}
-        extras: dict[str, np.ndarray] = {}
-        for _ in range(expected):
-            name, array = _read_record(fh)
-            if name.startswith("adagrad_acc/"):
-                accumulators[name[len("adagrad_acc/"):]] = array
-            elif name.startswith("extra/"):
-                extras[name[len("extra/"):]] = array
-            else:
-                arrays[name] = array
+def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
+    """Parse a checkpoint from a path, or from the file's bytes already read
+    (so a caller can hash exactly the bytes that were parsed)."""
+    blob = source if isinstance(source, bytes) else Path(source).read_bytes()
+    reader = _Reader(blob)
+    magic = bytes(reader.take(len(CHECKPOINT_MAGIC), "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}: not a checkpoint file")
+    version = reader.unpack("<I", "format version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    header_len = reader.unpack("<Q", "header length")
+    header = json.loads(bytes(reader.take(header_len, "header")))
+    expected = (
+        len(header["params"]) + len(header["accumulators"])
+        + len(header["extras"])
+    )
+    arrays: dict[str, np.ndarray] = {}
+    accumulators: dict[str, np.ndarray] = {}
+    extras: dict[str, np.ndarray] = {}
+    for _ in range(expected):
+        name, array = _read_record(reader)
+        if name.startswith("adagrad_acc/"):
+            accumulators[name[len("adagrad_acc/"):]] = array
+        elif name.startswith("extra/"):
+            extras[name[len("extra/"):]] = array
+        else:
+            arrays[name] = array
     config = ModelConfig.from_dict(header["config"])
     if config_digest(config) != header["config_digest"]:
         raise CheckpointError("config digest mismatch in checkpoint header")

@@ -69,6 +69,21 @@ def test_matmul_matches_triple_loop_oracle():
     np.testing.assert_array_equal(out.data, expected)
 
 
+@pytest.mark.parametrize("inner,width", [(64, 512), (64, 513), (1, 3),
+                                         (1, 600)])
+def test_one_row_matmul_matches_triple_loop_oracle(inner, width):
+    # widths on both sides of the switch between the two one-row fold paths
+    rng = np.random.default_rng(inner * 1000 + width)
+    a = rng.normal(size=(1, inner))
+    b = rng.normal(size=(inner, width))
+    expected = np.zeros((1, width))
+    for j in range(width):
+        for k in range(inner):
+            expected[0, j] += a[0, k] * b[k, j]
+    out = ad.matmul(Tensor(a), Tensor(b))
+    np.testing.assert_array_equal(out.data, expected)
+
+
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -161,6 +163,31 @@ def test_decode_refuses_vocab_hash_mismatch(trained_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "s.txt")])
     assert code == 1
     assert "hash mismatch" in capsys.readouterr().err
+
+
+def test_decode_truncated_checkpoint_is_a_clean_error(trained_dir, tmp_path,
+                                                      capsys):
+    corpus, out_dir = trained_dir
+    data = (out_dir / "model.ckpt").read_bytes()
+    header_end = 20 + struct.unpack("<Q", data[12:20])[0]
+    truncated = tmp_path / "model.ckpt"
+    truncated.write_bytes(data[:header_end + 8])  # inside a record header
+    code = main(["decode", "--checkpoint", str(truncated),
+                 "--corpus", str(corpus), "--vocab", str(out_dir / "vocab.txt"),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: truncated checkpoint")
+
+
+def test_decode_manifest_hashes_the_checkpoint_file(trained_dir, tmp_path):
+    corpus, out_dir = trained_dir
+    out = tmp_path / "s.txt"
+    assert main(["decode", "--checkpoint", str(out_dir / "model.ckpt"),
+                 "--corpus", str(corpus), "--vocab", str(out_dir / "vocab.txt"),
+                 "--out", str(out), "--beam", "1", "--max-dec-len", "4"]) == 0
+    manifest = json.loads(out.with_name("s.txt.manifest.json").read_text())
+    digest = hashlib.sha256((out_dir / "model.ckpt").read_bytes()).hexdigest()
+    assert manifest["inputs"]["checkpoint_hash"] == f"sha256:{digest}"
 
 
 def test_decode_dump_gates(trained_dir, tmp_path):

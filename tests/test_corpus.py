@@ -342,6 +342,32 @@ def test_synthetic_entities_are_oov_under_default_cap():
         assert doc.reference[2] in vocab.token_to_id
 
 
+@pytest.mark.parametrize("seed,size,grammar,digest", [
+    (11, 1000, syn.GrammarConfig(),
+     "1aa24b755019d025aaaa0b8fb713da5494ae7829ea1f8aec155b0489aa16ac21"),
+    (3, 50, syn.GrammarConfig(copy_place=True, distractor_every=1),
+     "70f18c48eaae4e847cf0969369cbb2b7296139f0b9f0c0c8d11421eb5c347553"),
+    # uses all 27 names, with many redrawn collisions on the way
+    (5, 18, syn.GrammarConfig(syllables=["a", "b", "c"]),
+     "ffec508e5191217a2b68a2eb8718500db02888afee44dc40089f9fed802ae1d1"),
+    # "the" is a template word, so it is never an entity
+    (2, 8, syn.GrammarConfig(syllables=["t", "h", "e"]),
+     "000d2af47f1399d8d69c3e91be1e2dc87d6d09390780759ecbad78e655523b67"),
+])
+def test_synthetic_corpus_bytes_are_pinned(tmp_path, seed, size, grammar,
+                                           digest):
+    path = tmp_path / "c.jsonl"
+    syn.generate_synthetic_corpus(seed=seed, size=size, out_path=path,
+                                  grammar=grammar)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_synthetic_exhausted_syllable_pool_raises():
+    grammar = syn.GrammarConfig(syllables=["a", "b"])
+    with pytest.raises(ValueError, match=r"syllable pool \['a', 'b'\].* 8 "):
+        syn.generate_documents(seed=0, size=9, grammar=grammar)
+
+
 def test_synthetic_size_validation():
     with pytest.raises(ValueError):
         syn.generate_documents(seed=1, size=0)

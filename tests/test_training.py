@@ -281,6 +281,20 @@ def test_checkpoint_rejects_truncation(tiny_setup, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
+    config = ModelConfig(vocab_size=6, d_emb=1, d_h=1, d_g=1, gcn_layers=1,
+                         d_dec=1, d_attn=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ModelParams(config, seed=0), step=0, vocab_hash="x",
+                    accumulators={"embedding": np.ones((6, 1))},
+                    extras={"selector/b": np.zeros(())})
+    data = path.read_bytes()
+    load_checkpoint(data)
+    for cut in range(len(data)):
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(data[:cut])
+
+
 def test_params_from_checkpoint_validates_paths(tiny_setup, tmp_path):
     _, _, _, config = tiny_setup
     params = ModelParams(config, seed=0)
