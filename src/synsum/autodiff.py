@@ -8,6 +8,11 @@ each node exactly once and is bitwise deterministic. With no active tape the
 same primitives run forward-only, which is how inference-time decoding stays
 cheap.
 
+A primitive may have several outputs: ``lstm_cell`` records one node for
+the new hidden and cell state together. Its backward receives one gradient
+per output, ``None`` for an output that nothing downstream reached, and is
+skipped only when no output was reached.
+
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
 ``minimum``/``maximum`` give the tie subgradient to their first argument.
@@ -50,6 +55,7 @@ __all__ = [
     "pick",
     "scatter_sum_vec",
     "clip",
+    "lstm_cell",
     "zero_grads",
     "grad_check",
 ]
@@ -131,9 +137,14 @@ class Tensor:
 
 
 class _Node:
+    """One recorded primitive. ``out`` is its output tensor, or a tuple of
+    output tensors for a multi-output primitive, whose ``backward`` then
+    takes one gradient (or ``None``) per output."""
+
     __slots__ = ("op", "out", "backward")
 
-    def __init__(self, op: str, out: Tensor, backward: Callable[[np.ndarray], None]):
+    def __init__(self, op: str, out: Tensor | tuple[Tensor, ...],
+                 backward: Callable[..., None]):
         self.op = op
         self.out = out
         self.backward = backward
@@ -166,12 +177,19 @@ class Tape:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
-        recorded = any(node.out is loss for node in self.nodes)
-        if not recorded and not loss.requires_grad:
+        # a tensor recorded on any tape requires grad, so this also covers
+        # a loss computed on this one
+        if not loss.requires_grad:
             raise ValueError("loss tensor is not connected to this tape")
         _accumulate(loss, np.ones((), dtype=np.float64))
         for node in reversed(self.nodes):
-            grad = node.out.grad
+            out = node.out
+            if type(out) is tuple:
+                grads = [t.grad for t in out]
+                if any(g is not None for g in grads):
+                    node.backward(*grads)
+                continue
+            grad = out.grad
             if grad is None:
                 continue
             node.backward(grad)
@@ -181,9 +199,12 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(op: str, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
+def _record(op: str, out: Tensor | tuple[Tensor, ...],
+            backward: Callable[..., None]) -> None:
+    # the outputs of a multi-output primitive share one requires_grad flag
     tape = _active_tape()
-    if tape is not None and out.requires_grad:
+    first = out[0] if type(out) is tuple else out
+    if tape is not None and first.requires_grad:
         tape.nodes.append(_Node(op, out, backward))
 
 
@@ -222,22 +243,7 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    av, bv = a.data, b.data
-    inner = av.shape[1]
-    if inner == 0:
-        out_data = np.zeros((av.shape[0], bv.shape[1]))
-    elif av.shape[0] == 1 and bv.shape[1] <= _ACCUMULATE_MAX_COLS:
-        # add.accumulate is a strict left fold, same association as the loop;
-        # it wins on narrow rows, where the loop's per-k Python cost dominates,
-        # but scans the strided axis and loses to the loop on wide ones
-        out_data = np.add.accumulate(av[0, :, None] * bv, axis=0)[-1:].copy()
-    else:
-        out_data = av[:, 0, None] * bv[0]
-        tmp = np.empty_like(out_data)
-        for k in range(1, inner):
-            np.multiply(av[:, k, None], bv[k], out=tmp)
-            out_data += tmp
-    out = Tensor(out_data, a.requires_grad or b.requires_grad)
+    out = Tensor(_matmul_data(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -247,6 +253,24 @@ def matmul(a, b) -> Tensor:
 
     _record("matmul", out, backward)
     return out
+
+
+def _matmul_data(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """``av @ bv`` summed over k in ascending order, one left fold per entry."""
+    inner = av.shape[1]
+    if inner == 0:
+        return np.zeros((av.shape[0], bv.shape[1]))
+    if av.shape[0] == 1 and bv.shape[1] <= _ACCUMULATE_MAX_COLS:
+        # add.accumulate is a strict left fold, same association as the loop;
+        # it wins on narrow rows, where the loop's per-k Python cost dominates,
+        # but scans the strided axis and loses to the loop on wide ones
+        return np.add.accumulate(av[0, :, None] * bv, axis=0)[-1:].copy()
+    out_data = av[:, 0, None] * bv[0]
+    tmp = np.empty_like(out_data)
+    for k in range(1, inner):
+        np.multiply(av[:, k, None], bv[k], out=tmp)
+        out_data += tmp
+    return out_data
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
@@ -307,14 +331,19 @@ def mul(a, b) -> Tensor:
     return out
 
 
+def _sigmoid_data(x: np.ndarray) -> np.ndarray:
+    # piecewise form never exponentiates a positive argument, so no overflow
+    pos = x >= 0
+    y = np.empty_like(x)
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    # piecewise form never exponentiates a positive argument, so no overflow
-    pos = x.data >= 0
-    y = np.empty_like(x.data)
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid_data(x.data)
     out = Tensor(y, x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
@@ -625,6 +654,77 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
     _record("clip", out, backward)
     return out
+
+
+def lstm_cell(
+    x_proj, h, c, W_h, b, row: int | None = None
+) -> tuple[Tensor, Tensor]:
+    """One LSTM step from a precomputed input projection; returns (h', c').
+
+    ``x_proj`` holds the input projection ``x @ W_x``, as many rows as ``h``
+    has; ``row`` instead picks one row of a taller ``x_proj``, so a scan can
+    project all its inputs with one matmul and read them row by row. With
+    gates laid out (input, forget, candidate, output), each ``d`` wide:
+
+        z = (x_proj + h @ W_h) + b
+        i, f, o = sigmoid(z) on their columns;  g = tanh(z) on its columns
+        c' = f * c + i * g
+        h' = o * tanh(c')
+
+    These are the IEEE operations, in order, of the same cell composed from
+    ``matmul``/``add``/``slice_cols``/``sigmoid``/``tanh``/``mul`` nodes, so
+    the values are bitwise equal to it; the backward is analytic instead.
+    """
+    x_proj, h, c, W_h, b = (_as_tensor(t) for t in (x_proj, h, c, W_h, b))
+    if row is not None and not 0 <= row < len(x_proj.data):
+        raise IndexError(
+            f"lstm_cell: row {row} out of range for {len(x_proj.data)} rows"
+        )
+    xs = x_proj.data if row is None else x_proj.data[row:row + 1]
+    d = h.shape[1] if h.data.ndim == 2 else -1
+    if (d < 0 or c.shape != h.shape or W_h.shape != (d, 4 * d)
+            or b.shape != (4 * d,) or xs.shape != (h.shape[0], 4 * d)):
+        raise ShapeError(
+            f"lstm_cell: incompatible shapes x_proj {xs.shape}, h {h.shape}, "
+            f"c {c.shape}, W_h {W_h.shape}, b {b.shape}"
+        )
+    h_prev, c_prev = h.data, c.data
+    z = (xs + _matmul_data(h_prev, W_h.data)) + b.data[None, :]
+    gates = _sigmoid_data(z)
+    gates[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
+    i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    c_data = f * c_prev + i * g
+    tc = np.tanh(c_data)
+    h_out = Tensor(o * tc, any(t.requires_grad for t in (x_proj, h, c, W_h, b)))
+    c_out = Tensor(c_data, h_out.requires_grad)
+
+    def backward(dh: np.ndarray | None, dc: np.ndarray | None) -> None:
+        if dh is not None:
+            dc_h = dh * o * (1.0 - tc * tc)
+            dc = dc_h if dc is None else dc + dc_h
+        dz = np.empty_like(z)
+        dz[:, :d] = dc * g * i * (1.0 - i)
+        dz[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
+        dz[:, 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
+        if x_proj.requires_grad:
+            if row is None:
+                _accumulate(x_proj, dz)
+            else:
+                if x_proj.grad is None:
+                    x_proj.grad = np.zeros(x_proj.shape)
+                x_proj.grad[row] += dz[0]
+        if h.requires_grad:
+            _accumulate(h, dz @ W_h.data.T)
+        if c.requires_grad:
+            _accumulate(c, dc * f)
+        if W_h.requires_grad:
+            _accumulate(W_h, h_prev.T @ dz)
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0))
+
+    _record("lstm_cell", (h_out, c_out), backward)
+    return h_out, c_out
 
 
 # ---------------------------------------------------------------------------

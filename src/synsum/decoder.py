@@ -176,19 +176,6 @@ def _row_dot(row: Tensor, w: Tensor) -> Tensor:
     )
 
 
-def _lstm_cell(x: Tensor, h: Tensor, c: Tensor, cell: dict, d: int):
-    z = ad.add_rowvec(
-        ad.add(ad.matmul(x, cell["W_x"]), ad.matmul(h, cell["W_h"])), cell["b"]
-    )
-    i_gate = ad.sigmoid(ad.slice_cols(z, 0, d))
-    f_gate = ad.sigmoid(ad.slice_cols(z, d, 2 * d))
-    g_cand = ad.tanh(ad.slice_cols(z, 2 * d, 3 * d))
-    o_gate = ad.sigmoid(ad.slice_cols(z, 3 * d, 4 * d))
-    c_new = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, g_cand))
-    h_new = ad.mul(o_gate, ad.tanh(c_new))
-    return h_new, c_new
-
-
 def decode_step(
     state: StepState,
     y_prev: int,
@@ -211,8 +198,9 @@ def decode_step(
     input_id = y_prev if y_prev < vocab_size else UNK_ID
     emb = ad.gather_rows(params.embedding, [input_id])
     x = ad.concat([emb, ad.reshape(state.prev_context, (1, d))], axis=1)
-    hidden, cell = _lstm_cell(x, state.hidden, state.cell, params.dec_cell,
-                              config.d_dec)
+    dec_cell = params.dec_cell
+    hidden, cell = ad.lstm_cell(ad.matmul(x, dec_cell["W_x"]), state.hidden,
+                                state.cell, dec_cell["W_h"], dec_cell["b"])
 
     attn = params.attn
     dec_proj = ad.reshape(ad.matmul(hidden, attn["dec_W"]), (config.d_attn,))

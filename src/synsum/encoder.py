@@ -1,9 +1,16 @@
 """Semantic and structural document encoding.
 
-The semantic path embeds token ids and runs a bidirectional LSTM; the
-structural path projects those states onto the graph width and applies a
-stack of typed-edge graph convolutions over the document graph. One layer
-computes, for every node i,
+The semantic path embeds token ids and runs a bidirectional LSTM. Each
+direction projects all its input rows with one matmul, ``x @ W_x``, before
+the scan (the input projection hoisted out of the recurrence, as in cuDNN's
+LSTM), and the scan feeds row i of that projection to one fused
+``lstm_cell`` per step. Each row of the sequential-k matmul is the same left
+fold as a one-row product, so the hoisted forward is bitwise equal to
+projecting inside the loop.
+
+The structural path projects the semantic states onto the graph width and
+applies a stack of typed-edge graph convolutions over the document graph.
+One layer computes, for every node i,
 
     out_i = relu( sum over incoming edges (j -> i, class c) of  h_j @ W_c  + b )
 
@@ -68,22 +75,13 @@ def lstm_scan(
     input order plus the final hidden and cell state of the scan.
     """
     n = x.shape[0]
+    x_proj = ad.matmul(x, cell["W_x"])
     h = Tensor(np.zeros((1, d_h)))
     c = Tensor(np.zeros((1, d_h)))
     states: list[Tensor | None] = [None] * n
     order = range(n - 1, -1, -1) if reverse else range(n)
     for i in order:
-        x_i = ad.gather_rows(x, [i])
-        z = ad.add_rowvec(
-            ad.add(ad.matmul(x_i, cell["W_x"]), ad.matmul(h, cell["W_h"])),
-            cell["b"],
-        )
-        i_gate = ad.sigmoid(ad.slice_cols(z, 0, d_h))
-        f_gate = ad.sigmoid(ad.slice_cols(z, d_h, 2 * d_h))
-        g_cand = ad.tanh(ad.slice_cols(z, 2 * d_h, 3 * d_h))
-        o_gate = ad.sigmoid(ad.slice_cols(z, 3 * d_h, 4 * d_h))
-        c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, g_cand))
-        h = ad.mul(o_gate, ad.tanh(c))
+        h, c = ad.lstm_cell(x_proj, h, c, cell["W_h"], cell["b"], row=i)
         states[i] = h
     return states, h, c  # type: ignore[return-value]
 
@@ -94,10 +92,10 @@ def bilstm(
     d_h = params.config.d_h
     fw_states, fw_h, fw_c = lstm_scan(x, params.lstm_fw, d_h)
     bw_states, bw_h, bw_c = lstm_scan(x, params.lstm_bw, d_h, reverse=True)
-    rows = [
-        ad.concat([fw_states[i], bw_states[i]], axis=1) for i in range(x.shape[0])
-    ]
-    return ad.concat(rows, axis=0), (fw_h, fw_c, bw_h, bw_c)
+    states = ad.concat(
+        [ad.concat(fw_states, axis=0), ad.concat(bw_states, axis=0)], axis=1
+    )
+    return states, (fw_h, fw_c, bw_h, bw_c)
 
 
 def edge_index_arrays(g: DocumentGraph) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -14,7 +14,8 @@ summarizer.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -53,6 +54,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """Rebuild a config from ``to_dict`` output; a missing required key,
+        an unknown key or a value of the wrong type raises ValueError."""
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown model config keys {unknown}")
+        for name, f in known.items():
+            if name not in data:
+                if f.default is MISSING:
+                    raise ValueError(f"model config lacks {name!r}")
+            elif type(data[name]).__name__ != f.type:
+                raise ValueError(
+                    f"model config {name!r} must be {f.type}, got {data[name]!r}"
+                )
         return cls(**data)
 
 
@@ -62,27 +77,42 @@ class ModelParams:
     Construction order is fixed so a given seed always yields the same
     values; ``named_tensors`` iterates in that order. With ``tie_fwd_bwd``
     the two dependency directions share one tensor object, listed once.
+
+    Given ``arrays`` (path-keyed values, as a checkpoint holds them) the
+    tensors take those values instead and nothing is drawn; a float64
+    C-contiguous array is used as is, without a copy. The paths must match
+    the config's exactly, shapes included, or ValueError is raised.
     """
 
     INIT_SCALE = 0.1
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 arrays: Mapping[str, np.ndarray] | None = None):
         self.config = config
         self._named: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if arrays is None else None
+
+        def tensor(name: str, shape: tuple[int, ...], drawn: bool) -> Tensor:
+            if arrays is None:
+                value = (rng.uniform(-self.INIT_SCALE, self.INIT_SCALE, shape)
+                         if drawn else np.zeros(shape))
+            elif name not in arrays:
+                value = np.zeros(shape)  # reported with the other paths below
+            else:
+                value = np.asarray(arrays[name], dtype=np.float64)
+                if value.shape != shape:
+                    raise ValueError(
+                        f"shape mismatch for {name}: {value.shape} vs {shape}"
+                    )
+            t = Tensor(value, requires_grad=True)
+            self._named[name] = t
+            return t
 
         def weight(name: str, *shape: int) -> Tensor:
-            t = Tensor(
-                rng.uniform(-self.INIT_SCALE, self.INIT_SCALE, shape),
-                requires_grad=True,
-            )
-            self._named[name] = t
-            return t
+            return tensor(name, shape, drawn=True)
 
         def bias(name: str, *shape: int) -> Tensor:
-            t = Tensor(np.zeros(shape), requires_grad=True)
-            self._named[name] = t
-            return t
+            return tensor(name, shape, drawn=False)
 
         c = config
         d = c.enc_dim
@@ -160,26 +190,18 @@ class ModelParams:
             "b": bias("dec/pgen/b"),
         }
 
+        if arrays is not None:
+            missing = set(self._named) - set(arrays)
+            extra = set(arrays) - set(self._named)
+            if missing or extra:
+                raise ValueError(
+                    f"parameter paths do not match: missing {sorted(missing)}, "
+                    f"unexpected {sorted(extra)}"
+                )
+
     def named_tensors(self) -> dict[str, Tensor]:
         return dict(self._named)
 
     def zero_grads(self) -> None:
         for t in self._named.values():
             t.zero_grad()
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place from a path-keyed dict."""
-        missing = set(self._named) - set(arrays)
-        extra = set(arrays) - set(self._named)
-        if missing or extra:
-            raise ValueError(
-                f"parameter paths do not match: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
-            )
-        for name, tensor in self._named.items():
-            value = np.asarray(arrays[name], dtype=np.float64)
-            if value.shape != tensor.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {value.shape} vs {tensor.shape}"
-                )
-            tensor.data[...] = value

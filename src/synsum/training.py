@@ -13,9 +13,12 @@ sqrt(acc), with every accumulator initialized to a positive constant so no
 epsilon is needed. Gradients are clipped by global norm before the step.
 
 Checkpoints are a binary file: an 8-byte magic, a format version, a JSON
-header (model config + digest, step counter, vocabulary hash), then one
-record per tensor (path, shape, little-endian float64 payload). Reloading
-reproduces bitwise-identical forward passes.
+header (model config + digest, step counter, vocabulary hash, record
+names), then one record per tensor (path, shape, little-endian float64
+payload) in the header's order, and nothing after. Reloading reproduces
+bitwise-identical forward passes. A checkpoint is written to a temporary
+file beside its target and renamed over it, so an interrupted save leaves
+the previous file as it was.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -71,6 +75,13 @@ PROB_FLOOR = 1e-12
 
 CHECKPOINT_MAGIC = b"SYNSUMCK"
 CHECKPOINT_VERSION = 1
+_ACC_PREFIX = "adagrad_acc/"   # record-path prefix of Adagrad accumulators
+_EXTRA_PREFIX = "extra/"       # and of extra arrays
+# every header key load_checkpoint reads, with its JSON type
+_HEADER_KEYS = {
+    "config": dict, "config_digest": str, "step": int, "vocab_hash": str,
+    "params": list, "accumulators": list, "extras": list,
+}
 
 
 @dataclass
@@ -423,6 +434,10 @@ class _Reader:
         (value,) = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
         return value
 
+    @property
+    def remaining(self) -> int:
+        return len(self._view) - self._pos
+
 
 def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
     path_len = reader.unpack("<I", "missing record header")
@@ -459,17 +474,23 @@ def save_checkpoint(
         "extras": list(extras),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name, tensor in named.items():
-            _write_record(fh, name, tensor.data)
-        for name, acc in accumulators.items():
-            _write_record(fh, f"adagrad_acc/{name}", acc)
-        for name, arr in extras.items():
-            _write_record(fh, f"extra/{name}", arr)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for name, tensor in named.items():
+                _write_record(fh, name, tensor.data)
+            for name, acc in accumulators.items():
+                _write_record(fh, f"{_ACC_PREFIX}{name}", acc)
+            for name, arr in extras.items():
+                _write_record(fh, f"{_EXTRA_PREFIX}{name}", arr)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -485,36 +506,59 @@ def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     header_len = reader.unpack("<Q", "header length")
-    header = json.loads(bytes(reader.take(header_len, "header")))
-    expected = (
-        len(header["params"]) + len(header["accumulators"])
-        + len(header["extras"])
-    )
-    arrays: dict[str, np.ndarray] = {}
-    accumulators: dict[str, np.ndarray] = {}
-    extras: dict[str, np.ndarray] = {}
-    for _ in range(expected):
-        name, array = _read_record(reader)
-        if name.startswith("adagrad_acc/"):
-            accumulators[name[len("adagrad_acc/"):]] = array
-        elif name.startswith("extra/"):
-            extras[name[len("extra/"):]] = array
-        else:
-            arrays[name] = array
-    config = ModelConfig.from_dict(header["config"])
+    header = _parse_header(bytes(reader.take(header_len, "header")))
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"bad config in checkpoint header: {exc}") from None
     if config_digest(config) != header["config_digest"]:
         raise CheckpointError("config digest mismatch in checkpoint header")
+    sections: dict[str, dict[str, np.ndarray]] = {
+        "params": {}, "accumulators": {}, "extras": {},
+    }
+    for key, prefix in (("params", ""), ("accumulators", _ACC_PREFIX),
+                        ("extras", _EXTRA_PREFIX)):
+        for name in header[key]:
+            path, array = _read_record(reader)
+            if path != prefix + name:
+                raise CheckpointError(
+                    f"checkpoint record {path!r} where the header lists "
+                    f"{prefix + name!r}"
+                )
+            sections[key][name] = array
+    if reader.remaining:
+        raise CheckpointError(
+            f"{reader.remaining} trailing bytes after the last checkpoint record"
+        )
     return Checkpoint(
         config=config,
-        arrays=arrays,
-        accumulators=accumulators,
-        extras=extras,
+        arrays=sections["params"],
+        accumulators=sections["accumulators"],
+        extras=sections["extras"],
         step=header["step"],
         vocab_hash=header["vocab_hash"],
     )
 
 
+def _parse_header(blob: bytes) -> dict:
+    try:
+        header = json.loads(blob)
+    except ValueError as exc:
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    for key, kind in _HEADER_KEYS.items():
+        if key not in header:
+            raise CheckpointError(f"checkpoint header lacks {key!r}")
+        value = header[key]
+        if type(value) is not kind or (
+            kind is list and not all(type(name) is str for name in value)
+        ):
+            raise CheckpointError(f"checkpoint header {key!r} is malformed")
+    return header
+
+
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
-    params = ModelParams(ckpt.config, seed=0)
-    params.load_arrays(ckpt.arrays)
-    return params
+    """The checkpoint's parameters; the tensors share ``ckpt.arrays``'
+    memory rather than copying it."""
+    return ModelParams(ckpt.config, arrays=ckpt.arrays)

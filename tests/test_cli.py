@@ -9,7 +9,7 @@ from synsum.cli import main
 from synsum.corpus import STOP_ID, Vocabulary, encode_example, ids_to_tokens, load_corpus
 from synsum.decoder import encode_document, greedy_decode, initial_state, make_step_fn
 from synsum.graph import graph_from_record
-from synsum.training import load_checkpoint, params_from_checkpoint
+from synsum.training import CheckpointError, load_checkpoint, params_from_checkpoint
 
 
 TRAIN_FLAGS = [
@@ -177,6 +177,55 @@ def test_decode_truncated_checkpoint_is_a_clean_error(trained_dir, tmp_path,
                  "--out", str(tmp_path / "s.txt")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: truncated checkpoint")
+
+
+def edit_header(data: bytes, edit) -> bytes:
+    """Rewrite a checkpoint's JSON header, keeping its digest consistent."""
+    header_end = 20 + struct.unpack("<Q", data[12:20])[0]
+    header = json.loads(data[20:header_end])
+    edit(header)
+    blob = json.dumps(header.get("config"), sort_keys=True).encode()
+    header["config_digest"] = hashlib.sha256(blob).hexdigest()
+    encoded = json.dumps(header, sort_keys=True).encode()
+    return (data[:12] + struct.pack("<Q", len(encoded)) + encoded
+            + data[header_end:])
+
+
+def swap_first_params(header):
+    names = header["params"]
+    names[0], names[1] = names[1], names[0]
+
+
+MALFORMED_CHECKPOINTS = {
+    "header without step": (
+        lambda data: edit_header(data, lambda h: h.pop("step")),
+        "lacks 'step'"),
+    "unknown config key": (
+        lambda data: edit_header(data, lambda h: h["config"].update(d_extra=3)),
+        "unknown model config keys"),
+    "trailing bytes": (lambda data: data + b"JUNK", "4 trailing bytes"),
+    "record names out of header order": (
+        lambda data: edit_header(data, swap_first_params),
+        "where the header lists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_decode_malformed_checkpoint_header_is_a_clean_error(
+        case, trained_dir, tmp_path, capsys):
+    corpus, out_dir = trained_dir
+    corrupt, message = MALFORMED_CHECKPOINTS[case]
+    data = corrupt((out_dir / "model.ckpt").read_bytes())
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(data)
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(data)
+    code = main(["decode", "--checkpoint", str(bad),
+                 "--corpus", str(corpus), "--vocab", str(out_dir / "vocab.txt"),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_decode_manifest_hashes_the_checkpoint_file(trained_dir, tmp_path):

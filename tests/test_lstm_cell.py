@@ -1,0 +1,267 @@
+"""The fused ``lstm_cell`` primitive against the composition it replaced.
+
+``composed_cell``, ``composed_scan`` and ``composed_bilstm`` are the LSTM
+cell, scan and BiLSTM as they were written from single primitives before the
+cell was fused (18 tape nodes a step). They stay here as the oracle: the
+fused forward must be bitwise equal to them, and its gradients must match
+to rounding (the backward sums a scan's input-projection gradients in one
+matrix product instead of step by step, so only their order differs).
+"""
+
+import numpy as np
+import pytest
+
+from synsum import autodiff as ad
+from synsum import encoder
+from synsum import synthetic as syn
+from synsum.autodiff import Tape, Tensor
+from synsum.corpus import Vocabulary, build_vocabulary, encode_example
+from synsum.decoder import decode_step, encode_document, initial_state
+from synsum.model import ModelConfig, ModelParams
+from synsum.training import sequence_loss
+
+TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
+
+
+def composed_gates(z, c, d):
+    i_gate = ad.sigmoid(ad.slice_cols(z, 0, d))
+    f_gate = ad.sigmoid(ad.slice_cols(z, d, 2 * d))
+    g_cand = ad.tanh(ad.slice_cols(z, 2 * d, 3 * d))
+    o_gate = ad.sigmoid(ad.slice_cols(z, 3 * d, 4 * d))
+    c_new = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, g_cand))
+    h_new = ad.mul(o_gate, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def composed_cell(x_proj, h, c, W_h, b, row=None):
+    """Drop-in for ``ad.lstm_cell`` built from single primitives."""
+    if row is not None:
+        x_proj = ad.gather_rows(x_proj, [row])
+    z = ad.add_rowvec(ad.add(x_proj, ad.matmul(h, W_h)), b)
+    return composed_gates(z, c, h.shape[1])
+
+
+def composed_scan(x, cell, d_h, reverse=False):
+    """The scan with the input projected one row at a time, inside the loop."""
+    n = x.shape[0]
+    h = Tensor(np.zeros((1, d_h)))
+    c = Tensor(np.zeros((1, d_h)))
+    states = [None] * n
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    for i in order:
+        x_i = ad.gather_rows(x, [i])
+        z = ad.add_rowvec(
+            ad.add(ad.matmul(x_i, cell["W_x"]), ad.matmul(h, cell["W_h"])),
+            cell["b"],
+        )
+        h, c = composed_gates(z, c, d_h)
+        states[i] = h
+    return states, h, c
+
+
+def composed_bilstm(x, params):
+    d_h = params.config.d_h
+    fw_states, fw_h, fw_c = composed_scan(x, params.lstm_fw, d_h)
+    bw_states, bw_h, bw_c = composed_scan(x, params.lstm_bw, d_h, reverse=True)
+    rows = [
+        ad.concat([fw_states[i], bw_states[i]], axis=1) for i in range(x.shape[0])
+    ]
+    return ad.concat(rows, axis=0), (fw_h, fw_c, bw_h, bw_c)
+
+
+@pytest.fixture
+def composed_model(monkeypatch):
+    """Route the encoder and the decoder through the composed oracle."""
+
+    def use():
+        monkeypatch.setattr(encoder, "bilstm", composed_bilstm)
+        monkeypatch.setattr(ad, "lstm_cell", composed_cell)
+
+    return use
+
+
+def random_cell(rng, d, rows=1, scale=1.0):
+    """Inputs for one cell; ``scale`` pushes pre-activations to both tails."""
+    return dict(
+        x_proj=Tensor(rng.normal(0, scale, (rows, 4 * d)), requires_grad=True),
+        h=Tensor(rng.uniform(-1, 1, (1, d)), requires_grad=True),
+        c=Tensor(rng.normal(0, scale, (1, d)), requires_grad=True),
+        W_h=Tensor(rng.uniform(-0.5, 0.5, (d, 4 * d)), requires_grad=True),
+        b=Tensor(rng.normal(0, scale, 4 * d), requires_grad=True),
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def corpus(seed, size, vocab_size=None):
+    docs = syn.generate_documents(seed=seed, size=size)
+    vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
+    if vocab_size is not None:
+        tokens = vocab.id_to_token + [
+            f"filler{i}" for i in range(vocab_size - vocab.size)
+        ]
+        vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)},
+                           id_to_token=tokens, label_to_id=vocab.label_to_id)
+    return vocab, [encode_example(doc, vocab) for doc in docs]
+
+
+# ---------------------------------------------------------------------------
+# the primitive alone
+
+
+@pytest.mark.parametrize("reached", ["both", "h", "c"])
+@pytest.mark.parametrize("row", [None, 2])
+def test_lstm_cell_gradients_match_finite_differences(reached, row):
+    rng = np.random.default_rng(4)
+    params = random_cell(rng, d=3, rows=1 if row is None else 4)
+    probe_h = rng.uniform(-1, 1, (1, 3))
+    probe_c = rng.uniform(-1, 1, (1, 3))
+
+    def f(p):
+        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"],
+                            row=row)
+        terms = []
+        if reached in ("both", "h"):
+            terms.append(ad.sum_all(ad.mul(h, probe_h)))
+        if reached in ("both", "c"):
+            terms.append(ad.sum_all(ad.mul(c, probe_c)))
+        return terms[0] if len(terms) == 1 else ad.add(*terms)
+
+    report = ad.grad_check(f, params, eps=1e-5, tol=1e-6)
+    assert report.ok, str(report)
+
+
+def test_lstm_cell_unreached_outputs_leave_no_gradient():
+    rng = np.random.default_rng(0)
+    p = random_cell(rng, d=2)
+    with Tape() as tape:
+        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        loss = ad.sum_all(ad.mul(p["h"], 1.0))  # the cell's outputs unused
+        tape.backward(loss)
+    assert h.grad is None and c.grad is None
+    assert p["W_h"].grad is None and p["x_proj"].grad is None
+
+
+def test_lstm_cell_is_one_tape_node():
+    rng = np.random.default_rng(0)
+    p = random_cell(rng, d=4)
+    with Tape() as tape:
+        ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+    assert [node.op for node in tape.nodes] == ["lstm_cell"]
+
+
+def test_lstm_cell_rejects_bad_shapes():
+    rng = np.random.default_rng(0)
+    p = random_cell(rng, d=3, rows=2)
+    with pytest.raises(ad.ShapeError):
+        ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+    with pytest.raises(IndexError):
+        ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"], row=2)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6, 16, 32])
+@pytest.mark.parametrize("scale", [0.5, 4.0, 40.0])
+def test_lstm_cell_forward_bitwise_equals_composition(d, scale):
+    rng = np.random.default_rng(d * 100 + int(scale))
+    for _ in range(20):
+        p = random_cell(rng, d, scale=scale)
+        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        h_ref, c_ref = composed_cell(p["x_proj"], p["h"], p["c"], p["W_h"],
+                                     p["b"])
+        assert same_bits(h.data, h_ref.data)
+        assert same_bits(c.data, c_ref.data)
+
+
+# ---------------------------------------------------------------------------
+# encoder scan and decoder step
+
+
+@pytest.mark.parametrize("widths", [dict(d_emb=4, d_h=3), dict(d_emb=16, d_h=16)])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_lstm_scan_bitwise_equals_composition(widths, reverse, n):
+    config = ModelConfig(vocab_size=8, d_g=6, gcn_layers=1, d_dec=4,
+                         d_attn=4, **widths)
+    params = ModelParams(config, seed=n)
+    x = Tensor(np.random.default_rng(n).normal(size=(n, config.d_emb)))
+    states, h, c = encoder.lstm_scan(x, params.lstm_fw, config.d_h, reverse)
+    states_ref, h_ref, c_ref = composed_scan(x, params.lstm_fw, config.d_h,
+                                             reverse)
+    for got, expected in zip(states, states_ref, strict=True):
+        assert same_bits(got.data, expected.data)
+    assert same_bits(h.data, h_ref.data) and same_bits(c.data, c_ref.data)
+
+
+@pytest.mark.parametrize("vocab_size", [None, 2000])
+def test_decode_step_bitwise_equals_composition(vocab_size, composed_model):
+    vocab, examples = corpus(seed=5, size=3, vocab_size=vocab_size)
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=2)
+
+    def run():
+        outputs = []
+        for example in examples:
+            enc, _, ctx = encode_document(example, params)
+            state = initial_state(enc, params)
+            for y_prev in example.target_ids[:-1]:
+                final, attention, p_gen, state = decode_step(
+                    state, y_prev, ctx, params)
+                outputs.append((final.data, attention.data, p_gen.data,
+                                state.hidden.data, state.cell.data))
+        return outputs
+
+    fused = run()
+    composed_model()
+    composed = run()
+    for got, expected in zip(fused, composed, strict=True):
+        assert all(same_bits(a, b) for a, b in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("vocab_size", [None, 2000])
+def test_sequence_loss_bitwise_and_gradients_close(vocab_size, composed_model):
+    vocab, examples = corpus(seed=9, size=3, vocab_size=vocab_size)
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=6)
+    named = params.named_tensors()
+
+    def run():
+        results = []
+        for example in examples:
+            params.zero_grads()
+            with Tape() as tape:
+                loss, _ = sequence_loss(example, params, 1.0)
+                tape.backward(loss)
+            grads = {name: t.grad.copy() for name, t in named.items()
+                     if t.grad is not None}
+            results.append((loss.data, grads))
+        return results
+
+    fused = run()
+    composed_model()
+    composed = run()
+    for (loss, grads), (loss_ref, grads_ref) in zip(fused, composed,
+                                                    strict=True):
+        assert same_bits(loss, loss_ref)
+        assert grads.keys() == grads_ref.keys()
+        for name, g_ref in grads_ref.items():
+            scale = np.abs(g_ref).max()
+            assert np.abs(grads[name] - g_ref).max() <= 1e-12 * scale, name
+
+
+def test_toy_width_sequence_loss_tape_size():
+    """Pins the tape of one example at toy widths (22-id vocabulary, 18
+    source tokens, 4 decoder steps). The fused cell took it from 1,006 nodes
+    to 320; a change that re-inflates the tape should fail here first."""
+    vocab, examples = corpus(seed=7, size=2)
+    example = examples[0]
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=0)
+    with Tape() as tape:
+        sequence_loss(example, params, 1.0)
+    ops = [node.op for node in tape.nodes]
+    assert (vocab.size, example.n, len(example.target_ids)) == (22, 18, 5)
+    assert ops.count("lstm_cell") == 2 * example.n + len(example.target_ids) - 1
+    assert "slice_cols" not in ops
+    assert len(ops) == 320

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -304,6 +305,104 @@ def test_params_from_checkpoint_validates_paths(tiny_setup, tmp_path):
                       extras={}, step=0, vocab_hash="x")
     with pytest.raises(ValueError, match="embedding"):
         params_from_checkpoint(ckpt)
+
+
+def params_digest(params):
+    h = hashlib.sha256()
+    for name, t in params.named_tensors().items():
+        h.update(name.encode())
+        h.update(repr(t.shape).encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+SEEDED_INIT_CONFIGS = [
+    (dict(), "8a2f745eb926273e33ae45f7e6b3687d3c35d964e48d4fa6b3c2fc2e4b2f8174"),
+    (dict(d_g=10, gcn_layers=3, tie_fwd_bwd=True),
+     "0eeca9ef1e4e08374d825166d60f9b4fd150255b0a9cd1ca10e2b711d1cd5aa5"),
+    (dict(ablate_gcn=True),
+     "9e6374d496c2d5280465bf53010bf2b31dac76af8576dd7c410b12bcfe1e0f60"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", SEEDED_INIT_CONFIGS)
+def test_seeded_init_draws_are_pinned(overrides, digest):
+    # digests of the values, shapes and path order of ModelParams(config,
+    # seed=3) as first generated; loading from arrays must not disturb them
+    widths = dict(vocab_size=40, d_emb=8, d_h=6, d_g=12, gcn_layers=2,
+                  d_dec=10, d_attn=10)
+    config = ModelConfig(**{**widths, **overrides})
+    assert params_digest(ModelParams(config, seed=3)) == digest
+
+
+def test_params_from_checkpoint_draws_nothing_and_keeps_file_bits(
+        tiny_setup, tmp_path, monkeypatch):
+    _, _, _, config = tiny_setup
+    params = ModelParams(config, seed=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, step=1, vocab_hash="x")
+    ckpt = load_checkpoint(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random draw while loading a checkpoint")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    reloaded = params_from_checkpoint(ckpt)
+    named = reloaded.named_tensors()
+    assert list(named) == list(params.named_tensors())
+    for name, t in named.items():
+        assert t.data.tobytes() == ckpt.arrays[name].tobytes()
+        assert t.requires_grad
+    assert params_digest(reloaded) == params_digest(params)
+
+
+def test_params_from_checkpoint_rejects_shape_mismatch(tiny_setup):
+    _, _, _, config = tiny_setup
+    arrays = {n: t.data for n, t in ModelParams(config).named_tensors().items()}
+    arrays["dec/out_b"] = arrays["dec/out_b"][:-1]
+    ckpt = Checkpoint(config=config, arrays=arrays, accumulators={},
+                      extras={}, step=0, vocab_hash="x")
+    with pytest.raises(ValueError, match="dec/out_b"):
+        params_from_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(d_extra=3), "unknown"),
+    (lambda d: d.pop("vocab_size"), "lacks 'vocab_size'"),
+    (lambda d: d.update(d_h=6.0), "'d_h' must be int"),
+    (lambda d: d.update(ablate_gate=1), "'ablate_gate' must be bool"),
+])
+def test_model_config_from_dict_rejects_malformed_keys(tiny_setup, edit,
+                                                       message):
+    _, _, _, config = tiny_setup
+    assert ModelConfig.from_dict(config.to_dict()) == config
+    data = config.to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        ModelConfig.from_dict(data)
+
+
+def test_interrupted_save_leaves_old_checkpoint_intact(tiny_setup, tmp_path,
+                                                       monkeypatch):
+    _, _, _, config = tiny_setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ModelParams(config, seed=0), step=1, vocab_hash="x")
+    before = path.read_bytes()
+    real_write = tr._write_record
+    written = []
+
+    def failing_write(fh, name, array):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(name)
+        real_write(fh, name, array)
+
+    monkeypatch.setattr(tr, "_write_record", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, ModelParams(config, seed=1), step=2,
+                        vocab_hash="y")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 # ---------------------------------------------------------------------------
