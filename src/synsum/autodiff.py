@@ -8,6 +8,18 @@ each node exactly once and is bitwise deterministic. With no active tape the
 same primitives run forward-only, which is how inference-time decoding stays
 cheap.
 
+Weight gradients are summed late. ``matmul`` does not add ``a.T @ g`` into
+its right operand's gradient; it files ``(a, g)`` against that tensor, and
+``gather_rows`` likewise files ``(indices, g)`` against the gathered matrix.
+The sweep flushes a tensor's pending terms just before it reads the
+gradient of the node that produced it, and flushes every term still pending
+(the leaves: parameters) when it ends. A flush is one matrix product over
+the stacked rows, ``concat(a).T @ concat(g)``, and one ``np.add.at`` over
+the stacked indices, so a decoder weight used at every step costs one
+product per example instead of one per step. Reverse topological order
+means every term is filed before its flush. Only the order in which
+gradient terms are summed changes; forward values do not.
+
 A primitive may have several outputs: ``lstm_cell`` records one node for
 the new hidden and cell state together. Its backward receives one gradient
 per output, ``None`` for an output that nothing downstream reached, and is
@@ -181,18 +193,69 @@ class Tape:
         # a loss computed on this one
         if not loss.requires_grad:
             raise ValueError("loss tensor is not connected to this tape")
-        _accumulate(loss, np.ones((), dtype=np.float64))
-        for node in reversed(self.nodes):
-            out = node.out
-            if type(out) is tuple:
-                grads = [t.grad for t in out]
-                if any(g is not None for g in grads):
-                    node.backward(*grads)
-                continue
-            grad = out.grad
-            if grad is None:
-                continue
-            node.backward(grad)
+        pending = _PENDING
+        try:
+            _accumulate(loss, np.ones((), dtype=np.float64))
+            for node in reversed(self.nodes):
+                out = node.out
+                if type(out) is tuple:
+                    for t in out:
+                        if t in pending:
+                            pending.pop(t).flush(t)
+                    grads = [t.grad for t in out]
+                    if any(g is not None for g in grads):
+                        node.backward(*grads)
+                    continue
+                if out in pending:
+                    pending.pop(out).flush(out)
+                grad = out.grad
+                if grad is None:
+                    continue
+                node.backward(grad)
+            for t, terms in pending.items():
+                terms.flush(t)
+        finally:
+            pending.clear()
+
+
+class _PendingGrad:
+    """Gradient terms filed against one tensor during ``Tape.backward``:
+    matmul right-operand terms ``a.T @ g`` and gathered rows ``(idx, g)``."""
+
+    __slots__ = ("lhs", "grads", "rows", "row_grads")
+
+    def __init__(self):
+        self.lhs: list[np.ndarray] = []
+        self.grads: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
+        self.row_grads: list[np.ndarray] = []
+
+    def flush(self, t: Tensor) -> None:
+        if self.lhs:
+            grad = _stack(self.lhs).T @ _stack(self.grads)  # a fresh array
+            if t.grad is None:
+                t.grad = grad
+            else:
+                t.grad += grad
+        if self.rows:
+            if t.grad is None:
+                t.grad = np.zeros(t.shape)
+            np.add.at(t.grad, _stack(self.rows), _stack(self.row_grads))
+
+
+# pending terms per tensor; filled and emptied within one Tape.backward
+_PENDING: dict[Tensor, _PendingGrad] = {}
+
+
+def _pending_for(t: Tensor) -> _PendingGrad:
+    terms = _PENDING.get(t)
+    if terms is None:
+        terms = _PENDING[t] = _PendingGrad()
+    return terms
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _active_tape() -> Tape | None:
@@ -238,7 +301,8 @@ def matmul(a, b) -> Tensor:
 
     The forward pass sums rank-1 terms in ascending k order, which makes the
     result bitwise identical to a naive triple loop (BLAS reorders the sum).
-    The backward pass has no such obligation and uses fast matrix products.
+    The backward pass has no such obligation and uses fast matrix products;
+    the gradient of ``b`` is filed with ``Tape.backward`` and summed there.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -249,7 +313,9 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            terms = _pending_for(b)
+            terms.lhs.append(a.data)
+            terms.grads.append(g)
 
     _record("matmul", out, backward)
     return out
@@ -542,9 +608,9 @@ def gather_rows(x, indices) -> Tensor:
     out = Tensor(x.data[idx], x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        dx = np.zeros(x.shape)
-        np.add.at(dx, idx, g)
-        _accumulate(x, dx)
+        terms = _pending_for(x)
+        terms.rows.append(idx.reshape(-1))
+        terms.row_grads.append(g.reshape(idx.size, x.shape[1]))
 
     _record("gather_rows", out, backward)
     return out

@@ -1,15 +1,19 @@
 """Command-line pipeline: synth, train, decode, eval, graph-inspect.
 
 Every subcommand materializes its full configuration (defaults included)
-into a run manifest before doing any work, alongside content hashes of its
-file inputs; two runs with equal manifests produce byte-identical primary
-outputs. All randomness flows from the --seed flags, never from the clock
-or the OS.
+into a run manifest, alongside content hashes of its file inputs; two runs
+with equal manifests produce byte-identical primary outputs. Manifests are
+written before any work, except that ``decode`` writes its manifest only
+after every document has decoded: its summaries (and gate dump) go to a
+temporary file that replaces the target at the end, so a decode that fails
+leaves no partial output and no manifest describing one. All randomness
+flows from the --seed flags, never from the clock or the OS.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -35,6 +39,7 @@ from .decoder import (
     make_step_fn,
     train_content_selector,
 )
+from .fileio import atomic_write
 from .graph import build_document_graph, export_graph, graph_stats
 from .metrics import evaluate_pairs
 from .model import ModelConfig
@@ -64,7 +69,7 @@ def file_hash(path: str | Path) -> str:
 
 def write_manifest(path: Path, manifest: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -286,42 +291,41 @@ def cmd_decode(args) -> int:
         },
         "outputs": {"summaries": str(out)},
     }
-    write_manifest(manifest_path, manifest)
 
-    gates_fh = open(args.dump_gates, "w", encoding="utf-8") if args.dump_gates \
-        else None
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            for index, doc in enumerate(load_corpus(args.corpus)):
-                example = encode_example(doc, vocab)
-                enc, gated, ctx = encode_document(example, params)
-                mask = None
-                if selector is not None:
-                    mask = selector.predict(enc.fused.data,
-                                            args.bottom_up_threshold)
-                    mask.damp = args.bottom_up_damp
-                state = initial_state(enc, params)
-                hyp = beam_search(
-                    make_step_fn(ctx, params, mask=mask), state,
-                    beam=args.beam, max_len=args.max_dec_len,
-                    alpha=args.len_penalty,
-                )
-                out_ids = [t for t in hyp.tokens if t != STOP_ID]
-                tokens = ids_to_tokens(out_ids, vocab, example.oov_tokens)
-                fh.write(" ".join(tokens) + "\n")
-                if gates_fh is not None:
-                    record = {
-                        "index": index,
-                        "attention": None if gated.attention is None
-                        else [round(float(v), 8) for v in gated.attention.data],
-                        "gate_mean": None if gated.gate is None
-                        else [round(float(v), 8)
-                              for v in gated.gate.data.mean(axis=1)],
-                    }
-                    gates_fh.write(json.dumps(record) + "\n")
-    finally:
-        if gates_fh is not None:
-            gates_fh.close()
+    # summaries and gates land only once every document has decoded, and
+    # the manifest after them, so a failed decode leaves every path as it was
+    with atomic_write(out) as fh, (
+        atomic_write(args.dump_gates) if args.dump_gates
+        else contextlib.nullcontext()
+    ) as gates_fh:
+        for index, doc in enumerate(load_corpus(args.corpus)):
+            example = encode_example(doc, vocab)
+            enc, gated, ctx = encode_document(example, params)
+            mask = None
+            if selector is not None:
+                mask = selector.predict(enc.fused.data,
+                                        args.bottom_up_threshold)
+                mask.damp = args.bottom_up_damp
+            state = initial_state(enc, params)
+            hyp = beam_search(
+                make_step_fn(ctx, params, mask=mask), state,
+                beam=args.beam, max_len=args.max_dec_len,
+                alpha=args.len_penalty,
+            )
+            out_ids = [t for t in hyp.tokens if t != STOP_ID]
+            tokens = ids_to_tokens(out_ids, vocab, example.oov_tokens)
+            fh.write(" ".join(tokens) + "\n")
+            if gates_fh is not None:
+                record = {
+                    "index": index,
+                    "attention": None if gated.attention is None
+                    else [round(float(v), 8) for v in gated.attention.data],
+                    "gate_mean": None if gated.gate is None
+                    else [round(float(v), 8)
+                          for v in gated.gate.data.mean(axis=1)],
+                }
+                gates_fh.write(json.dumps(record) + "\n")
+    write_manifest(manifest_path, manifest)
     emit({"summaries": str(out), "hash": file_hash(out)}, args.json)
     return 0
 

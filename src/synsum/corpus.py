@@ -8,7 +8,9 @@ Corpus files are UTF-8 JSON lines, one document per line:
 Heads follow the CoNLL-U convention: 0 marks the syntactic root, any other
 value is the 1-based index of the head within the same sentence. Tokens are
 consumed verbatim; lowercasing and tokenization are the upstream parser's
-job.
+job. A source or reference token that is empty or contains whitespace is a
+``CorpusFormatError``: it would break the one-token-per-line vocabulary file
+and the space-joined summaries.
 
 Out-of-vocabulary source tokens get per-document temporary ids directly
 after the fixed vocabulary, in first-occurrence order, so a copying decoder
@@ -23,6 +25,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
+
+from .fileio import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import DocumentGraph
@@ -127,8 +131,9 @@ class Vocabulary:
         return self.id_to_token[token_id]
 
     def save(self, path: str | Path) -> None:
-        """One non-reserved token per line; line number + 4 reserved = id."""
-        with open(path, "w", encoding="utf-8") as fh:
+        """One non-reserved token per line; line number + 4 reserved = id.
+        Written atomically: an interrupted save leaves the old file."""
+        with atomic_write(path) as fh:
             for token in self.id_to_token[len(RESERVED_TOKENS):]:
                 fh.write(token + "\n")
 
@@ -161,6 +166,17 @@ class EncodedExample:
         return len(self.source_ids)
 
 
+def _check_tokens(tokens: list[str], where: str, line_no: int) -> None:
+    # the vocabulary file holds one token per line and summaries are joined
+    # on spaces, so a token must be exactly one whitespace-split field
+    for tok in tokens:
+        if tok.split() != [tok]:
+            raise CorpusFormatError(
+                f"line {line_no}: {where} token {tok!r} is empty or contains "
+                "whitespace"
+            )
+
+
 def _parse_record(obj: dict, line_no: int) -> Document:
     try:
         sentences = [
@@ -174,6 +190,9 @@ def _parse_record(obj: dict, line_no: int) -> Document:
         reference = list(map(str, obj["reference"]))
     except (KeyError, TypeError) as exc:
         raise CorpusFormatError(f"line {line_no}: missing or malformed field ({exc})")
+    for sent in sentences:
+        _check_tokens(sent.tokens, "source", line_no)
+    _check_tokens(reference, "reference", line_no)
     doc = Document(sentences=sentences, reference=reference)
     try:
         doc.validate()

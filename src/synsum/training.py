@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import random
 import struct
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .decoder import (
     initial_state,
     make_step_fn,
 )
+from .fileio import atomic_write
 from .metrics import RougeReport, evaluate_pairs
 from .model import ModelConfig, ModelParams
 
@@ -474,23 +474,17 @@ def save_checkpoint(
         "extras": list(extras),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for name, tensor in named.items():
-                _write_record(fh, name, tensor.data)
-            for name, acc in accumulators.items():
-                _write_record(fh, f"{_ACC_PREFIX}{name}", acc)
-            for name, arr in extras.items():
-                _write_record(fh, f"{_EXTRA_PREFIX}{name}", arr)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for name, tensor in named.items():
+            _write_record(fh, name, tensor.data)
+        for name, acc in accumulators.items():
+            _write_record(fh, f"{_ACC_PREFIX}{name}", acc)
+        for name, arr in extras.items():
+            _write_record(fh, f"{_EXTRA_PREFIX}{name}", arr)
     return path
 
 

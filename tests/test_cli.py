@@ -376,3 +376,71 @@ def test_graph_inspect_index_out_of_range(tmp_path, capsys):
     assert main(["graph-inspect", "--corpus", str(corpus),
                  "--index", "9"]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def decode_args(corpus, out_dir, out, *extra):
+    return ["decode", "--checkpoint", str(out_dir / "model.ckpt"),
+            "--corpus", str(corpus), "--vocab", str(out_dir / "vocab.txt"),
+            "--out", str(out), "--beam", "1", "--max-dec-len", "4", *extra]
+
+
+def corpus_with_bad_fourth_record(corpus, path):
+    lines = corpus.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ['{"sentences": 5}'] + lines[3:])
+                    + "\n")
+
+
+def test_decode_failure_leaves_no_output_or_manifest(trained_dir, tmp_path,
+                                                     capsys):
+    corpus, out_dir = trained_dir
+    bad = tmp_path / "bad.jsonl"
+    corpus_with_bad_fourth_record(corpus, bad)
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "s.txt"
+    code = main(decode_args(bad, out_dir, out, "--dump-gates",
+                            str(work / "gates.jsonl")))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 4")
+    assert list(work.iterdir()) == []
+
+
+def test_decode_failure_keeps_earlier_output_byte_identical(trained_dir,
+                                                            tmp_path):
+    corpus, out_dir = trained_dir
+    out = tmp_path / "s.txt"
+    manifest = tmp_path / "s.txt.manifest.json"
+    assert main(decode_args(corpus, out_dir, out)) == 0
+    before = {p.name: p.read_bytes() for p in (out, manifest)}
+    bad = tmp_path / "bad.jsonl"
+    corpus_with_bad_fourth_record(corpus, bad)
+    assert main(decode_args(bad, out_dir, out)) == 1
+    assert {p.name: p.read_bytes() for p in (out, manifest)} == before
+    assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*"))
+
+
+@pytest.mark.parametrize("token", ["", "two words", "new\nline", "tab\t"])
+@pytest.mark.parametrize("where", ["source", "reference"])
+def test_train_and_decode_reject_tokens_that_break_files(
+        trained_dir, tmp_path, capsys, token, where):
+    corpus, out_dir = trained_dir
+    record = json.loads(corpus.read_text().splitlines()[0])
+    if where == "source":
+        record["sentences"][0]["tokens"][0] = token
+    else:
+        record["reference"][0] = token
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(corpus.read_text() + json.dumps(record) + "\n")
+    line = len(corpus.read_text().splitlines()) + 1
+
+    assert main(["train", "--corpus", str(bad), "--out-dir",
+                 str(tmp_path / "run"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: {where} token")
+    assert not (tmp_path / "run" / "vocab.txt").exists()
+
+    assert main(decode_args(bad, out_dir, tmp_path / "s.txt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: {where} token")
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.txt").exists()

@@ -371,3 +371,33 @@ def test_synthetic_exhausted_syllable_pool_raises():
 def test_synthetic_size_validation():
     with pytest.raises(ValueError):
         syn.generate_documents(seed=1, size=0)
+
+
+@pytest.mark.parametrize("token", ["", " ", "a b", "a\nb", "a\tb", "a\r",
+                                   "a\u00a0b", "a\u2028b"])
+@pytest.mark.parametrize("where", ["source", "reference"])
+def test_load_corpus_rejects_tokens_that_break_files(tmp_path, token, where):
+    bad = json.loads(json.dumps(VALID_RECORD))
+    if where == "source":
+        bad["sentences"][0]["tokens"][1] = token
+    else:
+        bad["reference"][0] = token
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [VALID_RECORD, bad])
+    with pytest.raises(cp.CorpusFormatError,
+                       match=f"line 2: {where} token .* empty or contains"):
+        list(load_corpus(path))
+
+
+def test_vocabulary_interrupted_save_leaves_old_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    build_vocabulary([make_doc([["alpha", "beta"]], ["alpha"])],
+                     cap=10).save(path)
+    before = path.read_bytes()
+    vocab = build_vocabulary([make_doc([["gamma", "delta"]], ["gamma"])],
+                             cap=10)
+    vocab.id_to_token.append(None)  # the write dies after two lines
+    with pytest.raises(TypeError):
+        vocab.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
