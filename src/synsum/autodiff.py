@@ -25,6 +25,11 @@ the new hidden and cell state together. Its backward receives one gradient
 per output, ``None`` for an output that nothing downstream reached, and is
 skipped only when no output was reached.
 
+Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
+``sum_rows``, ``pick_rows``, ``pointer_mix``) give each row bitwise the
+value the one-row or vector form gives it, so stacking the rows of several
+decoder steps into one call never changes a forward value.
+
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
 ``minimum``/``maximum`` give the tie subgradient to their first argument.
@@ -56,7 +61,10 @@ __all__ = [
     "softmax",
     "log",
     "sum_all",
+    "sum_rows",
+    "fold_sum",
     "concat",
+    "stack",
     "reshape",
     "transpose",
     "slice_cols",
@@ -65,7 +73,9 @@ __all__ = [
     "add_rowvec",
     "outer",
     "pick",
+    "pick_rows",
     "scatter_sum_vec",
+    "pointer_mix",
     "clip",
     "lstm_cell",
     "zero_grads",
@@ -293,7 +303,17 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # primitives
 
 
-_ACCUMULATE_MAX_COLS = 512  # widest one-row output folded by add.accumulate
+# largest output (rows x cols) folded by add.accumulate: one row up to 512
+# columns, or a few rows of a narrow product such as an (R, k) x (k, 1)
+# column; larger outputs make its (rows, k, cols) temporary too costly
+_ACCUMULATE_MAX_OUT = 512
+# Column-block width of a multi-row product's k-loop. Timed on a 2 MB-L2
+# Xeon for (21 x 96) @ (96 x 20,000): 58-65 ms unblocked, 28-37 ms with
+# 4,096-column blocks (a 21-row block and its temporary, 2 x 688 KB, stay
+# in L2), 31-49 ms at 3,000-6,000, 43 ms at 8,192 (they no longer fit),
+# and 75-120 ms at 512-2,500 (strided updates of short rows). One-row
+# products stay unblocked: blocking them was slower.
+_BLOCK_COLS = 4096
 
 
 def matmul(a, b) -> Tensor:
@@ -322,20 +342,30 @@ def matmul(a, b) -> Tensor:
 
 
 def _matmul_data(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """``av @ bv`` summed over k in ascending order, one left fold per entry."""
-    inner = av.shape[1]
+    """``av @ bv`` summed over k in ascending order, one left fold per entry.
+
+    Every row is the same fold as the one-row product of that row, so
+    stacking rows into one call never changes a value."""
+    rows, inner = av.shape
+    cols = bv.shape[1]
     if inner == 0:
-        return np.zeros((av.shape[0], bv.shape[1]))
-    if av.shape[0] == 1 and bv.shape[1] <= _ACCUMULATE_MAX_COLS:
+        return np.zeros((rows, cols))
+    if rows * cols <= _ACCUMULATE_MAX_OUT:
         # add.accumulate is a strict left fold, same association as the loop;
-        # it wins on narrow rows, where the loop's per-k Python cost dominates,
-        # but scans the strided axis and loses to the loop on wide ones
-        return np.add.accumulate(av[0, :, None] * bv, axis=0)[-1:].copy()
-    out_data = av[:, 0, None] * bv[0]
-    tmp = np.empty_like(out_data)
-    for k in range(1, inner):
-        np.multiply(av[:, k, None], bv[k], out=tmp)
-        out_data += tmp
+        # it wins on small outputs, where the loop's per-k Python cost
+        # dominates, but scans the strided axis and loses on large ones
+        return np.add.accumulate(av[:, :, None] * bv, axis=1)[:, -1].copy()
+    block = _BLOCK_COLS if rows > 1 else max(cols, 1)
+    out_data = np.empty((rows, cols))
+    tmp = np.empty((rows, min(block, cols)))
+    for lo in range(0, cols, block):
+        out_block = out_data[:, lo:lo + block]
+        b_block = bv[:, lo:lo + block]
+        tmp_block = tmp[:, :out_block.shape[1]]
+        np.multiply(av[:, 0, None], b_block[0], out=out_block)
+        for k in range(1, inner):
+            np.multiply(av[:, k, None], b_block[k], out=tmp_block)
+            out_block += tmp_block
     return out_data
 
 
@@ -476,36 +506,46 @@ def maximum(a, b) -> Tensor:
 
 
 def softmax(x, mask=None) -> Tensor:
-    """Normalized exponential over a vector, max-subtracted for stability.
+    """Normalized exponential over a vector, or over each row of a matrix,
+    max-subtracted for stability. A matrix row gets bitwise the values the
+    vector form gives that row.
 
-    ``mask`` is an optional boolean array; masked-out positions get exactly
-    zero probability and zero gradient. Raises if nothing remains unmasked.
+    ``mask`` is an optional boolean array for a vector; masked-out positions
+    get exactly zero probability and zero gradient. Raises if nothing
+    remains unmasked.
     """
     x = _as_tensor(x)
-    if x.data.ndim != 1 or x.data.size == 0:
-        raise ShapeError(f"softmax expects a nonempty vector, got shape {x.shape}")
+    if x.data.ndim not in (1, 2) or x.data.size == 0:
+        raise ShapeError(
+            f"softmax expects a nonempty vector or matrix, got shape {x.shape}"
+        )
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
-        if keep.shape != x.shape:
-            raise ShapeError(f"softmax mask shape {keep.shape} != input {x.shape}")
+        if keep.shape != x.shape or x.data.ndim != 1:
+            raise ShapeError(
+                f"softmax mask {keep.shape} needs a vector input of its shape, "
+                f"got {x.shape}"
+            )
         if not keep.any():
             raise DegenerateDistributionError("softmax: all positions masked")
     else:
         keep = None
 
-    y = np.zeros_like(x.data)
     if keep is None:
-        z = np.exp(x.data - x.data.max())
-        y[:] = z / z.sum()
+        z = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+        y = z / z.sum(axis=-1, keepdims=True)
     else:
+        y = np.zeros_like(x.data)
         sub_x = x.data[keep]
         z = np.exp(sub_x - sub_x.max())
         y[keep] = z / z.sum()
     out = Tensor(y, x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        # dx_i = y_i * (g_i - <g, y>); zero automatically where y is zero
-        _accumulate(x, y * (g - np.dot(g, y)))
+        # dx_i = y_i * (g_i - <g, y>) per row; zero where y is zero
+        inner = (np.dot(g, y) if y.ndim == 1
+                 else np.einsum("ij,ij->i", g, y)[:, None])
+        _accumulate(x, y * (g - inner))
 
     _record("softmax", out, backward)
     return out
@@ -534,6 +574,38 @@ def sum_all(x) -> Tensor:
     return out
 
 
+def sum_rows(x) -> Tensor:
+    """Sum of each row of a matrix, bitwise ``x[r].sum()`` for row r; a
+    vector is one row and sums to a scalar."""
+    x = _as_tensor(x)
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"sum_rows expects a vector or matrix, got {x.shape}")
+    out = Tensor(x.data.sum(axis=-1), x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, -1), x.shape))
+
+    _record("sum_rows", out, backward)
+    return out
+
+
+def fold_sum(x) -> Tensor:
+    """Sum of a vector as a strict left fold, ``((x0 + x1) + x2) + ...``:
+    the value of adding the entries one ``add`` at a time. ``sum_all`` sums
+    pairwise instead, which differs in the last bits from eight entries on.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim != 1 or x.data.size == 0:
+        raise ShapeError(f"fold_sum expects a nonempty vector, got shape {x.shape}")
+    out = Tensor(np.add.accumulate(x.data)[-1], x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, np.broadcast_to(g, x.shape))
+
+    _record("fold_sum", out, backward)
+    return out
+
+
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
@@ -553,6 +625,25 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
                 _accumulate(p, g[tuple(idx)])
 
     _record("concat", out, backward)
+    return out
+
+
+def stack(parts: Sequence) -> Tensor:
+    """Equal-shape tensors as the slices of a new leading axis."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ShapeError("stack of zero tensors")
+    if any(p.shape != parts[0].shape for p in parts):
+        raise ShapeError(f"stack: shapes differ {[p.shape for p in parts]}")
+    out = Tensor(np.stack([p.data for p in parts]),
+                 any(p.requires_grad for p in parts))
+
+    def backward(g: np.ndarray) -> None:
+        for p, g_part in zip(parts, g):
+            if p.requires_grad:
+                _accumulate(p, g_part)
+
+    _record("stack", out, backward)
     return out
 
 
@@ -690,6 +781,28 @@ def pick(x, index: int) -> Tensor:
     return out
 
 
+def pick_rows(x, columns) -> Tensor:
+    """One element of each row of a matrix: ``out[r] = x[r, columns[r]]``."""
+    x = _as_tensor(x)
+    cols = np.asarray(columns, dtype=np.intp)
+    if x.data.ndim != 2 or cols.shape != (x.shape[0],):
+        raise ShapeError(
+            f"pick_rows: matrix {x.shape} vs column indices {cols.shape}"
+        )
+    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
+        raise IndexError(f"pick_rows: column out of range for {x.shape[1]} columns")
+    rows = np.arange(x.shape[0])
+    out = Tensor(x.data[rows, cols], x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        dx = np.zeros(x.shape)
+        dx[rows, cols] = g
+        _accumulate(x, dx)
+
+    _record("pick_rows", out, backward)
+    return out
+
+
 def scatter_sum_vec(values, indices, size: int) -> Tensor:
     """out[indices[k]] += values[k]; duplicate indices accumulate."""
     values = _as_tensor(values)
@@ -706,6 +819,62 @@ def scatter_sum_vec(values, indices, size: int) -> Tensor:
         _accumulate(values, g[idx])
 
     _record("scatter_sum_vec", out, backward)
+    return out
+
+
+def pointer_mix(vocab_dist, copy_attention, p_gen, ids, size: int) -> Tensor:
+    """Pointer-generator mixture, one output row per input row:
+
+        out[r] = p_gen[r] * gen[r] + (1 - p_gen[r]) * copy[r]
+
+    ``gen[r]`` is ``vocab_dist[r]`` (R x V) padded with zeros to ``size``
+    columns, ``copy[r][ids[i]]`` sums ``copy_attention[r, i]`` (R x n) over
+    source positions i in ascending order, and ``p_gen`` is an (R, 1)
+    column. Per row these are the IEEE operations of the composition
+    ``concat``/``scatter_sum_vec``/``mul``/``sub``/``mul``/``add`` on
+    vectors, so the values are bitwise equal to it.
+    """
+    vocab_dist, copy_attention, p_gen = (
+        _as_tensor(t) for t in (vocab_dist, copy_attention, p_gen)
+    )
+    idx = np.asarray(ids, dtype=np.intp)
+    gen = vocab_dist.data
+    if (gen.ndim != 2 or p_gen.shape != (gen.shape[0], 1)
+            or copy_attention.shape != (gen.shape[0], idx.size)
+            or idx.shape != (idx.size,) or size < gen.shape[1]):
+        raise ShapeError(
+            f"pointer_mix: vocab_dist {gen.shape}, copy_attention "
+            f"{copy_attention.shape}, p_gen {p_gen.shape}, ids {idx.shape}, "
+            f"size {size}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise IndexError(f"pointer_mix: id out of range for size {size}")
+    rows, vocab = gen.shape
+    p = p_gen.data
+    q = 1.0 - p
+    copy = np.zeros((rows, size))
+    np.add.at(copy, (np.arange(rows)[:, None], idx[None, :]),
+              copy_attention.data)
+    out_data = np.zeros((rows, size))
+    np.multiply(gen, p, out=out_data[:, :vocab])
+    copy *= q
+    out_data += copy
+    out = Tensor(out_data, vocab_dist.requires_grad
+                 or copy_attention.requires_grad or p_gen.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        g_gen = g[:, :vocab]
+        g_copy = g[:, idx]  # d out / d copy_attention[r, i] reads column ids[i]
+        if vocab_dist.requires_grad:
+            _accumulate(vocab_dist, g_gen * p)
+        if copy_attention.requires_grad:
+            _accumulate(copy_attention, g_copy * q)
+        if p_gen.requires_grad:
+            dp = (np.einsum("ij,ij->i", g_gen, gen)
+                  - np.einsum("ij,ij->i", g_copy, copy_attention.data))
+            _accumulate(p_gen, dp[:, None])
+
+    _record("pointer_mix", out, backward)
     return out
 
 

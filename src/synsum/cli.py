@@ -2,12 +2,12 @@
 
 Every subcommand materializes its full configuration (defaults included)
 into a run manifest, alongside content hashes of its file inputs; two runs
-with equal manifests produce byte-identical primary outputs. Manifests are
-written before any work, except that ``decode`` writes its manifest only
-after every document has decoded: its summaries (and gate dump) go to a
-temporary file that replaces the target at the end, so a decode that fails
-leaves no partial output and no manifest describing one. All randomness
-flows from the --seed flags, never from the clock or the OS.
+with equal manifests produce byte-identical primary outputs. A subcommand
+writes its outputs only once its work has succeeded, each to a temporary
+file that replaces the target (``fileio.atomic_write``), and its manifest
+last, so a run that fails leaves no partial output and no manifest
+describing one. All randomness flows from the --seed flags, never from the
+clock or the OS.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -91,20 +92,18 @@ def cmd_synth(args) -> int:
     manifest_path = Path(args.manifest) if args.manifest else Path(
         str(out) + ".manifest.json"
     )
-    manifest = {
+    synthetic.generate_synthetic_corpus(seed=args.seed, size=args.size,
+                                        out_path=out)
+    corpus_hash = file_hash(out)
+    write_manifest(manifest_path, {
         "subcommand": "synth",
         "seed": args.seed,
         "config": {"size": args.size},
         "inputs": {},
-        "outputs": {"corpus": str(out)},
-    }
-    write_manifest(manifest_path, manifest)
-    synthetic.generate_synthetic_corpus(seed=args.seed, size=args.size,
-                                        out_path=out)
-    manifest["outputs"]["corpus_hash"] = file_hash(out)
-    write_manifest(manifest_path, manifest)
-    emit({"corpus": str(out), "documents": args.size,
-          "hash": manifest["outputs"]["corpus_hash"]}, args.json)
+        "outputs": {"corpus": str(out), "corpus_hash": corpus_hash},
+    })
+    emit({"corpus": str(out), "documents": args.size, "hash": corpus_hash},
+         args.json)
     return 0
 
 
@@ -130,15 +129,10 @@ def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = Path(args.manifest) if args.manifest else out_dir / "manifest.json"
 
     docs = list(load_corpus(args.corpus))
     vocab = build_vocabulary(docs, cap=args.cap)
-    vocab_path = out_dir / "vocab.txt"
-    vocab.save(vocab_path)
-    vocab_hash = file_hash(vocab_path)
-
     train_config = TrainConfig(
         learning_rate=args.lr,
         init_accumulator=args.init_acc,
@@ -149,43 +143,13 @@ def cmd_train(args) -> int:
         clip_norm=args.clip_norm,
     )
     model_config = _model_config_from_args(args, vocab.size)
-    manifest = {
-        "subcommand": "train",
-        "seed": args.seed,
-        "config": {
-            "model": model_config.to_dict(),
-            "train": vars(train_config).copy(),
-            "cap": args.cap,
-            "max_src_len": args.max_src_len,
-            "max_tgt_len": args.max_tgt_len,
-            "stop_below": args.stop_below,
-            "gate_disabled": model_config.ablate_gate,
-            "gcn_disabled": model_config.ablate_gcn,
-        },
-        "inputs": {"corpus": str(args.corpus),
-                   "corpus_hash": file_hash(args.corpus)},
-        "outputs": {
-            "checkpoint": str(out_dir / "model.ckpt"),
-            "vocab": str(vocab_path),
-            "vocab_hash": vocab_hash,
-            "metrics_log": str(out_dir / "metrics.log"),
-        },
-    }
-    write_manifest(manifest_path, manifest)
-
     examples = [
         encode_example(d, vocab, max_source_len=args.max_src_len,
                        max_target_len=args.max_tgt_len)
         for d in docs
     ]
-
-    log_path = out_dir / "metrics.log"
-    with open(log_path, "w", encoding="utf-8") as log:
-        result = train(
-            examples, model_config, train_config,
-            on_epoch=lambda stats: print(stats.log_line(), file=log),
-            stop_below=args.stop_below,
-        )
+    result = train(examples, model_config, train_config,
+                   stop_below=args.stop_below)
 
     # the content selector trains separately, on the fused encoder states
     extras = {}
@@ -206,6 +170,11 @@ def cmd_train(args) -> int:
             "selector/std": selector.std,
         }
 
+    # every output lands only now that the work has succeeded
+    out_dir.mkdir(parents=True, exist_ok=True)
+    vocab_path = out_dir / "vocab.txt"
+    vocab.save(vocab_path)
+    vocab_hash = file_hash(vocab_path)
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(
         ckpt_path, result.params,
@@ -214,6 +183,38 @@ def cmd_train(args) -> int:
         accumulators=result.accumulators,
         extras=extras,
     )
+    log_path = out_dir / "metrics.log"
+    with atomic_write(log_path) as log:
+        for stats in result.history:
+            log.write(stats.log_line() + "\n")
+    jsonl_path = out_dir / "metrics.jsonl"
+    with atomic_write(jsonl_path) as fh:
+        for stats in result.history:
+            fh.write(json.dumps(asdict(stats), sort_keys=True) + "\n")
+    write_manifest(manifest_path, {
+        "subcommand": "train",
+        "seed": args.seed,
+        "config": {
+            "model": model_config.to_dict(),
+            "train": vars(train_config).copy(),
+            "cap": args.cap,
+            "max_src_len": args.max_src_len,
+            "max_tgt_len": args.max_tgt_len,
+            "stop_below": args.stop_below,
+            "gate_disabled": model_config.ablate_gate,
+            "gcn_disabled": model_config.ablate_gcn,
+        },
+        "inputs": {"corpus": str(args.corpus),
+                   "corpus_hash": file_hash(args.corpus)},
+        "outputs": {
+            "checkpoint": str(ckpt_path),
+            "vocab": str(vocab_path),
+            "vocab_hash": vocab_hash,
+            "metrics_log": str(log_path),
+            "metrics_jsonl": str(jsonl_path),
+        },
+    })
+
     payload = {
         "checkpoint": str(ckpt_path),
         "vocab": str(vocab_path),
@@ -345,6 +346,8 @@ def cmd_eval(args) -> int:
             f"candidate/reference count mismatch: {len(candidates)} candidates "
             f"vs {len(references)} references"
         )
+    report = evaluate_pairs(candidates, references,
+                            n_resamples=args.resamples, seed=args.seed)
     manifest_path = Path(args.manifest) if args.manifest else Path(
         str(args.candidates) + ".eval-manifest.json"
     )
@@ -360,8 +363,6 @@ def cmd_eval(args) -> int:
         },
         "outputs": {},
     })
-    report = evaluate_pairs(candidates, references,
-                            n_resamples=args.resamples, seed=args.seed)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -383,6 +384,11 @@ def cmd_graph_inspect(args) -> int:
     manifest_path = Path(args.manifest) if args.manifest else Path(
         str(args.corpus) + ".graph-manifest.json"
     )
+    graph = build_document_graph(docs[args.index])
+    stats = graph_stats(graph)
+    if args.export:
+        with atomic_write(args.export) as fh:
+            fh.write(json.dumps(export_graph(graph), sort_keys=True) + "\n")
     write_manifest(manifest_path, {
         "subcommand": "graph-inspect",
         "seed": 0,
@@ -391,11 +397,6 @@ def cmd_graph_inspect(args) -> int:
                    "corpus_hash": file_hash(args.corpus)},
         "outputs": {"export": args.export},
     })
-    graph = build_document_graph(docs[args.index])
-    stats = graph_stats(graph)
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(export_graph(graph), sort_keys=True) + "\n")
     if args.json:
         print(json.dumps(stats, sort_keys=True))
     else:

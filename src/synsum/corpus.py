@@ -228,9 +228,10 @@ def document_to_record(doc: Document) -> dict:
 
 
 def write_corpus(docs: Iterable[Document], path: str | Path) -> int:
-    """Write documents as JSON lines; returns the number written."""
+    """Write documents as JSON lines; returns the number written. Written
+    atomically: a failure leaves the old file, if any, as it was."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in docs:
             fh.write(json.dumps(document_to_record(doc), sort_keys=True))
             fh.write("\n")

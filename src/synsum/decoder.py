@@ -14,6 +14,16 @@ temporary OOV ids). Coverage is the running sum of past attention
 distributions; attending where coverage is already high is penalized by
 ``coverage_loss``.
 
+A step has two halves. The recurrence (``recurrence_step``: embedding,
+LSTM cell, coverage attention, context) carries the state from step to
+step. The output head (``output_head``: the vocabulary projection of
+``[hidden; context]``, its softmax, p_gen, the copy scatter and the
+mixture) takes one row per step, any number of rows at once, and nothing in
+the recurrence reads it. ``decode_step`` runs the head over its one row;
+under teacher forcing (``teacher_force``) the head runs once over the rows
+of all T steps, so the vocabulary projection is one (T x k) by (k x V)
+product. Each row is bitwise the value of that step run alone.
+
 At inference a content-selector mask can restrict the copy distribution to
 source tokens scoring at least a threshold; the attention used for the
 context vector and coverage stays unmasked, and an empty selection falls
@@ -54,7 +64,10 @@ __all__ = [
     "encode_document",
     "prepare_decoder",
     "initial_state",
+    "recurrence_step",
+    "output_head",
     "decode_step",
+    "teacher_force",
     "coverage_loss",
     "make_step_fn",
     "greedy_decode",
@@ -71,7 +84,7 @@ class StepState:
     hidden: Tensor              # (1, d_dec)
     cell: Tensor                # (1, d_dec)
     coverage: Tensor            # (n,) running sum of past attention
-    prev_context: Tensor        # (d,) context vector fed to the next input
+    prev_context: Tensor        # (1, d) context row fed to the next input
     prev_token: int = START_ID
 
 
@@ -83,6 +96,7 @@ class DecodeContext:
     enc_attn_proj: Tensor       # (n, d_attn) precomputed attention projection
     source_ext_ids: np.ndarray  # (n,) extended ids of the source tokens
     n_oov: int
+    attn_v: Tensor              # (d_attn, 1) attention scoring vector
 
     @property
     def n(self) -> int:
@@ -129,6 +143,7 @@ def prepare_decoder(
         enc_attn_proj=ad.matmul(enc_states, params.attn["enc_W"]),
         source_ext_ids=np.asarray(example.source_ext_ids, dtype=np.intp),
         n_oov=len(example.oov_tokens),
+        attn_v=ad.reshape(params.attn["v"], (params.config.d_attn, 1)),
     )
 
 
@@ -164,40 +179,31 @@ def initial_state(enc: EncodedDocument, params: ModelParams) -> StepState:
         hidden=h0,
         cell=c0,
         coverage=Tensor(np.zeros(enc.n)),
-        prev_context=Tensor(np.zeros(config.enc_dim)),
+        prev_context=Tensor(np.zeros((1, config.enc_dim))),
         prev_token=START_ID,
     )
 
 
-def _row_dot(row: Tensor, w: Tensor) -> Tensor:
-    """(1, k) row times (k,) weight vector as a scalar tensor."""
-    return ad.pick(
-        ad.reshape(ad.matmul(row, ad.reshape(w, (w.shape[0], 1))), (1,)), 0
-    )
-
-
-def decode_step(
+def recurrence_step(
     state: StepState,
     y_prev: int,
     ctx: DecodeContext,
     params: ModelParams,
     mask: ContentMask | None = None,
-    force_p_gen: float | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, StepState]:
-    """One decoder step.
+    """The recurrent half of one decoder step: embedding, LSTM cell,
+    coverage attention and context.
 
-    Returns (final distribution over vocab_size + n_oov, attention over
-    source positions, p_gen scalar, next state). ``force_p_gen`` pins the
-    generation/copy mixture weight, for endpoint tests.
+    Returns (LSTM input row ``[embedding; previous context]``, attention
+    over source positions, copy-attention row (1, n), next state). The
+    copy row is the attention row unless ``mask`` changes it.
     """
     config = params.config
-    vocab_size = config.vocab_size
     n = ctx.n
-    d = config.enc_dim
 
-    input_id = y_prev if y_prev < vocab_size else UNK_ID
+    input_id = y_prev if y_prev < config.vocab_size else UNK_ID
     emb = ad.gather_rows(params.embedding, [input_id])
-    x = ad.concat([emb, ad.reshape(state.prev_context, (1, d))], axis=1)
+    x = ad.concat([emb, state.prev_context], axis=1)
     dec_cell = params.dec_cell
     hidden, cell = ad.lstm_cell(ad.matmul(x, dec_cell["W_x"]), state.hidden,
                                 state.cell, dec_cell["W_h"], dec_cell["b"])
@@ -209,10 +215,7 @@ def decode_step(
     )
     if config.use_coverage:
         features = ad.add(features, ad.outer(state.coverage, attn["cov_w"]))
-    scores = ad.reshape(
-        ad.matmul(ad.tanh(features), ad.reshape(attn["v"], (config.d_attn, 1))),
-        (n,),
-    )
+    scores = ad.reshape(ad.matmul(ad.tanh(features), ctx.attn_v), (n,))
     attention = ad.softmax(scores)
 
     # masked copy attention renormalizes the same scores over the selection;
@@ -241,57 +244,118 @@ def decode_step(
             elif not selected.all():
                 copy_attention = ad.softmax(scores, mask=selected)
 
-    context = ad.reshape(
-        ad.matmul(ad.reshape(attention, (1, n)), ctx.enc_states), (d,)
-    )
-
-    out = params.out_proj
-    vocab_logits = ad.reshape(
-        ad.add_rowvec(
-            ad.matmul(ad.concat([hidden, ad.reshape(context, (1, d))], axis=1),
-                      out["W"]),
-            out["b"],
-        ),
-        (vocab_size,),
-    )
-    vocab_dist = ad.softmax(vocab_logits)
-
-    if force_p_gen is None:
-        pg = params.pgen
-        pgen_logit = ad.add(
-            ad.add(_row_dot(ad.reshape(context, (1, d)), pg["ctx_w"]),
-                   _row_dot(hidden, pg["state_w"])),
-            ad.add(_row_dot(x, pg["x_w"]), pg["b"]),
-        )
-        p_gen = ad.sigmoid(pgen_logit)
-    else:
-        p_gen = Tensor(float(force_p_gen))
-
-    extended = vocab_size + ctx.n_oov
-    gen_dist = (
-        ad.concat([vocab_dist, Tensor(np.zeros(ctx.n_oov))])
-        if ctx.n_oov
-        else vocab_dist
-    )
-    copy_dist = ad.scatter_sum_vec(copy_attention, ctx.source_ext_ids, extended)
-    final = ad.add(
-        ad.mul(gen_dist, p_gen), ad.mul(copy_dist, ad.sub(1.0, p_gen))
-    )
+    attention_row = ad.reshape(attention, (1, n))
+    copy_row = (attention_row if copy_attention is attention
+                else ad.reshape(copy_attention, (1, n)))
 
     new_state = StepState(
         hidden=hidden,
         cell=cell,
         coverage=ad.add(state.coverage, attention),
-        prev_context=context,
+        prev_context=ad.matmul(attention_row, ctx.enc_states),
         prev_token=y_prev,
     )
-    return final, attention, p_gen, new_state
+    return x, attention, copy_row, new_state
+
+
+def output_head(
+    hidden: Tensor,
+    context: Tensor,
+    x: Tensor,
+    copy_attention: Tensor,
+    ctx: DecodeContext,
+    params: ModelParams,
+    force_p_gen: float | None = None,
+) -> tuple[Tensor, Tensor]:
+    """The output half of the decoder over R steps' rows at once.
+
+    ``hidden`` (R, d_dec), ``context`` (R, d), ``x`` (R, d_emb + d) and
+    ``copy_attention`` (R, n) hold one row per step. Returns the final
+    distributions over the extended vocabulary (R, vocab_size + n_oov) and
+    p_gen (R, 1). Every row is bitwise what the head gives that step alone.
+    """
+    out = params.out_proj
+    vocab_logits = ad.add_rowvec(
+        ad.matmul(ad.concat([hidden, context], axis=1), out["W"]), out["b"]
+    )
+    vocab_dist = ad.softmax(vocab_logits)
+    if force_p_gen is None:
+        pg = params.pgen
+        p_gen = ad.sigmoid(ad.add(
+            ad.add(_column_dot(context, pg["ctx_w"]),
+                   _column_dot(hidden, pg["state_w"])),
+            ad.add(_column_dot(x, pg["x_w"]), pg["b"]),
+        ))
+    else:
+        p_gen = Tensor(np.full((hidden.shape[0], 1), float(force_p_gen)))
+    final = ad.pointer_mix(vocab_dist, copy_attention, p_gen,
+                           ctx.source_ext_ids,
+                           params.config.vocab_size + ctx.n_oov)
+    return final, p_gen
+
+
+def _column_dot(rows: Tensor, w: Tensor) -> Tensor:
+    """(R, k) rows times a (k,) weight vector as an (R, 1) column."""
+    return ad.matmul(rows, ad.reshape(w, (w.shape[0], 1)))
+
+
+def decode_step(
+    state: StepState,
+    y_prev: int,
+    ctx: DecodeContext,
+    params: ModelParams,
+    mask: ContentMask | None = None,
+    force_p_gen: float | None = None,
+) -> tuple[Tensor, Tensor, Tensor, StepState]:
+    """One decoder step: the recurrence, then the output head over its row.
+
+    Returns (final distribution over vocab_size + n_oov, attention over
+    source positions, p_gen scalar, next state). ``force_p_gen`` pins the
+    generation/copy mixture weight, for endpoint tests.
+    """
+    x, attention, copy_row, new_state = recurrence_step(
+        state, y_prev, ctx, params, mask
+    )
+    final, p_gen = output_head(new_state.hidden, new_state.prev_context, x,
+                               copy_row, ctx, params, force_p_gen)
+    return (ad.reshape(final, (final.shape[1],)), attention,
+            ad.reshape(p_gen, ()), new_state)
+
+
+def teacher_force(
+    state: StepState,
+    inputs: Sequence[int],
+    ctx: DecodeContext,
+    params: ModelParams,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Decode ``inputs`` under teacher forcing, the output head run once.
+
+    Nothing in the recurrence reads the head, so the steps' rows are
+    stacked and the head projects, normalizes and mixes all of them in one
+    call. Returns, one row per step: the final distributions (T, vocab_size
+    + n_oov), the attention (T, n) and the coverage before each step (T, n).
+    """
+    hiddens, contexts, xs, attention_rows, coverages = [], [], [], [], []
+    for y_prev in inputs:
+        coverages.append(state.coverage)
+        # without a mask the copy row is the attention row
+        x, _, attention_row, state = recurrence_step(state, y_prev, ctx, params)
+        hiddens.append(state.hidden)
+        contexts.append(state.prev_context)
+        xs.append(x)
+        attention_rows.append(attention_row)
+    attention = ad.concat(attention_rows, axis=0)
+    final, _ = output_head(ad.concat(hiddens, axis=0),
+                           ad.concat(contexts, axis=0), ad.concat(xs, axis=0),
+                           attention, ctx, params)
+    return final, attention, ad.stack(coverages)
 
 
 def coverage_loss(attention: Tensor, coverage: Tensor) -> Tensor:
-    """Sum of elementwise minima between this step's attention and the
-    coverage accumulated BEFORE it; zero on the first step."""
-    return ad.sum_all(ad.minimum(attention, coverage))
+    """Sum of elementwise minima between a step's attention and the
+    coverage accumulated BEFORE it; zero on the first step. Given one row
+    per step, one sum per step."""
+    return ad.sum_rows(ad.minimum(attention, coverage))
 
 
 # ---------------------------------------------------------------------------

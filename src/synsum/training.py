@@ -42,10 +42,11 @@ from .decoder import (
     ContentSelector,
     beam_search,
     coverage_loss,
-    decode_step,
+    decode_step,  # bound here too: perfbench/tracing.py wraps training.decode_step
     encode_document,
     initial_state,
     make_step_fn,
+    teacher_force,
 )
 from .fileio import atomic_write
 from .metrics import RougeReport, evaluate_pairs
@@ -58,6 +59,7 @@ __all__ = [
     "TrainResult",
     "NonFiniteGradientError",
     "sequence_loss",
+    "loss_from_rows",
     "loss_from_steps",
     "adagrad_step",
     "clip_gradients",
@@ -112,27 +114,26 @@ class LossStats:
         return self.nll + self.coverage
 
 
-def loss_from_steps(
-    step_dists: Sequence[Tensor],
+def loss_from_rows(
+    final: Tensor,
     gold_ids: Sequence[int],
-    attentions: Sequence[Tensor],
-    coverages: Sequence[Tensor],
+    attention: Tensor,
+    coverage: Tensor,
     coverage_weight: float,
 ) -> tuple[Tensor, LossStats]:
-    """Token-averaged NLL plus weighted coverage penalty over given steps."""
+    """Token-averaged NLL plus weighted coverage penalty, one row per step.
+
+    ``final`` holds each step's distribution over the extended vocabulary,
+    ``attention`` and ``coverage`` each step's attention and the coverage
+    before it. The per-step terms are summed in step order, one addition at
+    a time, as a step-by-step loss would sum them.
+    """
     if not gold_ids:
         raise ValueError("empty decoding target")
     steps = len(gold_ids)
-    nll_sum: Tensor | None = None
-    cov_sum: Tensor | None = None
-    for dist, gold, attention, coverage in zip(
-        step_dists, gold_ids, attentions, coverages
-    ):
-        p = ad.maximum(ad.pick(dist, gold), PROB_FLOOR)
-        nll = ad.mul(ad.log(p), -1.0)
-        nll_sum = nll if nll_sum is None else ad.add(nll_sum, nll)
-        cov = coverage_loss(attention, coverage)
-        cov_sum = cov if cov_sum is None else ad.add(cov_sum, cov)
+    p = ad.maximum(ad.pick_rows(final, gold_ids), PROB_FLOOR)
+    nll_sum = ad.fold_sum(ad.mul(ad.log(p), -1.0))
+    cov_sum = ad.fold_sum(coverage_loss(attention, coverage))
     loss = ad.mul(
         ad.add(nll_sum, ad.mul(cov_sum, coverage_weight)), 1.0 / steps
     )
@@ -144,6 +145,20 @@ def loss_from_steps(
     return loss, stats
 
 
+def loss_from_steps(
+    step_dists: Sequence[Tensor],
+    gold_ids: Sequence[int],
+    attentions: Sequence[Tensor],
+    coverages: Sequence[Tensor],
+    coverage_weight: float,
+) -> tuple[Tensor, LossStats]:
+    """``loss_from_rows`` of per-step vectors, stacked into rows."""
+    if not gold_ids:
+        raise ValueError("empty decoding target")
+    return loss_from_rows(ad.stack(step_dists), gold_ids, ad.stack(attentions),
+                          ad.stack(coverages), coverage_weight)
+
+
 def sequence_loss(
     example: EncodedExample,
     params: ModelParams,
@@ -153,17 +168,13 @@ def sequence_loss(
     if len(example.target_ids) < 2:
         raise ValueError("example has an empty target")
     enc, _, ctx = encode_document(example, params)
-    state = initial_state(enc, params)
-    inputs = example.target_ids[:-1]      # in-vocabulary ids feed the embedding
+    final, attention, coverage = teacher_force(
+        initial_state(enc, params),
+        example.target_ids[:-1],   # in-vocabulary ids feed the embedding
+        ctx, params,
+    )
     golds = example.target_ext_ids[1:]    # extended ids are what we must emit
-    dists, attentions, coverages = [], [], []
-    for y_prev in inputs:
-        final, attention, _, next_state = decode_step(state, y_prev, ctx, params)
-        dists.append(final)
-        attentions.append(attention)
-        coverages.append(state.coverage)  # coverage before this step's update
-        state = next_state
-    return loss_from_steps(dists, golds, attentions, coverages, coverage_weight)
+    return loss_from_rows(final, golds, attention, coverage, coverage_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +240,8 @@ class EpochStats:
     nll: float
     coverage: float
     total: float
+    grad_norm: float    # mean global gradient norm of the batches, pre-clip
+    clip_rate: float    # share of the batches whose gradients were clipped
 
     def log_line(self) -> str:
         return (
@@ -289,7 +302,8 @@ def train(
 
     for epoch in range(train_config.epochs):
         shuffle_rng.shuffle(order)
-        epoch_nll = epoch_cov = 0.0
+        epoch_nll = epoch_cov = epoch_norm = 0.0
+        clipped = batches = 0
         for lo in range(0, len(order), train_config.batch_size):
             batch = order[lo:lo + train_config.batch_size]
             params.zero_grads()
@@ -306,7 +320,10 @@ def train(
             grads = {
                 name: t.grad for name, t in named.items() if t.grad is not None
             }
-            grads, _ = clip_gradients(grads, train_config.clip_norm)
+            grads, norm = clip_gradients(grads, train_config.clip_norm)
+            epoch_norm += norm
+            clipped += 0 < train_config.clip_norm < norm
+            batches += 1
             try:
                 adagrad_step(named, grads, accumulators,
                              train_config.learning_rate,
@@ -321,6 +338,8 @@ def train(
             nll=epoch_nll / n,
             coverage=epoch_cov / n,
             total=(epoch_nll + epoch_cov) / n,
+            grad_norm=epoch_norm / batches,
+            clip_rate=clipped / batches,
         )
         history.append(entry)
         if on_epoch is not None:

@@ -444,3 +444,40 @@ def test_train_and_decode_reject_tokens_that_break_files(
     assert err.startswith(f"error: line {line}: {where} token")
     assert "Traceback" not in err
     assert not (tmp_path / "s.txt").exists()
+
+
+def test_train_writes_epoch_telemetry_beside_the_log(trained_dir):
+    _, out_dir = trained_dir
+    records = [json.loads(line) for line in
+               (out_dir / "metrics.jsonl").read_text().splitlines()]
+    log_lines = (out_dir / "metrics.log").read_text().splitlines()
+    assert len(records) == len(log_lines) == 2
+    for record, line in zip(records, log_lines):
+        assert record["grad_norm"] > 0.0 and 0.0 <= record["clip_rate"] <= 1.0
+        assert line == (f"epoch {record['epoch']} step {record['step']} "
+                        f"nll {record['nll']:.6f} coverage "
+                        f"{record['coverage']:.6f} total {record['total']:.6f}")
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["outputs"]["metrics_jsonl"] == str(out_dir / "metrics.jsonl")
+
+
+def test_synth_failure_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    # 3,000 documents need more nonce entity names than the syllables make
+    assert main(["synth", "--seed", "1", "--size", "3000",
+                 "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_failure_leaves_no_output(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "1", "--size", "4",
+                 "--out", str(corpus)]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    out_dir = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out-dir", str(out_dir),
+                 "--max-src-len", "1", *TRAIN_FLAGS]) == 1
+    assert "max_source_len=1" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

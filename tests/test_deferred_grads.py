@@ -45,9 +45,11 @@ def test_output_weight_gradient_is_one_product_over_the_steps(vocab_size,
     with Tape() as tape:
         loss, _ = sequence_loss(example, params, 1.0)
         tape.backward(loss)
-    assert len(steps) == len(example.target_ids) - 1
-    A = np.concatenate([a for a, _ in steps])
-    G = np.concatenate([out.grad for _, out in steps])
+    # the output head projects the stacked rows of every step at once
+    assert len(steps) == 1
+    (A, out), = steps
+    assert A.shape == (len(example.target_ids) - 1, out_W.shape[0])
+    G = out.grad
     scale = max(np.abs(t.grad).max() for t in params.named_tensors().values()
                 if t.grad is not None)
     assert np.abs(out_W.grad - A.T @ G).max() <= 1e-12 * scale

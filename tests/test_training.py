@@ -425,3 +425,27 @@ def test_full_model_gradient_check_small(tiny_setup):
 
     report = ad.grad_check(f, checked, eps=1e-5, tol=1e-4)
     assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, 0.05, 1e9])
+def test_epoch_stats_report_pre_clip_norm_and_clip_rate(tiny_setup,
+                                                        monkeypatch, clip_norm):
+    _, _, examples, config = tiny_setup
+    norms = []
+    real = tr.clip_gradients
+
+    def recording(grads, max_norm):
+        clipped, norm = real(grads, max_norm)
+        norms.append(norm)
+        return clipped, norm
+
+    monkeypatch.setattr(tr, "clip_gradients", recording)
+    result = train(examples[:6], config,
+                   small_train_config(epochs=2, clip_norm=clip_norm))
+    assert len(norms) == 4  # two batches (4 + 2 examples) an epoch
+    for stats, (first, second) in zip(result.history, [norms[:2], norms[2:]]):
+        assert stats.grad_norm == (first + second) / 2
+        assert stats.clip_rate == sum(0 < clip_norm < v
+                                      for v in (first, second)) / 2
+    expected_rate = {0.0: 0.0, 0.05: 1.0, 1e9: 0.0}[clip_norm]
+    assert [s.clip_rate for s in result.history] == [expected_rate] * 2
