@@ -26,9 +26,10 @@ per output, ``None`` for an output that nothing downstream reached, and is
 skipped only when no output was reached.
 
 Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
-``sum_rows``, ``pick_rows``, ``pointer_mix``) give each row bitwise the
-value the one-row or vector form gives it, so stacking the rows of several
-decoder steps into one call never changes a forward value.
+``sum_rows``, ``pick_rows``, ``pointer_mix``, ``coverage_attention``,
+``generation_gate``) give each row bitwise the value the one-row or vector
+form gives it, so stacking the rows of several decoder steps or beam
+hypotheses into one call never changes a forward value.
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
@@ -76,6 +77,8 @@ __all__ = [
     "pick_rows",
     "scatter_sum_vec",
     "pointer_mix",
+    "coverage_attention",
+    "generation_gate",
     "clip",
     "lstm_cell",
     "zero_grads",
@@ -303,10 +306,16 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # primitives
 
 
-# largest output (rows x cols) folded by add.accumulate: one row up to 512
-# columns, or a few rows of a narrow product such as an (R, k) x (k, 1)
-# column; larger outputs make its (rows, k, cols) temporary too costly
-_ACCUMULATE_MAX_OUT = 512
+# A product whose output (rows x cols) has at most 512 entries forms all k
+# rank-1 terms in one multiply, a (k, rows, cols) array, and folds them: by
+# add.accumulate while that array has at most 28,672 entries (224 KB), by a
+# Python loop of in-place adds above, where add.accumulate slows once its
+# arrays leave the cache. Larger outputs multiply each term inside the loop.
+# Timed on a 2-vCPU Xeon guest (interleaved, best of 30), accumulate against
+# the loop: (8 x 96) @ (96 x 36) 0.17 against 0.28 ms, (10 x 96) @ (96 x 36)
+# 0.41 against 0.28 ms, (4 x 80) @ (80 x 128) 0.51 against 0.26 ms.
+_TERMS_MAX_OUT = 512
+_ACCUMULATE_MAX_TERMS = 28_672
 # Column-block width of a multi-row product's k-loop. Timed on a 2 MB-L2
 # Xeon for (21 x 96) @ (96 x 20,000): 58-65 ms unblocked, 28-37 ms with
 # 4,096-column blocks (a 21-row block and its temporary, 2 x 688 KB, stay
@@ -350,11 +359,15 @@ def _matmul_data(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     cols = bv.shape[1]
     if inner == 0:
         return np.zeros((rows, cols))
-    if rows * cols <= _ACCUMULATE_MAX_OUT:
-        # add.accumulate is a strict left fold, same association as the loop;
-        # it wins on small outputs, where the loop's per-k Python cost
-        # dominates, but scans the strided axis and loses on large ones
-        return np.add.accumulate(av[:, :, None] * bv, axis=1)[:, -1].copy()
+    if rows * cols <= _TERMS_MAX_OUT:
+        terms = av.T[:, :, None] * bv[:, None, :]  # term k is terms[k]
+        if terms.size <= _ACCUMULATE_MAX_TERMS:
+            # a strict left fold, the same association as the loop
+            return np.add.accumulate(terms, axis=0)[-1].copy()
+        out_data = terms[0].copy()
+        for term in terms[1:]:
+            out_data += term
+        return out_data
     block = _BLOCK_COLS if rows > 1 else max(cols, 1)
     out_data = np.empty((rows, cols))
     tmp = np.empty((rows, min(block, cols)))
@@ -428,13 +441,11 @@ def mul(a, b) -> Tensor:
 
 
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # piecewise form never exponentiates a positive argument, so no overflow
-    pos = x >= 0
-    y = np.empty_like(x)
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    # piecewise form never exponentiates a positive argument, so no overflow:
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, where
+    # exp(-|x|) is each branch's exponential
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x) -> Tensor:
@@ -505,14 +516,30 @@ def maximum(a, b) -> Tensor:
     return out
 
 
+def _softmax_data(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of a vector or of each row of a matrix, over the positions
+    ``keep`` selects (all of them when it is None); each row is bitwise the
+    vector value of that row."""
+    if keep is None:
+        z = np.exp(x - x.max(axis=-1, keepdims=True))
+        return z / z.sum(axis=-1, keepdims=True)
+    y = np.zeros_like(x)
+    # boolean indexing of a matrix's columns returns a column-major array,
+    # whose row sums would not be the pairwise sums of the vector form
+    sub_x = np.ascontiguousarray(x[..., keep])
+    z = np.exp(sub_x - sub_x.max(axis=-1, keepdims=True))
+    y[..., keep] = z / z.sum(axis=-1, keepdims=True)
+    return y
+
+
 def softmax(x, mask=None) -> Tensor:
     """Normalized exponential over a vector, or over each row of a matrix,
     max-subtracted for stability. A matrix row gets bitwise the values the
     vector form gives that row.
 
-    ``mask`` is an optional boolean array for a vector; masked-out positions
-    get exactly zero probability and zero gradient. Raises if nothing
-    remains unmasked.
+    ``mask`` is an optional boolean vector over positions, shared by every
+    row of a matrix; masked-out positions get exactly zero probability and
+    zero gradient. Raises if nothing remains unmasked.
     """
     x = _as_tensor(x)
     if x.data.ndim not in (1, 2) or x.data.size == 0:
@@ -521,24 +548,16 @@ def softmax(x, mask=None) -> Tensor:
         )
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
-        if keep.shape != x.shape or x.data.ndim != 1:
+        if keep.shape != x.shape[-1:]:
             raise ShapeError(
-                f"softmax mask {keep.shape} needs a vector input of its shape, "
-                f"got {x.shape}"
+                f"softmax mask {keep.shape} needs one entry per position of "
+                f"each row, got input {x.shape}"
             )
         if not keep.any():
             raise DegenerateDistributionError("softmax: all positions masked")
     else:
         keep = None
-
-    if keep is None:
-        z = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-        y = z / z.sum(axis=-1, keepdims=True)
-    else:
-        y = np.zeros_like(x.data)
-        sub_x = x.data[keep]
-        z = np.exp(sub_x - sub_x.max())
-        y[keep] = z / z.sum()
+    y = _softmax_data(x.data, keep)
     out = Tensor(y, x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
@@ -614,15 +633,15 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
         np.concatenate([p.data for p in parts], axis=axis),
         any(p.requires_grad for p in parts),
     )
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
     def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        lo = 0
+        for p in parts:
+            hi = lo + p.data.shape[axis]
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 _accumulate(p, g[tuple(idx)])
+            lo = hi
 
     _record("concat", out, backward)
     return out
@@ -875,6 +894,157 @@ def pointer_mix(vocab_dist, copy_attention, p_gen, ids, size: int) -> Tensor:
             _accumulate(p_gen, dp[:, None])
 
     _record("pointer_mix", out, backward)
+    return out
+
+
+def coverage_attention(
+    hidden, dec_W, enc_proj, b, coverage, cov_w, v, enc_states
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Additive attention with a coverage feature for R decoder rows.
+
+    ``hidden`` (R, d_dec) and ``coverage`` (R, n) hold one row per decoder
+    state; ``dec_W`` (d_dec, a), ``enc_proj`` (n, a), ``b`` (a,), ``cov_w``
+    (a,) or None (no coverage feature), the column ``v`` (a, 1) and
+    ``enc_states`` (n, d) are shared. For row r and source position i:
+
+        features = ((enc_proj[i] + hidden[r] @ dec_W) + b) + coverage[r, i] * cov_w
+        scores[r, i] = tanh(features) @ v
+        attention[r] = softmax(scores[r])
+        context[r] = attention[r] @ enc_states
+        next_coverage[r] = coverage[r] + attention[r]
+
+    Returns (attention, context, next_coverage, scores). These are the IEEE
+    operations, in order, of the composition from ``matmul``,
+    ``add_rowvec``, ``outer``, ``add``, ``tanh``, ``softmax`` and
+    ``reshape`` nodes on one row, so each row is bitwise that composition's
+    value. The backward is analytic; with one row it sums every gradient
+    term in the order the composition's nodes did, so a one-row step's
+    gradients are bitwise the composition's too.
+    """
+    hidden, dec_W, enc_proj, b, coverage, v, enc_states = (
+        _as_tensor(t)
+        for t in (hidden, dec_W, enc_proj, b, coverage, v, enc_states)
+    )
+    cov_w = None if cov_w is None else _as_tensor(cov_w)
+    rows = hidden.shape[0] if hidden.data.ndim == 2 else -1
+    n, width = enc_proj.shape if enc_proj.data.ndim == 2 else (-1, -1)
+    if (rows < 0 or n < 1 or dec_W.shape != (hidden.shape[1], width)
+            or b.shape != (width,) or coverage.shape != (rows, n)
+            or (cov_w is not None and cov_w.shape != (width,))
+            or v.shape != (width, 1) or enc_states.data.ndim != 2
+            or enc_states.shape[0] != n):
+        raise ShapeError(
+            f"coverage_attention: incompatible shapes hidden {hidden.shape}, "
+            f"dec_W {dec_W.shape}, enc_proj {enc_proj.shape}, b {b.shape}, "
+            f"coverage {coverage.shape}, cov_w "
+            f"{None if cov_w is None else cov_w.shape}, v {v.shape}, "
+            f"enc_states {enc_states.shape}"
+        )
+    inputs = (hidden, dec_W, enc_proj, b, coverage, v, enc_states)
+    if cov_w is not None:
+        inputs += (cov_w,)
+    features = (enc_proj.data[None]
+                + _matmul_data(hidden.data, dec_W.data)[:, None]) + b.data
+    if cov_w is not None:
+        features = features + coverage.data[:, :, None] * cov_w.data
+    tanh_f = np.tanh(features).reshape(rows * n, width)
+    scores = _matmul_data(tanh_f, v.data).reshape(rows, n)
+    att = _softmax_data(scores)
+    grad = any(t.requires_grad for t in inputs)
+    outs = (Tensor(att, grad), Tensor(_matmul_data(att, enc_states.data), grad),
+            Tensor(coverage.data + att, grad), Tensor(scores, grad))
+
+    def backward(g_att, g_ctx, g_cov, g_scores) -> None:
+        # attention's gradient: its own, the context's, then the coverage's
+        g_a = g_att
+        if g_ctx is not None:
+            term = g_ctx @ enc_states.data.T
+            g_a = term if g_a is None else g_a + term
+            if enc_states.requires_grad:
+                terms = _pending_for(enc_states)
+                terms.lhs.append(att)
+                terms.grads.append(g_ctx)
+        if g_cov is not None:
+            if coverage.requires_grad:
+                _accumulate(coverage, g_cov)
+            g_a = g_cov if g_a is None else g_cov + g_a
+        if g_a is None:
+            ds = g_scores
+        else:
+            # one row takes the vector dot of the one-row softmax
+            inner = (np.dot(g_a[0], att[0]) if rows == 1
+                     else np.einsum("ij,ij->i", g_a, att)[:, None])
+            ds = att * (g_a - inner)
+            if g_scores is not None:
+                ds = ds + g_scores
+        ds = ds.reshape(rows * n, 1)
+        if v.requires_grad:
+            terms = _pending_for(v)
+            terms.lhs.append(tanh_f)
+            terms.grads.append(ds)
+        g_f = (ds @ v.data.T) * (1.0 - tanh_f * tanh_f)  # (R * n, a)
+        if cov_w is not None:
+            if coverage.requires_grad:
+                _accumulate(coverage, (g_f @ cov_w.data).reshape(rows, n))
+            if cov_w.requires_grad:
+                _accumulate(cov_w, g_f.T @ coverage.data.reshape(rows * n))
+        if b.requires_grad:
+            _accumulate(b, g_f.sum(axis=0))
+        g_f = g_f.reshape(rows, n, width)
+        if enc_proj.requires_grad:
+            _accumulate(enc_proj, g_f.sum(axis=0))
+        if hidden.requires_grad or dec_W.requires_grad:
+            g_dec = g_f.sum(axis=1)
+            if hidden.requires_grad:
+                _accumulate(hidden, g_dec @ dec_W.data.T)
+            if dec_W.requires_grad:
+                terms = _pending_for(dec_W)
+                terms.lhs.append(hidden.data)
+                terms.grads.append(g_dec)
+
+    _record("coverage_attention", outs, backward)
+    return outs
+
+
+def generation_gate(context, hidden, x, ctx_w, state_w, x_w, b) -> Tensor:
+    """The pointer-generator's p_gen for R rows, an (R, 1) column:
+
+        sigmoid((context @ ctx_w + hidden @ state_w) + (x @ x_w + b))
+
+    with ``context``, ``hidden`` and ``x`` (R, k) rows, their weight
+    vectors (k,) and a scalar ``b``. These are the IEEE operations, in
+    order, of the composition from column ``matmul``, ``add`` and
+    ``sigmoid`` nodes, so the values are bitwise equal to it, and the
+    analytic backward computes each gradient with the composition's
+    expressions, one term per tensor, so the gradients are bitwise too.
+    """
+    rows = [_as_tensor(t) for t in (context, hidden, x)]
+    weights = [_as_tensor(t) for t in (ctx_w, state_w, x_w)]
+    b = _as_tensor(b)
+    count = rows[0].shape[0] if rows[0].data.ndim == 2 else -1
+    if b.shape != () or any(
+            r.data.ndim != 2 or w.data.ndim != 1 or r.shape != (count, w.size)
+            for r, w in zip(rows, weights)):
+        raise ShapeError(
+            "generation_gate: rows "
+            f"{[r.shape for r in rows]}, weights {[w.shape for w in weights]},"
+            f" b {b.shape}"
+        )
+    dots = [_matmul_data(r.data, w.data[:, None]) for r, w in zip(rows, weights)]
+    y = _sigmoid_data((dots[0] + dots[1]) + (dots[2] + b.data))
+    out = Tensor(y, any(t.requires_grad for t in (*rows, *weights, b)))
+
+    def backward(g: np.ndarray) -> None:
+        g_sum = g * y * (1.0 - y)
+        for r, w in zip(rows, weights):
+            if r.requires_grad:
+                _accumulate(r, g_sum @ w.data[None, :])
+            if w.requires_grad:
+                _accumulate(w, (r.data.T @ g_sum).reshape(w.shape))
+        if b.requires_grad:
+            _accumulate(b, g_sum.sum())
+
+    _record("generation_gate", out, backward)
     return out
 
 

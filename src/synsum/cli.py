@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -71,7 +72,7 @@ def file_hash(path: str | Path) -> str:
 def write_manifest(path: Path, manifest: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -503,6 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def validate_args(parser: argparse.ArgumentParser, args) -> None:
+    def require_finite(flag: str, value: float | None) -> None:
+        if value is not None and not math.isfinite(value):
+            parser.error(f"{flag} must be a finite number, got {value}")
+
     if args.command == "synth" and args.size < 1:
         parser.error("--size must be >= 1")
     if args.command == "train":
@@ -512,8 +517,12 @@ def validate_args(parser: argparse.ArgumentParser, args) -> None:
             )
         if args.cap <= 4:
             parser.error("--cap must exceed the 4 reserved ids")
-    if args.command == "decode" and args.beam < 1:
-        parser.error("--beam must be >= 1")
+        require_finite("--stop-below", args.stop_below)
+    if args.command == "decode":
+        if args.beam < 1:
+            parser.error("--beam must be >= 1")
+        require_finite("--len-penalty", args.len_penalty)
+        require_finite("--bottom-up-threshold", args.bottom_up_threshold)
 
 
 def main(argv=None) -> int:

@@ -14,30 +14,37 @@ temporary OOV ids). Coverage is the running sum of past attention
 distributions; attending where coverage is already high is penalized by
 ``coverage_loss``.
 
-A step has two halves. The recurrence (``recurrence_step``: embedding,
-LSTM cell, coverage attention, context) carries the state from step to
-step. The output head (``output_head``: the vocabulary projection of
-``[hidden; context]``, its softmax, p_gen, the copy scatter and the
-mixture) takes one row per step, any number of rows at once, and nothing in
-the recurrence reads it. ``decode_step`` runs the head over its one row;
-under teacher forcing (``teacher_force``) the head runs once over the rows
-of all T steps, so the vocabulary projection is one (T x k) by (k x V)
-product. Each row is bitwise the value of that step run alone.
+A decoder state (``StepState``) holds R rows: one per live hypothesis in
+beam search, one for a document decoded greedily or teacher-forced. A step
+has two halves, each over all R rows at once. The recurrence
+(``recurrence_step``: embedding, LSTM cell, and ``ad.coverage_attention``,
+one tape node for the attention, its context and the coverage update)
+carries the state from step to step, five tape nodes a step. The output
+head (``output_head``: the vocabulary projection of ``[hidden; context]``,
+its softmax, p_gen, the copy scatter and the mixture) takes any number of
+rows, and nothing in the recurrence reads it. ``decode_step`` runs both
+halves; under teacher forcing (``teacher_force``) the recurrence steps one
+row and the head runs once over the rows of all T steps, so the vocabulary
+projection is one (T x k) by (k x V) product. Every row is bitwise the
+value of that row's step run alone.
 
 At inference a content-selector mask can restrict the copy distribution to
-source tokens scoring at least a threshold; the attention used for the
-context vector and coverage stays unmasked, and an empty selection falls
-back to the unmasked distribution rather than failing.
+source tokens scoring at least a threshold, row by row; the attention used
+for the context vector and coverage stays unmasked, and an empty selection
+(or, under damping, a row whose damped attention sums to 0) falls back to
+the unmasked distribution rather than failing.
 
 Beam search ranks finished hypotheses by log-probability divided by the
 length penalty ((5 + len) / 6) ** alpha, where len counts emitted tokens
 including STOP. Score ties are broken toward the lexicographically smaller
 token sequence. Hypotheses still alive at the step limit are forced to emit
-STOP, scored like any other token. Each step scores every (live hypothesis,
-token) pair in one numpy array and builds hypotheses only for the short
-list that can reach the beam: the ``beam + len(live)`` best scores plus
-every candidate tied with the last of them, so the tie rule above still
-decides on exact scores.
+STOP, scored like any other token. With the model's state, each search step
+runs one decoder call whose rows are the live hypotheses, gathered from the
+previous call's rows with ``StepState.take``. Each step scores every (live
+hypothesis, token) pair in one numpy array and builds hypotheses only for
+the short list that can reach the beam: the ``beam + len(live)`` best
+scores plus every candidate tied with the last of them, so the tie rule
+above still decides on exact scores.
 """
 
 from __future__ import annotations
@@ -81,11 +88,20 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class StepState:
-    hidden: Tensor              # (1, d_dec)
-    cell: Tensor                # (1, d_dec)
-    coverage: Tensor            # (n,) running sum of past attention
-    prev_context: Tensor        # (1, d) context row fed to the next input
-    prev_token: int = START_ID
+    """Decoder state of R rows: one per live hypothesis in beam search, one
+    for a document decoded or teacher-forced alone."""
+
+    hidden: Tensor              # (R, d_dec)
+    cell: Tensor                # (R, d_dec)
+    coverage: Tensor            # (R, n) running sum of past attention
+    prev_context: Tensor        # (R, d) context rows fed to the next input
+
+    def take(self, rows: Sequence[int]) -> "StepState":
+        """The state of ``rows``, in that order; a row may repeat."""
+        if list(rows) == list(range(self.hidden.shape[0])):
+            return self
+        return StepState(*(ad.gather_rows(t, rows) for t in (
+            self.hidden, self.cell, self.coverage, self.prev_context)))
 
 
 @dataclass
@@ -178,84 +194,80 @@ def initial_state(enc: EncodedDocument, params: ModelParams) -> StepState:
     return StepState(
         hidden=h0,
         cell=c0,
-        coverage=Tensor(np.zeros(enc.n)),
+        coverage=Tensor(np.zeros((1, enc.n))),
         prev_context=Tensor(np.zeros((1, config.enc_dim))),
-        prev_token=START_ID,
     )
 
 
 def recurrence_step(
     state: StepState,
-    y_prev: int,
+    y_prev: Sequence[int],
     ctx: DecodeContext,
     params: ModelParams,
     mask: ContentMask | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, StepState]:
-    """The recurrent half of one decoder step: embedding, LSTM cell,
-    coverage attention and context.
+    """The recurrent half of one decoder step for all R rows of ``state``:
+    embedding, LSTM cell, and coverage attention with its context.
 
-    Returns (LSTM input row ``[embedding; previous context]``, attention
-    over source positions, copy-attention row (1, n), next state). The
-    copy row is the attention row unless ``mask`` changes it.
+    ``y_prev`` holds each row's previous token. Returns (LSTM input rows
+    ``[embedding; previous context]``, attention rows (R, n), copy-attention
+    rows (R, n), next state). The copy rows are the attention rows unless
+    ``mask`` changes them.
     """
     config = params.config
-    n = ctx.n
+    rows = state.hidden.shape[0]
+    if len(y_prev) != rows:
+        raise ValueError(f"{len(y_prev)} previous tokens for {rows} state rows")
 
-    input_id = y_prev if y_prev < config.vocab_size else UNK_ID
-    emb = ad.gather_rows(params.embedding, [input_id])
+    input_ids = [y if y < config.vocab_size else UNK_ID for y in y_prev]
+    emb = ad.gather_rows(params.embedding, input_ids)
     x = ad.concat([emb, state.prev_context], axis=1)
     dec_cell = params.dec_cell
     hidden, cell = ad.lstm_cell(ad.matmul(x, dec_cell["W_x"]), state.hidden,
                                 state.cell, dec_cell["W_h"], dec_cell["b"])
-
     attn = params.attn
-    dec_proj = ad.reshape(ad.matmul(hidden, attn["dec_W"]), (config.d_attn,))
-    features = ad.add_rowvec(
-        ad.add_rowvec(ctx.enc_attn_proj, dec_proj), attn["b"]
+    attention, context, coverage, scores = ad.coverage_attention(
+        hidden, attn["dec_W"], ctx.enc_attn_proj, attn["b"], state.coverage,
+        attn["cov_w"] if config.use_coverage else None, ctx.attn_v,
+        ctx.enc_states,
     )
-    if config.use_coverage:
-        features = ad.add(features, ad.outer(state.coverage, attn["cov_w"]))
-    scores = ad.reshape(ad.matmul(ad.tanh(features), ctx.attn_v), (n,))
-    attention = ad.softmax(scores)
+    copy_attention = (attention if mask is None
+                      else _masked_copy_attention(attention, scores, mask))
+    return x, attention, copy_attention, StepState(hidden, cell, coverage,
+                                                   context)
 
-    # masked copy attention renormalizes the same scores over the selection;
-    # context, coverage and the returned attention stay unmasked
-    copy_attention = attention
-    if mask is not None:
-        if mask.damp:
-            # inference-only reweighting by selection probability
-            damped = attention.data * mask.q
-            total = damped.sum()
-            if total > 0:
-                copy_attention = Tensor(damped / total)
-            else:
-                logger.warning(
-                    "content mask damped all attention away; "
-                    "falling back to unmasked attention"
-                )
-        else:
-            selected = mask.selected()
-            if not selected.any():
-                logger.warning(
-                    "content mask selected no tokens (threshold %.3f); "
-                    "falling back to unmasked attention",
-                    mask.threshold,
-                )
-            elif not selected.all():
-                copy_attention = ad.softmax(scores, mask=selected)
 
-    attention_row = ad.reshape(attention, (1, n))
-    copy_row = (attention_row if copy_attention is attention
-                else ad.reshape(copy_attention, (1, n)))
+def _masked_copy_attention(
+    attention: Tensor, scores: Tensor, mask: ContentMask
+) -> Tensor:
+    """Copy attention under a content mask, row by row.
 
-    new_state = StepState(
-        hidden=hidden,
-        cell=cell,
-        coverage=ad.add(state.coverage, attention),
-        prev_context=ad.matmul(attention_row, ctx.enc_states),
-        prev_token=y_prev,
-    )
-    return x, attention, copy_row, new_state
+    The hard mask renormalizes each row's scores over the shared selection;
+    damping reweights each row by the selection probabilities (inference
+    only). Context, coverage and the returned attention stay unmasked. A row
+    whose damped total is 0, or every row of an empty selection, falls back
+    to the unmasked attention.
+    """
+    if mask.damp:
+        damped = attention.data * mask.q
+        total = damped.sum(axis=1, keepdims=True)
+        kept = total > 0
+        if not kept.all():
+            logger.warning("content mask damped all attention away on %d of "
+                           "%d rows; falling back to unmasked attention there",
+                           int((~kept).sum()), len(kept))
+        return Tensor(np.divide(damped, total, out=attention.data.copy(),
+                                where=kept))
+    selected = mask.selected()
+    if not selected.any():
+        logger.warning(
+            "content mask selected no tokens (threshold %.3f); "
+            "falling back to unmasked attention",
+            mask.threshold,
+        )
+    elif not selected.all():
+        return ad.softmax(scores, mask=selected)
+    return attention
 
 
 def output_head(
@@ -281,11 +293,8 @@ def output_head(
     vocab_dist = ad.softmax(vocab_logits)
     if force_p_gen is None:
         pg = params.pgen
-        p_gen = ad.sigmoid(ad.add(
-            ad.add(_column_dot(context, pg["ctx_w"]),
-                   _column_dot(hidden, pg["state_w"])),
-            ad.add(_column_dot(x, pg["x_w"]), pg["b"]),
-        ))
+        p_gen = ad.generation_gate(context, hidden, x, pg["ctx_w"],
+                                   pg["state_w"], pg["x_w"], pg["b"])
     else:
         p_gen = Tensor(np.full((hidden.shape[0], 1), float(force_p_gen)))
     final = ad.pointer_mix(vocab_dist, copy_attention, p_gen,
@@ -294,32 +303,34 @@ def output_head(
     return final, p_gen
 
 
-def _column_dot(rows: Tensor, w: Tensor) -> Tensor:
-    """(R, k) rows times a (k,) weight vector as an (R, 1) column."""
-    return ad.matmul(rows, ad.reshape(w, (w.shape[0], 1)))
-
-
 def decode_step(
     state: StepState,
-    y_prev: int,
+    y_prev: int | Sequence[int],
     ctx: DecodeContext,
     params: ModelParams,
     mask: ContentMask | None = None,
     force_p_gen: float | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, StepState]:
-    """One decoder step: the recurrence, then the output head over its row.
+    """One decoder step: the recurrence, then the output head over its rows.
 
-    Returns (final distribution over vocab_size + n_oov, attention over
-    source positions, p_gen scalar, next state). ``force_p_gen`` pins the
-    generation/copy mixture weight, for endpoint tests.
+    With a sequence of R previous tokens for an R-row state, returns (final
+    distributions over vocab_size + n_oov (R, ·), attention over source
+    positions (R, n), p_gen (R, 1), next state). With one ``int`` token for
+    a one-row state the first three are a vector, a vector and a scalar.
+    ``force_p_gen`` pins the generation/copy mixture weight, for endpoint
+    tests.
     """
-    x, attention, copy_row, new_state = recurrence_step(
-        state, y_prev, ctx, params, mask
+    one = np.ndim(y_prev) == 0
+    x, attention, copy_attention, new_state = recurrence_step(
+        state, [y_prev] if one else y_prev, ctx, params, mask
     )
     final, p_gen = output_head(new_state.hidden, new_state.prev_context, x,
-                               copy_row, ctx, params, force_p_gen)
-    return (ad.reshape(final, (final.shape[1],)), attention,
-            ad.reshape(p_gen, ()), new_state)
+                               copy_attention, ctx, params, force_p_gen)
+    if one:
+        return (ad.reshape(final, (final.shape[1],)),
+                ad.reshape(attention, (ctx.n,)), ad.reshape(p_gen, ()),
+                new_state)
+    return final, attention, p_gen, new_state
 
 
 def teacher_force(
@@ -328,7 +339,8 @@ def teacher_force(
     ctx: DecodeContext,
     params: ModelParams,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Decode ``inputs`` under teacher forcing, the output head run once.
+    """Decode ``inputs`` under teacher forcing from a one-row state, the
+    output head run once.
 
     Nothing in the recurrence reads the head, so the steps' rows are
     stacked and the head projects, normalizes and mixes all of them in one
@@ -338,8 +350,8 @@ def teacher_force(
     hiddens, contexts, xs, attention_rows, coverages = [], [], [], [], []
     for y_prev in inputs:
         coverages.append(state.coverage)
-        # without a mask the copy row is the attention row
-        x, _, attention_row, state = recurrence_step(state, y_prev, ctx, params)
+        x, attention_row, _, state = recurrence_step(state, [y_prev], ctx,
+                                                     params)
         hiddens.append(state.hidden)
         contexts.append(state.prev_context)
         xs.append(x)
@@ -348,7 +360,7 @@ def teacher_force(
     final, _ = output_head(ad.concat(hiddens, axis=0),
                            ad.concat(contexts, axis=0), ad.concat(xs, axis=0),
                            attention, ctx, params)
-    return final, attention, ad.stack(coverages)
+    return final, attention, ad.concat(coverages, axis=0)
 
 
 def coverage_loss(attention: Tensor, coverage: Tensor) -> Tensor:
@@ -365,7 +377,9 @@ def coverage_loss(attention: Tensor, coverage: Tensor) -> Tensor:
 StepFn = Callable[[object, int], tuple[np.ndarray, object]]
 """(state, previous token) -> (log-probabilities over the extended
 vocabulary, next state). Search routines only ever see this interface, so
-toy models plug in directly."""
+toy models plug in directly. The model's step (``make_step_fn``) also takes
+an R-row ``StepState`` with a sequence of R previous tokens and returns
+(R, ·) log-probabilities."""
 
 
 def make_step_fn(
@@ -374,7 +388,7 @@ def make_step_fn(
     mask: ContentMask | None = None,
     prob_floor: float = 1e-12,
 ) -> StepFn:
-    def step(state: StepState, y_prev: int):
+    def step(state: StepState, y_prev: int | Sequence[int]):
         final, _, _, new_state = decode_step(state, y_prev, ctx, params, mask=mask)
         return np.log(np.maximum(final.data, prob_floor)), new_state
 
@@ -430,6 +444,12 @@ def beam_search(
     other candidate. With beam=1 this reduces to greedy decoding. Finished
     hypotheses compete by length-penalized score.
 
+    An ``init_state`` that is a ``StepState`` is stepped as a batch: each
+    search step gathers the live hypotheses' rows (``StepState.take``) and
+    makes one ``step_fn(batch, previous tokens)`` call, and a hypothesis
+    holds ``(that call's next state, its row)``. Any other state is stepped
+    once per live hypothesis, ``step_fn(state, previous token)``.
+
     Each live hypothesis has one STOP candidate, so the scan never reads
     past its ``beam + len(live)``-th candidate. Cumulative scores are kept
     as one numpy array over every (live hypothesis, token) pair, and only
@@ -441,24 +461,31 @@ def beam_search(
         raise ValueError(f"beam must be >= 1, got {beam}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    live = [Hypothesis([], 0.0, init_state)]
+    batched = isinstance(init_state, StepState)
+    live = [Hypothesis([], 0.0, (init_state, 0) if batched else init_state)]
     finished: list[Hypothesis] = []
     for step in range(max_len):
-        expanded = []
-        for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else start_id
-            log_probs, state = step_fn(hyp.state, prev)
-            expanded.append((hyp, np.asarray(log_probs, dtype=np.float64),
-                             state))
+        prevs = [hyp.tokens[-1] if hyp.tokens else start_id for hyp in live]
+        if batched:
+            batch = live[0].state[0].take([hyp.state[1] for hyp in live])
+            log_probs, batch = step_fn(batch, prevs)
+            states = [(batch, row) for row in range(len(live))]
+        else:
+            results = [step_fn(hyp.state, prev)
+                       for hyp, prev in zip(live, prevs)]
+            log_probs = np.stack([np.asarray(lp, dtype=np.float64)
+                                  for lp, _ in results])
+            states = [state for _, state in results]
         if step == max_len - 1:
             candidates = [
                 Hypothesis(hyp.tokens + [stop_id],
-                           hyp.log_prob + float(log_probs[stop_id]),
+                           hyp.log_prob + float(row[stop_id]),
                            state, finished=True)
-                for hyp, log_probs, state in expanded
+                for hyp, row, state in zip(live, log_probs, states)
             ]
         else:
-            candidates = _top_candidates(expanded, beam + len(live), stop_id)
+            candidates = _top_candidates(live, log_probs, states,
+                                         beam + len(live), stop_id)
         candidates.sort(key=lambda h: (-h.log_prob, tuple(h.tokens)))
         next_live: list[Hypothesis] = []
         for cand in candidates:
@@ -478,32 +505,33 @@ def beam_search(
 
 
 def _top_candidates(
-    expanded: list[tuple[Hypothesis, np.ndarray, object]],
+    live: list[Hypothesis],
+    log_probs: np.ndarray,
+    states: list,
     k: int,
     stop_id: int,
 ) -> list[Hypothesis]:
     """Every one-token extension scoring at least the k-th best score.
 
-    Scores form one (live x extended vocabulary) array of
-    ``hyp.log_prob + log_probs``, the same float64 addition as adding each
-    token's log-probability on its own. Keeping every tie at the cutoff
-    makes the result a prefix of the fully sorted candidates.
+    ``log_probs`` holds one row per live hypothesis. Scores form one (live x
+    extended vocabulary) array of ``hyp.log_prob + log_probs``, the same
+    float64 addition as adding each token's log-probability on its own.
+    Keeping every tie at the cutoff makes the result a prefix of the fully
+    sorted candidates.
     """
-    scores = np.stack(
-        [hyp.log_prob + log_probs for hyp, log_probs, _ in expanded]
-    ).ravel()
+    totals = np.array([hyp.log_prob for hyp in live])
+    scores = (totals[:, None] + log_probs).ravel()
     if scores.size > k:
         cutoff = np.partition(scores, scores.size - k)[scores.size - k]
         picked = np.flatnonzero(scores >= cutoff)
     else:
         picked = np.arange(scores.size)
-    rows, tokens = np.divmod(picked, expanded[0][1].size)
+    rows, tokens = np.divmod(picked, log_probs.shape[1])
     candidates = []
     for index, row, token in zip(picked.tolist(), rows.tolist(),
                                  tokens.tolist()):
-        hyp, _, state = expanded[row]
-        candidates.append(Hypothesis(hyp.tokens + [token],
-                                     float(scores[index]), state,
+        candidates.append(Hypothesis(live[row].tokens + [token],
+                                     float(scores[index]), states[row],
                                      finished=token == stop_id))
     return candidates
 

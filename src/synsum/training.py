@@ -97,6 +97,11 @@ class TrainConfig:
     clip_norm: float = 2.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "init_accumulator", "coverage_weight",
+                     "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.coverage_weight < 0:

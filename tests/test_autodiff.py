@@ -97,6 +97,17 @@ def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
 
+def test_sigmoid_bitwise_equals_masked_piecewise_form():
+    x = np.concatenate([np.random.default_rng(0).normal(0, 20, 997),
+                        [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0,
+                         -800.0, np.inf, -np.inf]])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    assert ad.sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
+
+
 def test_sigmoid_extreme_inputs_do_not_overflow():
     out = ad.sigmoid(Tensor([-800.0, 800.0]))
     np.testing.assert_allclose(out.data, [0.0, 1.0])

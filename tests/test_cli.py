@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from synsum import synthetic as syn
-from synsum.cli import main
+from synsum.cli import main, write_manifest
 from synsum.corpus import STOP_ID, Vocabulary, encode_example, ids_to_tokens, load_corpus
 from synsum.decoder import encode_document, greedy_decode, initial_state, make_step_fn
 from synsum.graph import graph_from_record
@@ -481,3 +481,46 @@ def test_train_failure_leaves_no_output(tmp_path, capsys):
     assert "max_source_len=1" in capsys.readouterr().err
     assert not out_dir.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--init-acc", "--cov-weight",
+                                  "--clip-norm"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_non_finite_optimizer_values(tmp_path, capsys, flag,
+                                                   value):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "1", "--size", "4",
+                 "--out", str(corpus)]) == 0
+    out_dir = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out-dir", str(out_dir),
+                 flag, value, *TRAIN_FLAGS]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_stop_below_must_be_finite(tmp_path, value):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(corpus), "--out-dir",
+              str(tmp_path / "run"), "--stop-below", value, *TRAIN_FLAGS])
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("flag", ["--len-penalty", "--bottom-up-threshold"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_decode_rejects_non_finite_values(trained_dir, tmp_path, flag, value):
+    corpus, out_dir = trained_dir
+    with pytest.raises(SystemExit) as exc:
+        main(decode_args(corpus, out_dir, tmp_path / "s.txt", flag, value))
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "manifest.json"
+    with pytest.raises(ValueError):
+        write_manifest(path, {"config": {"len_penalty": float("nan")}})
+    assert list(tmp_path.iterdir()) == []

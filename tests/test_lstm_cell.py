@@ -253,8 +253,9 @@ def test_sequence_loss_bitwise_and_gradients_close(vocab_size, composed_model):
 def test_toy_width_sequence_loss_tape_size():
     """Pins the tape of one example at toy widths (22-id vocabulary, 18
     source tokens, 4 decoder steps). The fused cell took it from 1,006 nodes
-    to 320, and one output head over all the steps' rows to 196; a change
-    that re-inflates the tape should fail here first."""
+    to 320, one output head over all the steps' rows to 196, one
+    coverage-attention node per step to 148 and one p_gen node to 139; a
+    change that re-inflates the tape should fail here first."""
     vocab, examples = corpus(seed=7, size=2)
     example = examples[0]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
@@ -265,4 +266,4 @@ def test_toy_width_sequence_loss_tape_size():
     assert (vocab.size, example.n, len(example.target_ids)) == (22, 18, 5)
     assert ops.count("lstm_cell") == 2 * example.n + len(example.target_ids) - 1
     assert "slice_cols" not in ops
-    assert len(ops) == 196
+    assert len(ops) == 139

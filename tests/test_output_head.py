@@ -36,9 +36,10 @@ def _row_dot(row, w):
 
 def composed_decode_step(state, y_prev, ctx, params, mask=None):
     """The per-step decoder with the composed head; the context is a (1, d)
-    row in ``StepState`` as it is now."""
+    row and the coverage a (1, n) row in ``StepState`` as it is now."""
     config = params.config
     vocab_size, n, d = config.vocab_size, ctx.n, config.enc_dim
+    coverage = ad.reshape(state.coverage, (n,))
     input_id = y_prev if y_prev < vocab_size else UNK_ID
     emb = ad.gather_rows(params.embedding, [input_id])
     x = ad.concat([emb, state.prev_context], axis=1)
@@ -50,7 +51,7 @@ def composed_decode_step(state, y_prev, ctx, params, mask=None):
     features = ad.add_rowvec(ad.add_rowvec(ctx.enc_attn_proj, dec_proj),
                              attn["b"])
     if config.use_coverage:
-        features = ad.add(features, ad.outer(state.coverage, attn["cov_w"]))
+        features = ad.add(features, ad.outer(coverage, attn["cov_w"]))
     scores = ad.reshape(
         ad.matmul(ad.tanh(features), ad.reshape(attn["v"], (config.d_attn, 1))),
         (n,),
@@ -89,9 +90,9 @@ def composed_decode_step(state, y_prev, ctx, params, mask=None):
     final = ad.add(ad.mul(gen_dist, p_gen),
                    ad.mul(copy_dist, ad.sub(1.0, p_gen)))
     new_state = StepState(hidden=hidden, cell=c,
-                          coverage=ad.add(state.coverage, attention),
-                          prev_context=ad.reshape(context, (1, d)),
-                          prev_token=y_prev)
+                          coverage=ad.reshape(ad.add(coverage, attention),
+                                              (1, n)),
+                          prev_context=ad.reshape(context, (1, d)))
     return final, attention, p_gen, new_state
 
 
@@ -143,7 +144,7 @@ def test_teacher_forced_rows_bitwise_equal_per_step_oracle(name):
                                params.config.vocab_size + ctx.n_oov)
         state = step_state = initial_state(enc, params)
         for t, y_prev in enumerate(inputs):
-            assert same_bits(coverage.data[t], state.coverage.data)
+            assert same_bits(coverage.data[t], state.coverage.data[0])
             want, want_attention, want_p_gen, state = composed_decode_step(
                 state, y_prev, ctx, params)
             assert same_bits(final.data[t], want.data)
@@ -164,7 +165,7 @@ def composed_sequence_loss(example, params, coverage_weight):
     nll_sum = cov_sum = None
     for y_prev, gold in zip(example.target_ids[:-1],
                             example.target_ext_ids[1:]):
-        coverage = state.coverage
+        coverage = ad.reshape(state.coverage, (ctx.n,))
         final, attention, _, state = composed_decode_step(state, y_prev, ctx,
                                                           params)
         nll = ad.mul(ad.log(ad.maximum(ad.pick(final, gold), 1e-12)), -1.0)
@@ -346,11 +347,12 @@ def test_reduction_and_stack_grad_check(name, build):
 
 @pytest.mark.parametrize("rows,inner,width", [
     (2, 3, 4095), (2, 3, 4096), (2, 3, 4097), (3, 2, 8193), (21, 4, 5),
-    (21, 80, 1), (2, 3, 256), (2, 3, 257),
+    (21, 80, 1), (2, 112, 128), (2, 113, 128), (2, 3, 256), (2, 3, 257),
 ])
 def test_multi_row_matmul_matches_triple_loop_oracle(rows, inner, width):
-    # shapes on both sides of the column-block boundary and of the largest
-    # output folded by add.accumulate
+    # shapes on both sides of the column-block boundary, of the largest
+    # output whose terms are formed at once and of the most terms folded by
+    # add.accumulate
     rng = np.random.default_rng(rows * 10000 + width)
     a = rng.normal(size=(rows, inner))
     b = rng.normal(size=(inner, width))
@@ -375,5 +377,6 @@ def test_teacher_forced_head_records_one_mixture_node():
                       ctx, params)
     ops = [node.op for node in tape.nodes]
     assert ops.count("pointer_mix") == 1
-    assert ops.count("softmax") == len(example.target_ids)  # attention + 1
+    assert ops.count("softmax") == 1  # attention is in coverage_attention
+    assert ops.count("coverage_attention") == len(example.target_ids) - 1
     assert "pick" not in ops and "scatter_sum_vec" not in ops

@@ -191,6 +191,15 @@ def test_train_config_validation():
         TrainConfig(coverage_weight=-1.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "init_accumulator",
+                                   "coverage_weight", "clip_norm"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_train_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 def test_train_halts_on_divergence_and_keeps_last_good(tiny_setup, monkeypatch):
     _, _, examples, config = tiny_setup
     calls = {"n": 0}
