@@ -21,15 +21,24 @@ means every term is filed before its flush. Only the order in which
 gradient terms are summed changes; forward values do not.
 
 A primitive may have several outputs: ``lstm_cell`` records one node for
-the new hidden and cell state together. Its backward receives one gradient
-per output, ``None`` for an output that nothing downstream reached, and is
+the new hidden and cell state together, ``split_rows`` one node for all the
+blocks it cuts a tensor into. Its backward receives one gradient per
+output, ``None`` for an output that nothing downstream reached, and is
 skipped only when no output was reached.
+
+Tapes can be chained. ``backward()`` without a loss starts from the
+gradients already on the tape's tensors, so a tape whose outputs a later
+tape read carries on that tape's backward pass: training records the
+encoder of a minibatch on one tape, each document's decoder on one more,
+and backpropagates the encoder tape last.
 
 Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
 ``sum_rows``, ``pick_rows``, ``pointer_mix``, ``coverage_attention``,
-``generation_gate``) give each row bitwise the value the one-row or vector
-form gives it, so stacking the rows of several decoder steps or beam
-hypotheses into one call never changes a forward value.
+``generation_gate``, ``lstm_cell``) give each row bitwise the value the
+one-row or vector form gives it, and the segment primitives
+(``segment_softmax``, ``segment_pool``) give each segment of rows the value
+it has alone, so stacking the rows of several decoder steps, beam
+hypotheses or documents into one call never changes a forward value.
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
@@ -60,6 +69,8 @@ __all__ = [
     "minimum",
     "maximum",
     "softmax",
+    "segment_softmax",
+    "segment_pool",
     "log",
     "sum_all",
     "sum_rows",
@@ -70,6 +81,7 @@ __all__ = [
     "transpose",
     "slice_cols",
     "gather_rows",
+    "split_rows",
     "scatter_rows_sum",
     "add_rowvec",
     "outer",
@@ -184,6 +196,11 @@ class Tape:
     Use as a context manager around the forward pass, then call
     ``backward(loss)`` once. Calling backward twice without re-running the
     forward pass double-accumulates into ``.grad``; zero grads between steps.
+
+    ``backward()`` without a loss starts from the gradients already on the
+    tape's tensors. Tapes chain this way: a later tape whose forward read
+    some of this tape's outputs leaves their gradients there in its own
+    backward pass, and this tape's backward carries them on to its inputs.
     """
 
     def __init__(self):
@@ -197,18 +214,21 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def backward(self, loss: Tensor) -> None:
-        if loss.data.shape != ():
-            raise ValueError(
-                f"backward requires a scalar loss, got shape {loss.data.shape}"
-            )
-        # a tensor recorded on any tape requires grad, so this also covers
-        # a loss computed on this one
-        if not loss.requires_grad:
-            raise ValueError("loss tensor is not connected to this tape")
+    def backward(self, loss: Tensor | None = None) -> None:
+        if loss is not None:
+            if loss.data.shape != ():
+                raise ValueError(
+                    f"backward requires a scalar loss, got shape "
+                    f"{loss.data.shape}"
+                )
+            # a tensor recorded on any tape requires grad, so this also
+            # covers a loss computed on this one
+            if not loss.requires_grad:
+                raise ValueError("loss tensor is not connected to this tape")
         pending = _PENDING
         try:
-            _accumulate(loss, np.ones((), dtype=np.float64))
+            if loss is not None:
+                _accumulate(loss, np.ones((), dtype=np.float64))
             for node in reversed(self.nodes):
                 out = node.out
                 if type(out) is tuple:
@@ -570,6 +590,53 @@ def softmax(x, mask=None) -> Tensor:
     return out
 
 
+def segment_softmax(x, lengths: Sequence[int]) -> Tensor:
+    """Softmax of each consecutive segment of a vector, ``lengths[k]``
+    entries in segment k; each segment is bitwise the vector ``softmax`` of
+    its entries alone."""
+    x = _as_tensor(x)
+    bounds = _segments(lengths, x.shape[0] if x.data.ndim == 1 else -1,
+                       "segment_softmax")
+    y = np.concatenate([_softmax_data(x.data[lo:hi]) for lo, hi in bounds])
+    out = Tensor(y, x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        dx = np.empty_like(y)
+        for lo, hi in bounds:
+            dx[lo:hi] = y[lo:hi] * (g[lo:hi] - np.dot(g[lo:hi], y[lo:hi]))
+        _accumulate(x, dx)
+
+    _record("segment_softmax", out, backward)
+    return out
+
+
+def segment_pool(weights, x, lengths: Sequence[int]) -> Tensor:
+    """Weighted sum of the rows of each consecutive segment of a matrix:
+    ``out[k] = sum of weights[i] * x[i]`` over segment k's rows, a left fold
+    in row order, bitwise the one-row ``matmul`` of that segment's weights
+    and rows. Returns one row per segment."""
+    w, x = _as_tensor(weights), _as_tensor(x)
+    if w.data.ndim != 1 or x.data.ndim != 2 or w.shape[0] != x.shape[0]:
+        raise ShapeError(f"segment_pool: weights {w.shape} vs rows {x.shape}")
+    bounds = _segments(lengths, x.shape[0], "segment_pool")
+    out = Tensor(
+        np.concatenate([_matmul_data(w.data[None, lo:hi], x.data[lo:hi])
+                        for lo, hi in bounds]),
+        w.requires_grad or x.requires_grad,
+    )
+    segment_of_row = np.repeat(np.arange(len(bounds)), lengths)
+
+    def backward(g: np.ndarray) -> None:
+        g_rows = g[segment_of_row]
+        if w.requires_grad:
+            _accumulate(w, np.einsum("ij,ij->i", x.data, g_rows))
+        if x.requires_grad:
+            _accumulate(x, w.data[:, None] * g_rows)
+
+    _record("segment_pool", out, backward)
+    return out
+
+
 def log(x) -> Tensor:
     """Natural logarithm; the caller guarantees positive inputs."""
     x = _as_tensor(x)
@@ -724,6 +791,42 @@ def gather_rows(x, indices) -> Tensor:
 
     _record("gather_rows", out, backward)
     return out
+
+
+def _segments(lengths: Sequence[int], total: int,
+              op: str) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive segments of ``lengths`` rows each,
+    which must cover exactly ``total`` rows."""
+    bounds = [0]
+    for length in lengths:
+        bounds.append(bounds[-1] + length)
+    if not lengths or min(lengths) < 1 or bounds[-1] != total:
+        raise ShapeError(
+            f"{op}: segment lengths {list(lengths)} do not split {total} rows"
+        )
+    return list(zip(bounds, bounds[1:]))
+
+
+def split_rows(x, lengths: Sequence[int]) -> tuple[Tensor, ...]:
+    """Consecutive blocks of the leading axis, ``lengths[k]`` rows in block
+    k, as one node with one output per block. A single block is ``x``
+    itself, and records nothing."""
+    x = _as_tensor(x)
+    bounds = _segments(lengths, len(x.data) if x.data.ndim else -1,
+                       "split_rows")
+    if len(bounds) == 1:
+        return (x,)
+    outs = tuple(Tensor(x.data[lo:hi], x.requires_grad) for lo, hi in bounds)
+
+    def backward(*grads: np.ndarray | None) -> None:
+        if x.grad is None:
+            x.grad = np.zeros(x.shape)
+        for (lo, hi), g in zip(bounds, grads):
+            if g is not None:
+                x.grad[lo:hi] += g
+
+    _record("split_rows", outs, backward)
+    return outs
 
 
 def scatter_rows_sum(x, src_idx, dst_idx, n_out: int) -> Tensor:
@@ -1062,14 +1165,19 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
 
 def lstm_cell(
-    x_proj, h, c, W_h, b, row: int | None = None
+    x_proj, h, c, W_h, b, row: int | Sequence[int] | None = None
 ) -> tuple[Tensor, Tensor]:
-    """One LSTM step from a precomputed input projection; returns (h', c').
+    """One LSTM step of R rows from precomputed input projections; returns
+    (h', c').
 
-    ``x_proj`` holds the input projection ``x @ W_x``, as many rows as ``h``
-    has; ``row`` instead picks one row of a taller ``x_proj``, so a scan can
-    project all its inputs with one matmul and read them row by row. With
-    gates laid out (input, forget, candidate, output), each ``d`` wide:
+    ``x_proj`` holds the R rows' input projections ``x @ W_x``; ``row``
+    instead picks them from a taller ``x_proj``, one index or a sequence of
+    R, so a scan can project all its inputs with one matmul and read them
+    row by row. ``h`` and ``c`` hold at least R rows: the cell steps their
+    first R and carries the rest into h' and c' unchanged, as a scan over
+    length-sorted documents carries the final state of each document that
+    has ended. With gates laid out (input, forget, candidate, output), each
+    ``d`` wide:
 
         z = (x_proj + h @ W_h) + b
         i, f, o = sigmoid(z) on their columns;  g = tanh(z) on its columns
@@ -1078,32 +1186,51 @@ def lstm_cell(
 
     These are the IEEE operations, in order, of the same cell composed from
     ``matmul``/``add``/``slice_cols``/``sigmoid``/``tanh``/``mul`` nodes, so
-    the values are bitwise equal to it; the backward is analytic instead.
+    every row is bitwise equal to it; the backward is analytic instead.
     """
     x_proj, h, c, W_h, b = (_as_tensor(t) for t in (x_proj, h, c, W_h, b))
-    if row is not None and not 0 <= row < len(x_proj.data):
+    # a scan steps a handful of rows: Python checks on them cost less than
+    # numpy reductions, and one row is read as a slice, not a gather
+    rows = [row] if isinstance(row, (int, np.integer)) else row
+    if rows is not None and not (
+            len(rows) and 0 <= min(rows) and max(rows) < len(x_proj.data)):
         raise IndexError(
             f"lstm_cell: row {row} out of range for {len(x_proj.data)} rows"
         )
-    xs = x_proj.data if row is None else x_proj.data[row:row + 1]
-    d = h.shape[1] if h.data.ndim == 2 else -1
-    if (d < 0 or c.shape != h.shape or W_h.shape != (d, 4 * d)
-            or b.shape != (4 * d,) or xs.shape != (h.shape[0], 4 * d)):
+    xs = (x_proj.data if rows is None
+          else x_proj.data[rows[0]:rows[0] + 1] if len(rows) == 1
+          else x_proj.data[rows])
+    h_prev, c_prev = h.data, c.data
+    d = h_prev.shape[1] if h_prev.ndim == 2 else -1
+    stepped = len(xs)
+    if (d < 0 or c_prev.shape != h_prev.shape or W_h.shape != (d, 4 * d)
+            or b.shape != (4 * d,) or xs.shape[1:] != (4 * d,)
+            or not 0 < stepped <= len(h_prev)):
         raise ShapeError(
             f"lstm_cell: incompatible shapes x_proj {xs.shape}, h {h.shape}, "
             f"c {c.shape}, W_h {W_h.shape}, b {b.shape}"
         )
-    h_prev, c_prev = h.data, c.data
+    carried = len(h_prev) - stepped
+    if carried:
+        h_prev, c_prev = h_prev[:stepped], c_prev[:stepped]
     z = (xs + _matmul_data(h_prev, W_h.data)) + b.data[None, :]
     gates = _sigmoid_data(z)
     gates[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
     i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
     c_data = f * c_prev + i * g
     tc = np.tanh(c_data)
-    h_out = Tensor(o * tc, any(t.requires_grad for t in (x_proj, h, c, W_h, b)))
+    h_data = o * tc
+    if carried:
+        h_data = np.concatenate([h_data, h.data[stepped:]])
+        c_data = np.concatenate([c_data, c.data[stepped:]])
+    h_out = Tensor(h_data, any(t.requires_grad for t in (x_proj, h, c, W_h, b)))
     c_out = Tensor(c_data, h_out.requires_grad)
 
     def backward(dh: np.ndarray | None, dc: np.ndarray | None) -> None:
+        dh_kept = None if dh is None else dh[stepped:]
+        dc_kept = None if dc is None else dc[stepped:]
+        dh = None if dh is None else dh[:stepped]
+        dc = None if dc is None else dc[:stepped]
         if dh is not None:
             dc_h = dh * o * (1.0 - tc * tc)
             dc = dc_h if dc is None else dc + dc_h
@@ -1113,16 +1240,16 @@ def lstm_cell(
         dz[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
         dz[:, 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
         if x_proj.requires_grad:
-            if row is None:
+            if rows is None:
                 _accumulate(x_proj, dz)
             else:
                 if x_proj.grad is None:
                     x_proj.grad = np.zeros(x_proj.shape)
-                x_proj.grad[row] += dz[0]
+                x_proj.grad[rows] += dz
         if h.requires_grad:
-            _accumulate(h, dz @ W_h.data.T)
+            _accumulate(h, _with_carried(dz @ W_h.data.T, dh_kept, carried))
         if c.requires_grad:
-            _accumulate(c, dc * f)
+            _accumulate(c, _with_carried(dc * f, dc_kept, carried))
         if W_h.requires_grad:
             _accumulate(W_h, h_prev.T @ dz)
         if b.requires_grad:
@@ -1130,6 +1257,18 @@ def lstm_cell(
 
     _record("lstm_cell", (h_out, c_out), backward)
     return h_out, c_out
+
+
+def _with_carried(stepped: np.ndarray, kept: np.ndarray | None,
+                  carried: int) -> np.ndarray:
+    """A cell input's gradient: its stepped rows, then the ``carried`` rows
+    whose gradient passes through unchanged (``kept``; zero when nothing
+    reached that output)."""
+    if not carried:
+        return stepped
+    if kept is None:
+        kept = np.zeros((carried, stepped.shape[1]))
+    return np.concatenate([stepped, kept])
 
 
 # ---------------------------------------------------------------------------

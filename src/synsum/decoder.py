@@ -68,6 +68,7 @@ __all__ = [
     "ContentMask",
     "ContentSelector",
     "Hypothesis",
+    "encode_documents",
     "encode_document",
     "prepare_decoder",
     "initial_state",
@@ -163,14 +164,26 @@ def prepare_decoder(
     )
 
 
+def encode_documents(
+    examples: Sequence[EncodedExample], params: ModelParams
+) -> list[tuple[EncodedDocument, GatedDocument]]:
+    """Encoder and gate of every document of a batch, in input order: one
+    forward over the documents' stacked rows, split into documents."""
+    batch = encode(examples, params)
+    gated = apply_gate(batch.fused, params, batch.lengths)
+    pairs: list = [None] * len(examples)
+    for k, parts in enumerate(zip(batch.documents(),
+                                  gated.split(batch.lengths))):
+        pairs[batch.order[k]] = parts
+    return pairs
+
+
 def encode_document(
     example: EncodedExample, params: ModelParams
 ) -> tuple[EncodedDocument, GatedDocument, DecodeContext]:
-    """Encoder, gate and decode-context in one call; the shared forward."""
-    enc = encode(example, params)
-    gated = apply_gate(enc.fused, params)
-    ctx = prepare_decoder(gated.gated, example, params)
-    return enc, gated, ctx
+    """Encoder, gate and decode-context of one document (a batch of one)."""
+    [(enc, gated)] = encode_documents([example], params)
+    return enc, gated, prepare_decoder(gated.gated, example, params)
 
 
 def initial_state(enc: EncodedDocument, params: ModelParams) -> StepState:

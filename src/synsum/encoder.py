@@ -1,16 +1,24 @@
-"""Semantic and structural document encoding.
+"""Semantic and structural document encoding, over a batch of documents.
+
+The encoder runs once over all the documents of a batch, stacked as rows,
+longest document first; one document is a batch of one. Every document's
+rows come out bitwise equal to encoding it alone.
 
 The semantic path embeds token ids and runs a bidirectional LSTM. Each
 direction projects all its input rows with one matmul, ``x @ W_x``, before
 the scan (the input projection hoisted out of the recurrence, as in cuDNN's
-LSTM), and the scan feeds row i of that projection to one fused
-``lstm_cell`` per step. Each row of the sequential-k matmul is the same left
-fold as a one-row product, so the hoisted forward is bitwise equal to
-projecting inside the loop.
+LSTM). Step t of the scan is one fused ``lstm_cell`` over the documents
+still running: it reads each one's projection row at position t (from the
+end, backwards) and carries the final state of every document that has
+ended, so the scan's last state holds every document's final state. Each
+row of the sequential-k matmul is the same left fold as a one-row product,
+so a row's values do not depend on the rows stepped beside it.
 
 The structural path projects the semantic states onto the graph width and
-applies a stack of typed-edge graph convolutions over the document graph.
-One layer computes, for every node i,
+applies a stack of typed-edge graph convolutions over the union of the
+documents' graphs: each document's edges with its row offset added, a
+block-diagonal graph, as PyTorch Geometric batches graphs (Fey & Lenssen
+2019). One layer computes, for every node i,
 
     out_i = relu( sum over incoming edges (j -> i, class c) of  h_j @ W_c  + b )
 
@@ -23,6 +31,7 @@ rowwise concatenation of semantic and structural states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +43,12 @@ from .model import ModelParams
 
 __all__ = [
     "EncodedDocument",
+    "EncodedBatch",
     "embed",
     "lstm_scan",
     "bilstm",
     "edge_index_arrays",
+    "union_edge_index",
     "gcn_layer",
     "gcn_stack",
     "encode",
@@ -60,41 +71,117 @@ class EncodedDocument:
     final_states: tuple[Tensor, Tensor, Tensor, Tensor]  # fw_h, fw_c, bw_h, bw_c
 
 
+@dataclass
+class EncodedBatch:
+    """The encoder states of a batch of documents, stacked as rows, longest
+    document first (ties in input order)."""
+
+    semantic: Tensor            # N x 2*d_h BiLSTM states
+    structural: Tensor | None   # N x d_g final graph-convolution states
+    fused: Tensor               # N x enc_dim concatenation (or semantic alone)
+    lengths: tuple[int, ...]    # rows of each stacked document
+    order: tuple[int, ...]      # order[k]: input position of stacked document k
+    final_states: tuple[Tensor, Tensor, Tensor, Tensor]  # (B, d_h) each
+
+    def documents(self) -> list[EncodedDocument]:
+        """Each stacked document's states, in stacking order, split off on
+        the tape so that gradients reaching them flow back into the batch.
+        A batch of one is its own document."""
+        batch = len(self.lengths)
+        semantic = ad.split_rows(self.semantic, self.lengths)
+        structural = (
+            [None] * batch if self.structural is None
+            else ad.split_rows(self.structural, self.lengths)
+        )
+        fused = (semantic if self.fused is self.semantic
+                 else ad.split_rows(self.fused, self.lengths))
+        finals = [ad.split_rows(t, (1,) * batch) for t in self.final_states]
+        return [
+            EncodedDocument(
+                semantic=semantic[k],
+                structural=structural[k],
+                fused=fused[k],
+                n=self.lengths[k],
+                final_states=tuple(f[k] for f in finals),
+            )
+            for k in range(batch)
+        ]
+
+
 def embed(ids, params: ModelParams) -> Tensor:
     """Rows of the embedding matrix for a sequence of in-vocabulary ids."""
     return ad.gather_rows(params.embedding, list(ids))
 
 
 def lstm_scan(
-    x: Tensor, cell: dict, d_h: int, reverse: bool = False
+    x: Tensor,
+    cell: dict,
+    d_h: int,
+    reverse: bool = False,
+    lengths: Sequence[int] | None = None,
 ) -> tuple[list[Tensor], Tensor, Tensor]:
-    """Run one LSTM direction over the rows of ``x``.
+    """Run one LSTM direction over the documents stacked in ``x``.
 
-    Gate layout in the fused projection is (input, forget, candidate,
-    output). Initial states are zero. Returns per-position hidden rows in
-    input order plus the final hidden and cell state of the scan.
+    ``lengths`` gives each document's rows, longest first (one document of
+    all the rows by default). Gate layout in the fused projection is
+    (input, forget, candidate, output). Initial states are zero. Returns the
+    hidden state of every scan step, one row per document (a row past its
+    document's end repeats its final state), listed in input order: step 0
+    first, or for ``reverse`` the last step first, so that a one-document
+    scan lists position i's state i-th. Then the final hidden and cell
+    states, one row per document.
     """
-    n = x.shape[0]
+    lengths = tuple(lengths or (x.shape[0],))
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"document lengths {lengths} are not longest first")
+    # each document's row of x at step 0, and how its row moves each step
+    first = [sum(lengths[:k]) + (lengths[k] - 1 if reverse else 0)
+             for k in range(len(lengths))]
+    move = -1 if reverse else 1
     x_proj = ad.matmul(x, cell["W_x"])
-    h = Tensor(np.zeros((1, d_h)))
-    c = Tensor(np.zeros((1, d_h)))
-    states: list[Tensor | None] = [None] * n
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for i in order:
-        h, c = ad.lstm_cell(x_proj, h, c, cell["W_h"], cell["b"], row=i)
-        states[i] = h
-    return states, h, c  # type: ignore[return-value]
+    h = Tensor(np.zeros((len(lengths), d_h)))
+    c = Tensor(np.zeros((len(lengths), d_h)))
+    states: list[Tensor] = []
+    for t in range(lengths[0]):
+        rows = [row + move * t for row, length in zip(first, lengths)
+                if length > t]
+        h, c = ad.lstm_cell(x_proj, h, c, cell["W_h"], cell["b"], row=rows)
+        states.append(h)
+    if reverse:
+        states.reverse()
+    return states, h, c
+
+
+def _document_rows(
+    steps: list[Tensor], lengths: tuple[int, ...], reverse: bool
+) -> Tensor:
+    """The states of ``lstm_scan`` as one row per token, documents stacked:
+    one ``concat`` of the steps and, for several documents, one gather."""
+    stacked = ad.concat(steps, axis=0)
+    batch, last = len(lengths), lengths[0]
+    if batch == 1:
+        return stacked
+    # step s of the listed steps holds document k's row s * batch + k; a
+    # backward scan lists document k's position p at step p + last - length
+    index = [
+        (p + (last - length if reverse else 0)) * batch + k
+        for k, length in enumerate(lengths) for p in range(length)
+    ]
+    return ad.gather_rows(stacked, index)
 
 
 def bilstm(
-    x: Tensor, params: ModelParams
+    x: Tensor, params: ModelParams, lengths: Sequence[int] | None = None
 ) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor, Tensor]]:
+    """BiLSTM states of the documents stacked in ``x`` (``lengths`` rows
+    each, longest first) and each document's final states, one row each."""
     d_h = params.config.d_h
-    fw_states, fw_h, fw_c = lstm_scan(x, params.lstm_fw, d_h)
-    bw_states, bw_h, bw_c = lstm_scan(x, params.lstm_bw, d_h, reverse=True)
-    states = ad.concat(
-        [ad.concat(fw_states, axis=0), ad.concat(bw_states, axis=0)], axis=1
-    )
+    lengths = tuple(lengths or (x.shape[0],))
+    fw_steps, fw_h, fw_c = lstm_scan(x, params.lstm_fw, d_h, lengths=lengths)
+    bw_steps, bw_h, bw_c = lstm_scan(x, params.lstm_bw, d_h, reverse=True,
+                                     lengths=lengths)
+    states = ad.concat([_document_rows(fw_steps, lengths, False),
+                        _document_rows(bw_steps, lengths, True)], axis=1)
     return states, (fw_h, fw_c, bw_h, bw_c)
 
 
@@ -110,6 +197,25 @@ def edge_index_arrays(g: DocumentGraph) -> dict[str, tuple[np.ndarray, np.ndarra
     return {
         key: (np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp))
         for key, (src, dst) in buckets.items()
+    }
+
+
+def union_edge_index(
+    graphs: Sequence[DocumentGraph],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """``edge_index_arrays`` of the block-diagonal union of ``graphs``: each
+    graph's nodes follow the previous graphs' nodes, and its edges keep
+    their order."""
+    parts, offset = [], 0
+    for g in graphs:
+        parts.append((edge_index_arrays(g), offset))
+        offset += g.n
+    return {
+        key: tuple(
+            np.concatenate([idx[key][side] + off for idx, off in parts])
+            for side in (0, 1)
+        )
+        for key in _CLASS_KEY.values()
     }
 
 
@@ -142,30 +248,28 @@ def gcn_stack(
     return h
 
 
-def encode(example: EncodedExample, params: ModelParams) -> EncodedDocument:
-    """Full encoder: BiLSTM semantic states, graph convolutions, fusion."""
+def encode(examples: Sequence[EncodedExample], params: ModelParams) -> EncodedBatch:
+    """Full encoder over a batch: BiLSTM semantic states, graph convolutions
+    over the union graph, fusion."""
+    if not examples:
+        raise ValueError("cannot encode an empty batch")
     config = params.config
-    x = embed(example.source_ids, params)
-    semantic, finals = bilstm(x, params)
+    order = tuple(sorted(range(len(examples)), key=lambda i: -examples[i].n))
+    docs = [examples[i] for i in order]
+    lengths = tuple(ex.n for ex in docs)
+    x = embed([t for ex in docs for t in ex.source_ids], params)
+    semantic, finals = bilstm(x, params, lengths)
     if config.ablate_gcn:
-        return EncodedDocument(
-            semantic=semantic,
-            structural=None,
-            fused=semantic,
-            n=example.n,
-            final_states=finals,
-        )
+        return EncodedBatch(semantic=semantic, structural=None,
+                            fused=semantic, lengths=lengths, order=order,
+                            final_states=finals)
     h0 = (
         semantic
         if params.gcn_input_proj is None
         else ad.matmul(semantic, params.gcn_input_proj)
     )
-    structural = gcn_stack(h0, edge_index_arrays(example.graph), params)
+    structural = gcn_stack(h0, union_edge_index([ex.graph for ex in docs]),
+                           params)
     fused = ad.concat([semantic, structural], axis=1)
-    return EncodedDocument(
-        semantic=semantic,
-        structural=structural,
-        fused=fused,
-        n=example.n,
-        final_states=finals,
-    )
+    return EncodedBatch(semantic=semantic, structural=structural, fused=fused,
+                        lengths=lengths, order=order, final_states=finals)

@@ -42,6 +42,15 @@ class ModelConfig:
     tie_fwd_bwd: bool = False  # share one weight matrix across both dependency directions
     zero_init_decoder: bool = False  # ablation: skip the encoder-state projection
 
+    def __post_init__(self):
+        for name in ("d_emb", "d_h", "d_g", "d_dec", "d_attn"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)!r}")
+        if self.gcn_layers < 0:
+            raise ValueError(f"gcn_layers must be nonnegative, got "
+                             f"{self.gcn_layers!r}")
+
     @property
     def enc_dim(self) -> int:
         """Width of the fused per-token state handed to gate and decoder."""

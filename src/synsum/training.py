@@ -6,7 +6,12 @@ gold summary under teacher forcing plus a weighted coverage penalty:
     (1/T) * sum over steps of [ -log(final(gold)) + weight * coverage_loss ]
 
 with the predicted probability floored at 1e-12 before the log. Batch
-gradients average the per-example gradients.
+gradients average the per-example gradients. A minibatch encodes all its
+documents in one forward over their stacked rows, on one tape, and
+decodes each on a tape of its own, which is backpropagated and freed
+before the next document is decoded (``batch_gradients``); the encoder
+tape's backward pass runs last, from the gradients the decoder tapes left
+on its outputs. Every document's loss is bitwise its loss alone.
 
 Adagrad follows the accumulator form: acc += g^2, theta -= lr * g /
 sqrt(acc), with every accumulator initialized to a positive constant so no
@@ -44,11 +49,15 @@ from .decoder import (
     coverage_loss,
     decode_step,  # bound here too: perfbench/tracing.py wraps training.decode_step
     encode_document,
+    encode_documents,
     initial_state,
     make_step_fn,
+    prepare_decoder,
     teacher_force,
 )
+from .encoder import EncodedDocument
 from .fileio import atomic_write
+from .gate import GatedDocument
 from .metrics import RougeReport, evaluate_pairs
 from .model import ModelConfig, ModelParams
 
@@ -58,7 +67,9 @@ __all__ = [
     "EpochStats",
     "TrainResult",
     "NonFiniteGradientError",
+    "NonFiniteLossError",
     "sequence_loss",
+    "batch_gradients",
     "loss_from_rows",
     "loss_from_steps",
     "adagrad_step",
@@ -106,6 +117,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.coverage_weight < 0:
             raise ValueError("coverage_weight must be nonnegative")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)!r}")
 
 
 @dataclass
@@ -168,11 +183,16 @@ def sequence_loss(
     example: EncodedExample,
     params: ModelParams,
     coverage_weight: float,
+    encoded: tuple[EncodedDocument, GatedDocument] | None = None,
 ) -> tuple[Tensor, LossStats]:
-    """Teacher-forced loss of one example under the current parameters."""
+    """Teacher-forced loss of one example under the current parameters.
+
+    ``encoded`` is the example's part of ``encode_documents`` over its batch;
+    without it the example is encoded here, on the same tape."""
     if len(example.target_ids) < 2:
         raise ValueError("example has an empty target")
-    enc, _, ctx = encode_document(example, params)
+    enc, gated = encoded or encode_documents([example], params)[0]
+    ctx = prepare_decoder(gated.gated, example, params)
     final, attention, coverage = teacher_force(
         initial_state(enc, params),
         example.target_ids[:-1],   # in-vocabulary ids feed the embedding
@@ -180,6 +200,48 @@ def sequence_loss(
     )
     golds = example.target_ext_ids[1:]    # extended ids are what we must emit
     return loss_from_rows(final, golds, attention, coverage, coverage_weight)
+
+
+class NonFiniteLossError(ArithmeticError):
+    """A document's loss was NaN or infinite."""
+
+    def __init__(self, position: int):
+        super().__init__(f"non-finite loss on batch document {position}")
+        self.position = position
+
+
+def batch_gradients(
+    batch: Sequence[EncodedExample],
+    params: ModelParams,
+    coverage_weight: float,
+) -> list[LossStats]:
+    """Add the gradient of the batch's mean loss into the parameters' grads.
+
+    The encoder and gate run once over every document of the batch, on one
+    tape. Then each document, in order, gets its own tape for the decoder
+    and the loss, which is backpropagated and freed before the next one
+    starts; it leaves its gradients on its part of the encoder's outputs.
+    Only then does the encoder tape run its backward pass from those. Each
+    document's loss is bitwise that of ``sequence_loss`` alone.
+
+    Raises ``NonFiniteLossError`` at the first document whose loss is not
+    finite; the grads are then partial.
+    """
+    def document_backward(position: int) -> LossStats:
+        # the tape is freed on return, before the next document's forward
+        with Tape() as tape:
+            loss, stats = sequence_loss(batch[position], params,
+                                        coverage_weight, encoded[position])
+            if not np.isfinite(loss.data):
+                raise NonFiniteLossError(position)
+            tape.backward(ad.mul(loss, 1.0 / len(batch)))
+        return stats
+
+    with Tape() as encoder_tape:
+        encoded = encode_documents(batch, params)
+    stats = [document_backward(position) for position in range(len(batch))]
+    encoder_tape.backward()
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +374,12 @@ def train(
         for lo in range(0, len(order), train_config.batch_size):
             batch = order[lo:lo + train_config.batch_size]
             params.zero_grads()
-            for idx in batch:
-                with Tape() as tape:
-                    loss, stats = sequence_loss(
-                        examples[idx], params, coverage_weight
-                    )
-                    if not np.isfinite(loss.data):
-                        return halt(f"non-finite loss on example {idx}")
-                    tape.backward(ad.mul(loss, 1.0 / len(batch)))
+            try:
+                batch_stats = batch_gradients([examples[i] for i in batch],
+                                              params, coverage_weight)
+            except NonFiniteLossError as exc:
+                return halt(f"non-finite loss on example {batch[exc.position]}")
+            for stats in batch_stats:
                 epoch_nll += stats.nll
                 epoch_cov += stats.coverage
             grads = {

@@ -1,0 +1,377 @@
+"""The document-batched training step against the per-example loop it
+replaced.
+
+``per_example_gradients`` is the loop ``train`` ran over a minibatch before
+the encoder was batched: one tape per example, which encodes and decodes it
+alone and is backpropagated before the next example starts. It stays here
+as the oracle. ``training.batch_gradients`` must give every document
+bitwise the same loss, every decoder parameter bitwise the same gradient
+(its decoder tapes are node for node the oracle's), and the encoder, gate
+and embedding gradients to rounding (their sums over the batch's documents
+are taken in one product instead of one per document).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from synsum import autodiff as ad
+from synsum import synthetic as syn
+from synsum import training as tr
+from synsum.autodiff import Tape, Tensor
+from synsum.corpus import Document, Vocabulary, build_vocabulary, encode_example
+from synsum.decoder import encode_document, encode_documents
+from synsum.encoder import encode
+from synsum.model import ModelConfig, ModelParams
+
+TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
+ABLATIONS = [
+    {},
+    dict(ablate_gate=True),
+    dict(ablate_gcn=True, ablate_gate=True),
+    dict(tie_fwd_bwd=True),
+    dict(use_coverage=False),
+    dict(zero_init_decoder=True),
+]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_corpus(vocab_size=None):
+    """Seven examples of mixed lengths: two lengths from the generator
+    (each several times, so some batches hold equal lengths), a
+    one-sentence document and a document cut short by ``max_source_len``."""
+    docs = syn.generate_documents(seed=11, size=5)
+    vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
+    if vocab_size is not None:
+        tokens = vocab.id_to_token + [
+            f"filler{i}" for i in range(vocab_size - vocab.size)
+        ]
+        vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)},
+                           id_to_token=tokens, label_to_id=vocab.label_to_id)
+    one_sentence = Document(sentences=docs[1].sentences[:1],
+                            reference=docs[1].reference)
+    examples = [encode_example(d, vocab) for d in docs]
+    examples.insert(2, encode_example(one_sentence, vocab))
+    examples.append(encode_example(docs[3], vocab, max_source_len=10))
+    return vocab, examples
+
+
+def per_example_gradients(batch, params, coverage_weight):
+    """The oracle: the training step as one tape per example."""
+    stats = []
+    for example in batch:
+        with Tape() as tape:
+            loss, example_stats = tr.sequence_loss(example, params,
+                                                   coverage_weight)
+            tape.backward(ad.mul(loss, 1.0 / len(batch)))
+        stats.append(example_stats)
+    return stats
+
+
+def gradients(step, batch, params, coverage_weight):
+    params.zero_grads()
+    stats = step(batch, params, coverage_weight)
+    return stats, {name: t.grad.copy()
+                   for name, t in params.named_tensors().items()
+                   if t.grad is not None}
+
+
+def test_mixed_corpus_has_the_lengths_it_promises():
+    _, examples = mixed_corpus()
+    lengths = [ex.n for ex in examples]
+    assert len(set(lengths)) >= 4
+    assert any(lengths.count(n) > 1 for n in lengths)
+    assert min(lengths) == len(examples[2].source_ids)
+    assert len(examples[2].sentence_bounds) == 1
+
+
+@pytest.mark.parametrize("vocab_size", [None, 2000])
+@pytest.mark.parametrize("overrides", ABLATIONS,
+                         ids=lambda o: "-".join(o) or "full")
+def test_batches_match_the_per_example_oracle(vocab_size, overrides):
+    vocab, examples = mixed_corpus(vocab_size)
+    config = ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS, **overrides)
+    params = ModelParams(config, seed=4)
+    weight = 1.0 if config.use_coverage else 0.0
+    for batch_size in range(1, 6):
+        # the last batch of each size but 1 is a partial one
+        for lo in range(0, len(examples), batch_size):
+            batch = examples[lo:lo + batch_size]
+            stats, grads = gradients(tr.batch_gradients, batch, params, weight)
+            stats_ref, grads_ref = gradients(per_example_gradients, batch,
+                                             params, weight)
+            assert [(s.nll, s.coverage) for s in stats] == [
+                (s.nll, s.coverage) for s in stats_ref]
+            assert grads.keys() == grads_ref.keys()
+            for name, g_ref in grads_ref.items():
+                if name.startswith("dec/"):
+                    assert same_bits(grads[name], g_ref), name
+                    continue
+                # gate/score_b's gradient is a residue of cancellation,
+                # about 1e-3 of gate/score_W's at these parameters: the
+                # rounding of its terms is measured on score_W's scale
+                scale_name = ("gate/score_W" if name == "gate/score_b"
+                              else name)
+                scale = np.abs(grads_ref[scale_name]).max()
+                assert np.abs(grads[name] - g_ref).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("vocab_size", [None, 2000])
+def test_batched_losses_are_bitwise_the_unbatched_ones(vocab_size):
+    vocab, examples = mixed_corpus(vocab_size)
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=5)
+    alone = [tr.sequence_loss(ex, params, 1.0)[0].data for ex in examples]
+    for batch_size in (2, 3, 5, 7):
+        for lo in range(0, len(examples), batch_size):
+            batch = examples[lo:lo + batch_size]
+            for k, parts in enumerate(encode_documents(batch, params)):
+                loss, _ = tr.sequence_loss(batch[k], params, 1.0, parts)
+                assert same_bits(loss.data, alone[lo + k])
+
+
+def test_batched_encoder_states_are_bitwise_each_documents_own():
+    vocab, examples = mixed_corpus()
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=6)
+    batched = encode_documents(examples, params)
+    for example, (enc, gated) in zip(examples, batched, strict=True):
+        enc_ref, gated_ref, _ = encode_document(example, params)
+        assert enc.n == enc_ref.n == example.n
+        for got, ref in [(enc.semantic, enc_ref.semantic),
+                         (enc.structural, enc_ref.structural),
+                         (enc.fused, enc_ref.fused),
+                         *zip(enc.final_states, enc_ref.final_states),
+                         (gated.doc_vector, gated_ref.doc_vector),
+                         (gated.attention, gated_ref.attention),
+                         (gated.gate, gated_ref.gate),
+                         (gated.gated, gated_ref.gated)]:
+            assert same_bits(got.data, ref.data)
+
+
+def test_encode_stacks_the_longest_document_first():
+    vocab, examples = mixed_corpus()
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=0)
+    batch = encode(examples, params)
+    lengths = [ex.n for ex in examples]
+    assert batch.lengths == tuple(sorted(lengths, reverse=True))
+    assert [lengths[i] for i in batch.order] == list(batch.lengths)
+    assert sorted(batch.order) == list(range(len(examples)))
+    assert batch.fused.shape[0] == sum(lengths)
+    assert all(t.shape == (len(examples), params.config.d_h)
+               for t in batch.final_states)
+    with pytest.raises(ValueError, match="empty batch"):
+        encode([], params)
+
+
+def test_summed_loss_of_a_three_document_batch_grad_check():
+    vocab, examples = mixed_corpus()
+    config = ModelConfig(vocab_size=vocab.size, d_emb=3, d_h=2, d_g=3,
+                         gcn_layers=1, d_dec=3, d_attn=3)
+    params = ModelParams(config, seed=8)
+    for layer in params.gcn:
+        layer["bias"].data[...] = 0.2  # keep relu pre-activations off the kink
+    batch = [examples[0], examples[2], examples[6]]
+    assert len({ex.n for ex in batch}) == 3
+    checked = {name: t for name, t in params.named_tensors().items()
+               if not name.startswith("dec/")}
+
+    def f(p):
+        losses = [tr.sequence_loss(ex, params, 1.0, parts)[0]
+                  for ex, parts in zip(batch, encode_documents(batch, params))]
+        return ad.add(ad.add(losses[0], losses[1]), losses[2])
+
+    # the summed loss is about 13, and one ulp of it over a 1e-5 step is
+    # about 1e-4 of the smallest gradients checked; a 1e-4 step keeps the
+    # rounding a tenth of that
+    report = ad.grad_check(f, checked, eps=1e-4, tol=1e-4)
+    assert report.ok, str(report)
+
+
+def test_toy_four_document_batch_tape_size():
+    """Pins the nodes of a toy 4-document batch (18, 14, 18 and 14 source
+    tokens, 4 decoder steps each): 99 on its encoder tape, 11 of them
+    ``split_rows``, and 50 on each decoder tape. One tape per example
+    records 136 + 128 + 136 + 128 = 528; the target was at most 400."""
+    docs = syn.generate_documents(seed=7, size=4)
+    vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
+    batch = [encode_example(d, vocab) for d in docs]
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=0)
+    with Tape() as encoder_tape:
+        encoded = encode_documents(batch, params)
+    nodes = [len(encoder_tape.nodes)]
+    for example, parts in zip(batch, encoded):
+        with Tape() as tape:
+            tr.sequence_loss(example, params, 1.0, parts)
+        nodes.append(len(tape.nodes))
+    assert [ex.n for ex in batch] == [18, 14, 18, 14]
+    assert nodes == [99, 50, 50, 50, 50]
+
+
+def test_decoder_tapes_are_freed_one_by_one():
+    """A 4-document batch at V = 2,000 peaks below 1.5 times a 1-document
+    one: each document's decoder tape is freed before the next is built.
+
+    The targets are 31 steps, as long as a v20k document's. With the
+    4-step targets of ``mixed_corpus`` a decoder tape (about 0.5 MB) is
+    smaller than ``dec/out_W``'s gradient and the 1.5 MB product that adds
+    a second document's terms to it, and the ratio cannot tell merged tapes
+    (1.9) from separate ones (1.7). At 31 steps it is 3.1 against 1.3.
+    """
+    docs = syn.generate_documents(seed=11, size=24)
+    vocab, _ = mixed_corpus(2000)
+    references = [t for d in docs for t in d.reference]
+    batch = [
+        encode_example(Document(sentences=docs[k].sentences,
+                                reference=references[8 * k:8 * k + 30]),
+                       vocab)
+        for k in range(4)
+    ]
+    assert [len(ex.target_ids) for ex in batch] == [32] * 4
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=1)
+
+    def peak(documents):
+        params.zero_grads()
+        tr.batch_gradients(documents, params, 1.0)  # warm-up, untraced
+        params.zero_grads()
+        tracemalloc.start()
+        try:
+            tr.batch_gradients(documents, params, 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(batch[:1])
+    four = peak(batch)
+    assert four < 1.5 * one, (one, four)
+
+
+# ---------------------------------------------------------------------------
+# the primitives the batch adds
+
+
+def test_lstm_cell_carried_rows_grad_check():
+    rng = np.random.default_rng(3)
+    d = 3
+    params = dict(
+        x_proj=Tensor(rng.normal(size=(5, 4 * d)), requires_grad=True),
+        h=Tensor(rng.uniform(-1, 1, (3, d)), requires_grad=True),
+        c=Tensor(rng.normal(size=(3, d)), requires_grad=True),
+        W_h=Tensor(rng.uniform(-0.5, 0.5, (d, 4 * d)), requires_grad=True),
+        b=Tensor(rng.normal(size=4 * d), requires_grad=True),
+    )
+    probe_h, probe_c = rng.uniform(-1, 1, (2, 3, d))
+
+    def f(p):
+        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"],
+                            row=[4, 1])
+        return ad.add(ad.sum_all(ad.mul(h, probe_h)),
+                      ad.sum_all(ad.mul(c, probe_c)))
+
+    report = ad.grad_check(f, params, eps=1e-5, tol=1e-6)
+    assert report.ok, str(report)
+
+
+def test_lstm_cell_rows_are_bitwise_one_row_cells_and_carry_the_rest():
+    rng = np.random.default_rng(5)
+    d = 16
+    x_proj = Tensor(rng.normal(0, 4, (6, 4 * d)))
+    h = Tensor(rng.uniform(-1, 1, (4, d)))
+    c = Tensor(rng.normal(0, 4, (4, d)))
+    W_h, b = Tensor(rng.uniform(-0.5, 0.5, (d, 4 * d))), Tensor(rng.normal(size=4 * d))
+    rows = [5, 0, 3]
+    h_out, c_out = ad.lstm_cell(x_proj, h, c, W_h, b, row=rows)
+    for k, row in enumerate(rows):
+        h_one, c_one = ad.lstm_cell(x_proj, Tensor(h.data[k:k + 1]),
+                                    Tensor(c.data[k:k + 1]), W_h, b, row=row)
+        assert same_bits(h_out.data[k:k + 1], h_one.data)
+        assert same_bits(c_out.data[k:k + 1], c_one.data)
+    assert same_bits(h_out.data[3], h.data[3])
+    assert same_bits(c_out.data[3], c.data[3])
+    with pytest.raises(ad.ShapeError):
+        ad.lstm_cell(x_proj, h, c, W_h, b, row=[0, 1, 2, 3, 4])
+    with pytest.raises(IndexError):
+        ad.lstm_cell(x_proj, h, c, W_h, b, row=[0, 6])
+
+
+def test_split_rows_grad_check_and_one_block_records_nothing():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+    probes = [rng.normal(size=(n, 2)) for n in (1, 3, 2)]
+
+    def f(p):
+        parts = ad.split_rows(p["x"], (1, 3, 2))
+        # the middle block is left unreached
+        return ad.add(ad.sum_all(ad.mul(parts[0], probes[0])),
+                      ad.sum_all(ad.mul(parts[2], probes[2])))
+
+    report = ad.grad_check(f, {"x": x}, eps=1e-6, tol=1e-8)
+    assert report.ok, str(report)
+    with Tape() as tape:
+        assert ad.split_rows(x, (6,)) == (x,)
+    assert tape.nodes == []
+    with pytest.raises(ad.ShapeError):
+        ad.split_rows(x, (2, 3))
+
+
+def test_segment_softmax_and_pool_are_bitwise_per_segment():
+    rng = np.random.default_rng(2)
+    lengths = (7, 7, 3, 1)
+    scores = rng.normal(0, 5, sum(lengths))
+    h = rng.normal(size=(sum(lengths), 64))
+    weights = ad.segment_softmax(Tensor(scores), lengths)
+    pooled = ad.segment_pool(weights, Tensor(h), lengths)
+    lo = 0
+    for k, n in enumerate(lengths):
+        w_ref = ad.softmax(Tensor(scores[lo:lo + n]))
+        pooled_ref = ad.matmul(ad.reshape(w_ref, (1, n)), Tensor(h[lo:lo + n]))
+        assert same_bits(weights.data[lo:lo + n], w_ref.data)
+        assert same_bits(pooled.data[k:k + 1], pooled_ref.data)
+        lo += n
+    with pytest.raises(ad.ShapeError):
+        ad.segment_softmax(Tensor(scores), (7, 7, 3))
+    with pytest.raises(ad.ShapeError):
+        ad.segment_pool(weights, Tensor(h), (7, 7, 4, 0))
+
+
+def test_segment_softmax_and_pool_grad_check():
+    rng = np.random.default_rng(4)
+    lengths = (3, 1, 2)
+    params = {"x": Tensor(rng.normal(size=6), requires_grad=True),
+              "h": Tensor(rng.normal(size=(6, 2)), requires_grad=True)}
+    probe = rng.normal(size=(3, 2))
+
+    def f(p):
+        weights = ad.segment_softmax(p["x"], lengths)
+        return ad.sum_all(ad.mul(ad.segment_pool(weights, p["h"], lengths),
+                                 probe))
+
+    report = ad.grad_check(f, params, eps=1e-6, tol=1e-7)
+    assert report.ok, str(report)
+
+
+def test_backward_without_a_loss_starts_from_gradients_on_the_tape():
+    rng = np.random.default_rng(6)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    with Tape() as first:
+        y = ad.tanh(ad.matmul(x, w))
+    with Tape() as second:
+        loss = ad.sum_all(ad.mul(y, y))
+        second.backward(loss)
+    assert w.grad is None
+    first.backward()
+    chained = w.grad.copy()
+    w.zero_grad()
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.mul(ad.tanh(ad.matmul(x, w)),
+                                        ad.tanh(ad.matmul(x, w)))))
+    np.testing.assert_allclose(chained, w.grad, rtol=1e-12)

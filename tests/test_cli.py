@@ -228,6 +228,26 @@ def test_decode_malformed_checkpoint_header_is_a_clean_error(
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("key,value", [("d_h", 0), ("d_emb", -1),
+                                       ("d_attn", 0), ("gcn_layers", -1)])
+def test_decode_checkpoint_with_impossible_widths_is_a_clean_error(
+        key, value, trained_dir, tmp_path, capsys):
+    corpus, out_dir = trained_dir
+    data = edit_header((out_dir / "model.ckpt").read_bytes(),
+                       lambda h: h["config"].update({key: value}))
+    message = f"bad config in checkpoint header: {key} must be"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(data)
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(data)
+    code = main(["decode", "--checkpoint", str(bad),
+                 "--corpus", str(corpus), "--vocab", str(out_dir / "vocab.txt"),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_decode_manifest_hashes_the_checkpoint_file(trained_dir, tmp_path):
     corpus, out_dir = trained_dir
     out = tmp_path / "s.txt"
@@ -495,6 +515,29 @@ def test_train_rejects_non_finite_optimizer_values(tmp_path, capsys, flag,
     assert main(["train", "--corpus", str(corpus), "--out-dir", str(out_dir),
                  flag, value, *TRAIN_FLAGS]) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--batch-size", "-1"], "batch_size must be at least 1"),
+    (["--batch-size", "0"], "batch_size must be at least 1"),
+    (["--epochs", "-3"], "epochs must be at least 1"),
+    (["--epochs", "0"], "epochs must be at least 1"),
+    (["--d-h", "0"], "d_h must be at least 1"),
+    (["--d-emb", "-1"], "d_emb must be at least 1"),
+    (["--d-g", "0"], "d_g must be at least 1"),
+    (["--d-dec", "0"], "d_dec must be at least 1"),
+    (["--d-attn", "0"], "d_attn must be at least 1"),
+    (["--gcn-layers", "-1"], "gcn_layers must be nonnegative"),
+])
+def test_train_rejects_impossible_sizes(tmp_path, capsys, flags, message):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "1", "--size", "4",
+                 "--out", str(corpus)]) == 0
+    out_dir = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out-dir", str(out_dir),
+                 *TRAIN_FLAGS, *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out_dir.exists()
 
 

@@ -177,7 +177,7 @@ def test_encode_shapes():
     config = ModelConfig(vocab_size=vocab.size, d_emb=5, d_h=4, d_g=6,
                          gcn_layers=2, d_dec=6, d_attn=6)
     params = ModelParams(config, seed=0)
-    doc_enc = enc.encode(example, params)
+    doc_enc = enc.encode([example], params)
     assert doc_enc.semantic.shape == (5, 8)
     assert doc_enc.structural.shape == (5, 6)
     assert doc_enc.fused.shape == (5, 14)
@@ -245,7 +245,7 @@ def test_encode_zero_gcn_layers_concatenates_projection(tiny_setup):
                          gcn_layers=0, d_dec=10, d_attn=10)
     params = ModelParams(config, seed=0)
     assert params.gcn_input_proj is not None  # 2*d_h != d_g needs a projection
-    doc_enc = enc.encode(examples[0], params)
+    doc_enc = enc.encode([examples[0]], params)
     with np.errstate(all="ignore"):
         h0 = np.add.accumulate(
             doc_enc.semantic.data[:, :, None] * params.gcn_input_proj.data[None],
@@ -271,7 +271,7 @@ def test_encode_gcn_ablation_reduces_to_semantic(tiny_setup):
     config = ModelConfig(vocab_size=vocab.size, d_emb=8, d_h=6, d_g=12,
                          gcn_layers=2, d_dec=10, d_attn=10, ablate_gcn=True)
     params = ModelParams(config, seed=0)
-    doc_enc = enc.encode(examples[0], params)
+    doc_enc = enc.encode([examples[0]], params)
     assert doc_enc.structural is None
     assert doc_enc.fused is doc_enc.semantic
 
@@ -280,7 +280,7 @@ def test_encode_outputs_finite(tiny_setup):
     _, _, examples, config = tiny_setup
     params = ModelParams(config, seed=4)
     for example in examples[:4]:
-        doc_enc = enc.encode(example, params)
+        doc_enc = enc.encode([example], params)
         assert np.isfinite(doc_enc.fused.data).all()
 
 
@@ -303,7 +303,7 @@ def test_encode_gradients_match_finite_differences():
     }
 
     def f(p):
-        doc_enc = enc.encode(example, params)
+        doc_enc = enc.encode([example], params)
         return ad.sum_all(ad.mul(doc_enc.fused, probe))
 
     report = ad.grad_check(f, checked, eps=1e-5, tol=1e-4)

@@ -31,7 +31,7 @@ def test_single_token_attention_is_one():
     h = Tensor(np.random.default_rng(0).normal(size=(1, params.config.enc_dim)))
     pooled, weights = gt.document_vector(h, params)
     np.testing.assert_array_equal(weights.data, [1.0])
-    np.testing.assert_allclose(pooled.data, h.data[0], atol=1e-12)
+    np.testing.assert_allclose(pooled.data, h.data, atol=1e-12)
 
 
 def test_identical_rows_give_uniform_attention():
@@ -40,7 +40,7 @@ def test_identical_rows_give_uniform_attention():
     h = Tensor(np.tile(row, (4, 1)))
     pooled, weights = gt.document_vector(h, params)
     np.testing.assert_allclose(weights.data, np.full(4, 0.25), atol=1e-12)
-    np.testing.assert_allclose(pooled.data, row, atol=1e-12)
+    np.testing.assert_allclose(pooled.data, row[None, :], atol=1e-12)
 
 
 def test_document_vector_matches_hand_evaluation():
@@ -63,7 +63,8 @@ def test_document_vector_matches_hand_evaluation():
 
     pooled, weights = gt.document_vector(Tensor(h), params)
     np.testing.assert_allclose(weights.data, weights_expected, atol=1e-12)
-    np.testing.assert_allclose(pooled.data, pooled_expected, atol=1e-12)
+    np.testing.assert_allclose(pooled.data, pooled_expected[None, :],
+                               atol=1e-12)
 
 
 def test_attention_shift_invariance_through_constant_query_offset():
@@ -127,7 +128,7 @@ def test_selective_gate_matches_hand_evaluation():
     g_expected = 1.0 / (1.0 + np.exp(-logits))
     gated_expected = h * g_expected
 
-    g, gated = gt.selective_gate(Tensor(h), Tensor(doc_vec), params)
+    g, gated = gt.selective_gate(Tensor(h), Tensor(doc_vec[None, :]), params)
     np.testing.assert_allclose(g.data, g_expected, atol=1e-12)
     np.testing.assert_allclose(gated.data, gated_expected, atol=1e-12)
 

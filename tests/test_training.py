@@ -200,14 +200,40 @@ def test_train_config_rejects_non_finite_values(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["batch_size", "epochs"])
+@pytest.mark.parametrize("value", [0, -1, -3])
+def test_train_config_rejects_batch_size_and_epochs_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("field", ["d_emb", "d_h", "d_g", "d_dec", "d_attn"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_model_config_rejects_widths_below_one(tiny_setup, field, value):
+    _, _, _, config = tiny_setup
+    data = dict(config.to_dict(), **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        ModelConfig(**data)
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        ModelConfig.from_dict(data)
+
+
+def test_model_config_gcn_layers_may_be_zero_but_not_negative(tiny_setup):
+    _, _, _, config = tiny_setup
+    assert ModelConfig(**dict(config.to_dict(), gcn_layers=0)).gcn_layers == 0
+    with pytest.raises(ValueError, match="gcn_layers must be nonnegative"):
+        ModelConfig.from_dict(dict(config.to_dict(), gcn_layers=-1))
+
+
 def test_train_halts_on_divergence_and_keeps_last_good(tiny_setup, monkeypatch):
     _, _, examples, config = tiny_setup
     calls = {"n": 0}
     real = tr.sequence_loss
 
-    def exploding(example, params, coverage_weight):
+    def exploding(example, params, coverage_weight, encoded=None):
         calls["n"] += 1
-        loss, stats = real(example, params, coverage_weight)
+        loss, stats = real(example, params, coverage_weight, encoded)
         if calls["n"] > 10:
             loss.data = np.asarray(float("nan"))
         return loss, stats
