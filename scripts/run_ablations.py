@@ -3,7 +3,8 @@
 
 Trains the full model, the gate-ablated model and the GCN-ablated model on
 the same corpus across several seeds, then compares validation ROUGE-1 F1
-from greedy decoding. The expected direction is full >= no-gate >= no-gcn.
+from greedy decoding (beam 1 at length penalty 0). The expected direction is
+full >= no-gate >= no-gcn.
 """
 
 import argparse
@@ -12,26 +13,22 @@ import time
 import numpy as np
 
 from synsum import synthetic as syn
-from synsum.corpus import STOP_ID, build_vocabulary, encode_example, ids_to_tokens
-from synsum.decoder import encode_document, greedy_decode, initial_state, make_step_fn
+from synsum.cli import decode_corpus
+from synsum.corpus import build_vocabulary, encode_example
 from synsum.metrics import rouge
 from synsum.model import ModelConfig
 from synsum.training import TrainConfig, train
 
 
 def validation_f1(params, val_examples, vocab, max_len=8):
-    scores = []
-    for ex in val_examples:
-        enc, _, ctx = encode_document(ex, params)
-        hyp = greedy_decode(make_step_fn(ctx, params),
-                            initial_state(enc, params), max_len=max_len)
-        tokens = ids_to_tokens([t for t in hyp.tokens if t != STOP_ID],
-                               vocab, ex.oov_tokens)
-        scores.append(rouge(tokens, ex.reference_tokens, "R1").f1)
+    summaries = decode_corpus(val_examples, params, vocab, beam=1,
+                              max_len=max_len, alpha=0.0)
+    scores = [rouge(tokens, ex.reference_tokens, "R1").f1
+              for ex, (tokens, _) in zip(val_examples, summaries)]
     return float(np.mean(scores))
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus-seed", type=int, default=11)
     parser.add_argument("--size", type=int, default=500)
@@ -41,7 +38,7 @@ def main():
     parser.add_argument("--easy-grammar", action="store_true",
                         help="use the default grammar instead of the harder "
                              "place-copying one (saturates quickly)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     grammar = None if args.easy_grammar else \
         syn.GrammarConfig(copy_place=True, distractor_every=1)

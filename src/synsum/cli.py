@@ -20,12 +20,14 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import synthetic
 from .corpus import (
     CorpusFormatError,
+    EncodedExample,
     STOP_ID,
     Vocabulary,
     build_vocabulary,
@@ -42,9 +44,10 @@ from .decoder import (
     train_content_selector,
 )
 from .fileio import atomic_write
+from .gate import GatedDocument
 from .graph import build_document_graph, export_graph, graph_stats
 from .metrics import evaluate_pairs
-from .model import ModelConfig
+from .model import ModelConfig, ModelParams
 from .training import (
     CheckpointError,
     TrainConfig,
@@ -54,7 +57,7 @@ from .training import (
     train,
 )
 
-__all__ = ["main"]
+__all__ = ["decode_corpus", "main"]
 
 
 class CliError(Exception):
@@ -233,6 +236,39 @@ def cmd_train(args) -> int:
 # decode
 
 
+def decode_corpus(
+    examples: Iterable[EncodedExample],
+    params: ModelParams,
+    vocab: Vocabulary,
+    beam: int,
+    max_len: int,
+    alpha: float,
+    selector: ContentSelector | None = None,
+    threshold: float | None = None,
+    damp: bool = False,
+) -> Iterator[tuple[list[str], GatedDocument]]:
+    """Decode each example as it is drawn: encode it, mask its copy
+    attention with ``selector`` at ``threshold`` when a selector is given
+    (``damp`` reweights by the selection probabilities instead), beam-search
+    it and detokenise. Yields the summary tokens and the document's gate.
+
+    ``encode_document`` and ``beam_search`` are looked up as this module's
+    attributes, so wrapping them here (perfbench's tracer and its beam-4
+    log-probability check) sees every decoded document.
+    """
+    for example in examples:
+        enc, gated, ctx = encode_document(example, params)
+        mask = None
+        if selector is not None:
+            mask = selector.predict(enc.fused.data, threshold)
+            mask.damp = damp
+        hyp = beam_search(make_step_fn(ctx, params, mask=mask),
+                          initial_state(enc, params),
+                          beam=beam, max_len=max_len, alpha=alpha)
+        ids = [t for t in hyp.tokens if t != STOP_ID]
+        yield ids_to_tokens(ids, vocab, example.oov_tokens), gated
+
+
 def cmd_decode(args) -> int:
     # one read: the manifest hashes the very bytes that were parsed
     ckpt_bytes = Path(args.checkpoint).read_bytes()
@@ -294,28 +330,17 @@ def cmd_decode(args) -> int:
         "outputs": {"summaries": str(out)},
     }
 
+    examples = (encode_example(doc, vocab) for doc in load_corpus(args.corpus))
     # summaries and gates land only once every document has decoded, and
     # the manifest after them, so a failed decode leaves every path as it was
     with atomic_write(out) as fh, (
         atomic_write(args.dump_gates) if args.dump_gates
         else contextlib.nullcontext()
     ) as gates_fh:
-        for index, doc in enumerate(load_corpus(args.corpus)):
-            example = encode_example(doc, vocab)
-            enc, gated, ctx = encode_document(example, params)
-            mask = None
-            if selector is not None:
-                mask = selector.predict(enc.fused.data,
-                                        args.bottom_up_threshold)
-                mask.damp = args.bottom_up_damp
-            state = initial_state(enc, params)
-            hyp = beam_search(
-                make_step_fn(ctx, params, mask=mask), state,
-                beam=args.beam, max_len=args.max_dec_len,
-                alpha=args.len_penalty,
-            )
-            out_ids = [t for t in hyp.tokens if t != STOP_ID]
-            tokens = ids_to_tokens(out_ids, vocab, example.oov_tokens)
+        for index, (tokens, gated) in enumerate(decode_corpus(
+                examples, params, vocab, args.beam, args.max_dec_len,
+                args.len_penalty, selector, args.bottom_up_threshold,
+                args.bottom_up_damp)):
             fh.write(" ".join(tokens) + "\n")
             if gates_fh is not None:
                 record = {

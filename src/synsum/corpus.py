@@ -201,10 +201,8 @@ def _parse_record(obj: dict, line_no: int) -> Document:
     return doc
 
 
-def load_corpus(path: str | Path, fmt: str = "conllu-jsonl") -> Iterator[Document]:
+def load_corpus(path: str | Path) -> Iterator[Document]:
     """Stream documents from a JSON-lines corpus file, validating each."""
-    if fmt != "conllu-jsonl":
-        raise ValueError(f"unknown corpus format {fmt!r}")
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()

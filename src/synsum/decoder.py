@@ -290,7 +290,6 @@ def output_head(
     copy_attention: Tensor,
     ctx: DecodeContext,
     params: ModelParams,
-    force_p_gen: float | None = None,
 ) -> tuple[Tensor, Tensor]:
     """The output half of the decoder over R steps' rows at once.
 
@@ -304,12 +303,9 @@ def output_head(
         ad.matmul(ad.concat([hidden, context], axis=1), out["W"]), out["b"]
     )
     vocab_dist = ad.softmax(vocab_logits)
-    if force_p_gen is None:
-        pg = params.pgen
-        p_gen = ad.generation_gate(context, hidden, x, pg["ctx_w"],
-                                   pg["state_w"], pg["x_w"], pg["b"])
-    else:
-        p_gen = Tensor(np.full((hidden.shape[0], 1), float(force_p_gen)))
+    pg = params.pgen
+    p_gen = ad.generation_gate(context, hidden, x, pg["ctx_w"], pg["state_w"],
+                               pg["x_w"], pg["b"])
     final = ad.pointer_mix(vocab_dist, copy_attention, p_gen,
                            ctx.source_ext_ids,
                            params.config.vocab_size + ctx.n_oov)
@@ -322,7 +318,6 @@ def decode_step(
     ctx: DecodeContext,
     params: ModelParams,
     mask: ContentMask | None = None,
-    force_p_gen: float | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, StepState]:
     """One decoder step: the recurrence, then the output head over its rows.
 
@@ -330,15 +325,13 @@ def decode_step(
     distributions over vocab_size + n_oov (R, ·), attention over source
     positions (R, n), p_gen (R, 1), next state). With one ``int`` token for
     a one-row state the first three are a vector, a vector and a scalar.
-    ``force_p_gen`` pins the generation/copy mixture weight, for endpoint
-    tests.
     """
     one = np.ndim(y_prev) == 0
     x, attention, copy_attention, new_state = recurrence_step(
         state, [y_prev] if one else y_prev, ctx, params, mask
     )
     final, p_gen = output_head(new_state.hidden, new_state.prev_context, x,
-                               copy_attention, ctx, params, force_p_gen)
+                               copy_attention, ctx, params)
     if one:
         return (ad.reshape(final, (final.shape[1],)),
                 ad.reshape(attention, (ctx.n,)), ad.reshape(p_gen, ()),

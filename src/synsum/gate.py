@@ -25,8 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .model import ModelParams
 
-__all__ = ["GatedDocument", "document_vector", "selective_gate", "gate_bypass",
-           "apply_gate"]
+__all__ = ["GatedDocument", "document_vector", "selective_gate", "apply_gate"]
 
 _LOGIT_CLAMP = 50.0
 
@@ -88,19 +87,15 @@ def selective_gate(
     return g, ad.mul(h, g)
 
 
-def gate_bypass(h: Tensor) -> Tensor:
-    """Ablation path: hand every encoded token to the decoder unfiltered."""
-    return h
-
-
 def apply_gate(
     h: Tensor, params: ModelParams, lengths: Sequence[int] | None = None
 ) -> GatedDocument:
     """The gate over documents of ``lengths`` rows stacked in ``h`` (one
-    document by default)."""
+    document by default). Ablated, every encoded token reaches the decoder
+    unfiltered: ``gated`` is ``h`` itself."""
     if params.config.ablate_gate or params.config.ablate_gcn:
         return GatedDocument(doc_vector=None, attention=None, gate=None,
-                             gated=gate_bypass(h))
+                             gated=h)
     doc_vec, attention = document_vector(h, params, lengths)
     g, gated = selective_gate(h, doc_vec, params, lengths)
     return GatedDocument(doc_vector=doc_vec, attention=attention, gate=g,

@@ -41,24 +41,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .corpus import EncodedExample, STOP_ID, Vocabulary, ids_to_tokens
+from .corpus import EncodedExample
+# decode_step and encode_document are bound here only because
+# perfbench/tracing.py wraps training.decode_step and training.encode_document
 from .decoder import (
-    ContentMask,
-    ContentSelector,
-    beam_search,
     coverage_loss,
-    decode_step,  # bound here too: perfbench/tracing.py wraps training.decode_step
+    decode_step,
     encode_document,
     encode_documents,
     initial_state,
-    make_step_fn,
     prepare_decoder,
     teacher_force,
 )
 from .encoder import EncodedDocument
 from .fileio import atomic_write
 from .gate import GatedDocument
-from .metrics import RougeReport, evaluate_pairs
 from .model import ModelConfig, ModelParams
 
 __all__ = [
@@ -71,12 +68,9 @@ __all__ = [
     "sequence_loss",
     "batch_gradients",
     "loss_from_rows",
-    "loss_from_steps",
     "adagrad_step",
     "clip_gradients",
     "train",
-    "decode_corpus",
-    "evaluate_model",
     "save_checkpoint",
     "load_checkpoint",
     "params_from_checkpoint",
@@ -163,20 +157,6 @@ def loss_from_rows(
         steps=steps,
     )
     return loss, stats
-
-
-def loss_from_steps(
-    step_dists: Sequence[Tensor],
-    gold_ids: Sequence[int],
-    attentions: Sequence[Tensor],
-    coverages: Sequence[Tensor],
-    coverage_weight: float,
-) -> tuple[Tensor, LossStats]:
-    """``loss_from_rows`` of per-step vectors, stacked into rows."""
-    if not gold_ids:
-        raise ValueError("empty decoding target")
-    return loss_from_rows(ad.stack(step_dists), gold_ids, ad.stack(attentions),
-                          ad.stack(coverages), coverage_weight)
 
 
 def sequence_loss(
@@ -414,55 +394,6 @@ def train(
         if stop_below is not None and entry.total < stop_below:
             break
     return TrainResult(params, accumulators, history)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def decode_corpus(
-    examples: Sequence[EncodedExample],
-    params: ModelParams,
-    vocab: Vocabulary,
-    beam: int = 4,
-    max_len: int = 30,
-    alpha: float = 0.4,
-    selector: ContentSelector | None = None,
-    mask_threshold: float | None = None,
-) -> list[list[str]]:
-    """Beam-decode every example back to surface tokens."""
-    outputs = []
-    for example in examples:
-        enc, _, ctx = encode_document(example, params)
-        mask: ContentMask | None = None
-        if selector is not None and mask_threshold is not None:
-            mask = selector.predict(enc.fused.data, mask_threshold)
-        hyp = beam_search(
-            make_step_fn(ctx, params, mask=mask),
-            initial_state(enc, params),
-            beam=beam, max_len=max_len, alpha=alpha,
-        )
-        ids = [t for t in hyp.tokens if t != STOP_ID]
-        outputs.append(ids_to_tokens(ids, vocab, example.oov_tokens))
-    return outputs
-
-
-def evaluate_model(
-    examples: Sequence[EncodedExample],
-    params: ModelParams,
-    vocab: Vocabulary,
-    beam: int = 4,
-    max_len: int = 30,
-    alpha: float = 0.4,
-    n_resamples: int = 1000,
-    seed: int = 0,
-) -> RougeReport:
-    """Decode a split and score it against its references."""
-    candidates = decode_corpus(examples, params, vocab, beam=beam,
-                               max_len=max_len, alpha=alpha)
-    references = [example.reference_tokens for example in examples]
-    return evaluate_pairs(candidates, references, n_resamples=n_resamples,
-                          seed=seed)
 
 
 # ---------------------------------------------------------------------------

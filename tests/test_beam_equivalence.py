@@ -10,9 +10,9 @@ import random
 
 import numpy as np
 
+from synsum import cli
 from synsum import decoder as dec
 from synsum import synthetic as syn
-from synsum import training
 from synsum.corpus import (START_ID, STOP_ID, Vocabulary, build_vocabulary,
                            encode_example)
 from synsum.decoder import Hypothesis
@@ -109,9 +109,9 @@ def test_beam_search_matches_scalar_oracle_on_real_model(monkeypatch):
             searches.append(search(*args, return_pool=True, **kwargs))
             return searches[-1][0]
 
-        monkeypatch.setattr(training, "beam_search", recording)
-        outputs = training.decode_corpus(examples, params, vocab, beam=4,
-                                         max_len=6, alpha=0.4)
+        monkeypatch.setattr(cli, "beam_search", recording)
+        outputs = [tokens for tokens, _ in cli.decode_corpus(
+            examples, params, vocab, beam=4, max_len=6, alpha=0.4)]
         return outputs, searches
 
     outputs, searches = decode_with(dec.beam_search)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from synsum import autodiff as ad
+from synsum import cli
 from synsum import decoder as dec
-from synsum import training
 from synsum.autodiff import Tape, Tensor
 from synsum.corpus import UNK_ID
 from synsum.decoder import (
@@ -400,22 +400,22 @@ def test_batched_decode_corpus_matches_scalar_search_under_a_mask(
              for ex in examples]
     assert any(0 < m.selected().sum() < len(m.q) for m in masks)
 
-    def decode_with(search):
+    def decode_with(search, damp):
         searches = []
 
         def recording(*args, **kwargs):
             searches.append(search(*args, return_pool=True, **kwargs))
             return searches[-1][0]
 
-        monkeypatch.setattr(training, "beam_search", recording)
-        outputs = training.decode_corpus(examples, params, vocab, beam=beam,
-                                         max_len=6, alpha=0.4,
-                                         selector=selector,
-                                         mask_threshold=0.5)
+        monkeypatch.setattr(cli, "beam_search", recording)
+        outputs = [tokens for tokens, _ in cli.decode_corpus(
+            examples, params, vocab, beam=beam, max_len=6, alpha=0.4,
+            selector=selector, threshold=0.5, damp=damp)]
         return outputs, searches
 
-    outputs, searches = decode_with(dec.beam_search)
-    outputs_ref, searches_ref = decode_with(scalar_beam_search)
-    assert outputs == outputs_ref
-    for got, expected in zip(searches, searches_ref, strict=True):
-        assert_same_search(got, expected)
+    for damp in (False, True):
+        outputs, searches = decode_with(dec.beam_search, damp)
+        outputs_ref, searches_ref = decode_with(scalar_beam_search, damp)
+        assert outputs == outputs_ref
+        for got, expected in zip(searches, searches_ref, strict=True):
+            assert_same_search(got, expected)

@@ -20,6 +20,16 @@ def decode_setup(tiny_setup):
     return params, example, ctx, state, vocab
 
 
+def pin_p_gen(params, p_gen):
+    """Pin p_gen to exactly 1.0 or 0.0 through the parameters: with zero
+    weights the gate's logit is its bias, and sigmoid(+-1e3) rounds to 1.0
+    or 0.0."""
+    pg = params.pgen
+    for name in ("ctx_w", "state_w", "x_w"):
+        pg[name].data[...] = 0.0
+    pg["b"].data[...] = {1.0: 1e3, 0.0: -1e3}[p_gen]
+
+
 def scatter_oracle(attention, ext_ids, size):
     """Plain-loop reference for the copy distribution."""
     out = np.zeros(size)
@@ -34,9 +44,8 @@ def scatter_oracle(attention, ext_ids, size):
 
 def test_pure_generation_endpoint(decode_setup):
     params, example, ctx, state, vocab = decode_setup
-    final, attention, p_gen, _ = dec.decode_step(
-        state, 2, ctx, params, force_p_gen=1.0
-    )
+    pin_p_gen(params, 1.0)
+    final, attention, p_gen, _ = dec.decode_step(state, 2, ctx, params)
     assert p_gen.item() == 1.0
     v = params.config.vocab_size
     assert not final.data[v:].any()  # OOV ids unreachable when only generating
@@ -45,9 +54,8 @@ def test_pure_generation_endpoint(decode_setup):
 
 def test_pure_copy_endpoint(decode_setup):
     params, example, ctx, state, vocab = decode_setup
-    final, attention, p_gen, _ = dec.decode_step(
-        state, 2, ctx, params, force_p_gen=0.0
-    )
+    pin_p_gen(params, 0.0)
+    final, attention, p_gen, _ = dec.decode_step(state, 2, ctx, params)
     size = params.config.vocab_size + len(example.oov_tokens)
     expected = scatter_oracle(attention.data, example.source_ext_ids, size)
     np.testing.assert_allclose(final.data, expected, atol=1e-12)
@@ -70,8 +78,8 @@ def test_pure_copy_two_distinct_tokens():
     params = ModelParams(config, seed=5)
     enc, _, ctx = dec.encode_document(example, params)
     state = dec.initial_state(enc, params)
-    final, attention, _, _ = dec.decode_step(state, 2, ctx, params,
-                                             force_p_gen=0.0)
+    pin_p_gen(params, 0.0)
+    final, attention, _, _ = dec.decode_step(state, 2, ctx, params)
     v = vocab.size
     np.testing.assert_allclose(final.data[v], attention.data[0], atol=1e-15)
     np.testing.assert_allclose(final.data[v + 1], attention.data[1], atol=1e-15)
@@ -94,8 +102,8 @@ def test_final_distribution_normalizes_and_mixes(decode_setup):
 
 def test_copy_channel_puts_no_mass_off_source(decode_setup):
     params, example, ctx, state, vocab = decode_setup
-    final, attention, _, _ = dec.decode_step(state, 2, ctx, params,
-                                             force_p_gen=0.0)
+    pin_p_gen(params, 0.0)
+    final, attention, _, _ = dec.decode_step(state, 2, ctx, params)
     on_source = set(example.source_ext_ids)
     off_source = [i for i in range(final.shape[0]) if i not in on_source]
     assert not final.data[off_source].any()
@@ -173,8 +181,8 @@ def test_damped_mask_reweights_copy_distribution(decode_setup):
     rng = np.random.default_rng(0)
     q = rng.uniform(0.05, 0.95, ctx.n)
     mask = dec.ContentMask(q=q, threshold=0.1, damp=True)
-    final, attention, _, _ = dec.decode_step(state, 2, ctx, params, mask=mask,
-                                             force_p_gen=0.0)
+    pin_p_gen(params, 0.0)
+    final, attention, _, _ = dec.decode_step(state, 2, ctx, params, mask=mask)
     damped = attention.data * q
     expected = scatter_oracle(damped / damped.sum(), example.source_ext_ids,
                               final.shape[0])
@@ -200,8 +208,8 @@ def test_partial_mask_renormalizes_copy_distribution(decode_setup):
     q = np.zeros(ctx.n)
     q[: ctx.n // 2] = 1.0
     mask = dec.ContentMask(q=q, threshold=0.5)
-    final, attention, _, _ = dec.decode_step(state, 2, ctx, params, mask=mask,
-                                             force_p_gen=0.0)
+    pin_p_gen(params, 0.0)
+    final, attention, _, _ = dec.decode_step(state, 2, ctx, params, mask=mask)
     # copy mass lands only on selected positions and still sums to one
     selected_ids = {example.source_ext_ids[i] for i in range(ctx.n) if q[i]}
     unselected_ids = set(example.source_ext_ids) - selected_ids

@@ -7,6 +7,7 @@ import pytest
 from synsum import autodiff as ad
 from synsum import training as tr
 from synsum.autodiff import Tensor
+from synsum.cli import decode_corpus
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import (
     Checkpoint,
@@ -16,7 +17,7 @@ from synsum.training import (
     adagrad_step,
     clip_gradients,
     load_checkpoint,
-    loss_from_steps,
+    loss_from_rows,
     params_from_checkpoint,
     save_checkpoint,
     sequence_loss,
@@ -28,23 +29,25 @@ from synsum.training import (
 # loss
 
 
+def rows(*vectors):
+    return ad.stack([Tensor(np.asarray(v, dtype=float)) for v in vectors])
+
+
 def test_loss_zero_when_gold_has_probability_one():
-    dists = [Tensor(np.array([0.0, 1.0, 0.0])), Tensor(np.array([1.0, 0.0, 0.0]))]
-    golds = [1, 0]
-    attn = [Tensor(np.array([0.5, 0.5]))] * 2
-    covs = [Tensor(np.zeros(2))] * 2
-    loss, stats = loss_from_steps(dists, golds, attn, covs, coverage_weight=0.0)
+    dists = rows([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    attn = rows([0.5, 0.5], [0.5, 0.5])
+    covs = rows(np.zeros(2), np.zeros(2))
+    loss, stats = loss_from_rows(dists, [1, 0], attn, covs, coverage_weight=0.0)
     assert loss.item() == 0.0
     assert stats.nll == 0.0
 
 
 def test_loss_uniform_distribution_is_log_vocab():
     v = 7
-    dists = [Tensor(np.full(v, 1.0 / v))] * 3
-    golds = [0, 3, 6]
-    attn = [Tensor(np.array([1.0]))] * 3
-    covs = [Tensor(np.zeros(1))] * 3
-    loss, _ = loss_from_steps(dists, golds, attn, covs, coverage_weight=0.0)
+    dists = rows(*[np.full(v, 1.0 / v)] * 3)
+    attn = rows(*[[1.0]] * 3)
+    covs = rows(*[np.zeros(1)] * 3)
+    loss, _ = loss_from_rows(dists, [0, 3, 6], attn, covs, coverage_weight=0.0)
     assert abs(loss.item() - math.log(v)) < 1e-12
 
 
@@ -57,25 +60,21 @@ def test_loss_two_step_hand_fixture():
         (-math.log(0.7) + 1.0 * 0.0)
         + (-math.log(0.7) + 1.0 * (0.3 + 0.4))
     ) / 2.0
-    loss, stats = loss_from_steps(
-        [Tensor(d1), Tensor(d2)], [0, 1],
-        [Tensor(a1), Tensor(a2)], [Tensor(c1), Tensor(c2)],
-        coverage_weight=1.0,
-    )
+    loss, stats = loss_from_rows(rows(d1, d2), [0, 1], rows(a1, a2),
+                                 rows(c1, c2), coverage_weight=1.0)
     assert abs(loss.item() - expected) < 1e-10
     assert stats.steps == 2
 
 
 def test_loss_rejects_empty_target():
+    empty = Tensor(np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty"):
-        loss_from_steps([], [], [], [], 1.0)
+        loss_from_rows(empty, [], empty, empty, 1.0)
 
 
 def test_loss_floors_probability_before_log():
-    dists = [Tensor(np.array([1.0, 0.0]))]
-    loss, _ = loss_from_steps(
-        dists, [1], [Tensor(np.array([1.0]))], [Tensor(np.zeros(1))], 0.0
-    )
+    loss, _ = loss_from_rows(rows([1.0, 0.0]), [1], rows([1.0]),
+                             rows(np.zeros(1)), 0.0)
     assert abs(loss.item() - (-math.log(1e-12))) < 1e-6
 
 
@@ -248,25 +247,15 @@ def test_train_halts_on_divergence_and_keeps_last_good(tiny_setup, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
-
-
-def test_evaluate_model_returns_report(tiny_setup):
-    _, vocab, examples, config = tiny_setup
-    params = ModelParams(config, seed=0)
-    report = tr.evaluate_model(examples[:3], params, vocab, beam=1,
-                               max_len=6, alpha=0.0, n_resamples=50)
-    assert report.n_examples == 3
-    assert set(report.summaries) == {"R1", "R2", "RL"}
-    for s in report.summaries.values():
-        assert 0.0 <= s.mean_f1 <= 1.0
+# decoding
 
 
 def test_decode_corpus_deterministic(tiny_setup):
     _, vocab, examples, config = tiny_setup
     params = ModelParams(config, seed=1)
-    one = tr.decode_corpus(examples[:2], params, vocab, beam=2, max_len=6)
-    two = tr.decode_corpus(examples[:2], params, vocab, beam=2, max_len=6)
+    one, two = ([tokens for tokens, _ in decode_corpus(
+        examples[:2], params, vocab, beam=2, max_len=6, alpha=0.4)]
+        for _ in range(2))
     assert one == two
 
 
