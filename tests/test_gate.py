@@ -150,13 +150,20 @@ def test_gate_strictly_inside_unit_interval_and_shrinks():
 # bypass / ablation
 
 
+def test_gate_bypass_is_identity(tiny_setup):
+    _, vocab, _, _ = tiny_setup
+    config = ModelConfig(vocab_size=vocab.size, d_emb=8, d_h=6, d_g=12,
+                         gcn_layers=1, d_dec=10, d_attn=10, ablate_gate=True)
+    params = ModelParams(config, seed=0)
+    h = Tensor(np.random.default_rng(11).normal(size=(4, config.enc_dim)))
+    assert gt.apply_gate(h, params).gated is h
+
+
 def test_ablated_gate_receives_zero_gradient(tiny_setup):
     _, vocab, examples, _ = tiny_setup
     config = ModelConfig(vocab_size=vocab.size, d_emb=8, d_h=6, d_g=12,
                          gcn_layers=1, d_dec=10, d_attn=10, ablate_gate=True)
     params = ModelParams(config, seed=0)
-    h = Tensor(np.random.default_rng(11).normal(size=(4, config.enc_dim)))
-    assert gt.apply_gate(h, params).gated is h  # the bypass is the identity
     with Tape() as tape:
         loss, _ = sequence_loss(examples[0], params, coverage_weight=1.0)
         tape.backward(loss)
