@@ -179,10 +179,15 @@ def encode_documents(
 
 
 def encode_document(
-    example: EncodedExample, params: ModelParams
+    example: EncodedExample,
+    params: ModelParams,
+    encoded: tuple[EncodedDocument, GatedDocument] | None = None,
 ) -> tuple[EncodedDocument, GatedDocument, DecodeContext]:
-    """Encoder, gate and decode-context of one document (a batch of one)."""
-    [(enc, gated)] = encode_documents([example], params)
+    """Encoder, gate and decode-context of one document.
+
+    ``encoded`` is the example's part of ``encode_documents`` over its
+    batch; without it the example is encoded here, as a batch of one."""
+    enc, gated = encoded or encode_documents([example], params)[0]
     return enc, gated, prepare_decoder(gated.gated, example, params)
 
 

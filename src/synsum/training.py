@@ -19,11 +19,14 @@ epsilon is needed. Gradients are clipped by global norm before the step.
 
 Checkpoints are a binary file: an 8-byte magic, a format version, a JSON
 header (model config + digest, step counter, vocabulary hash, record
-names), then one record per tensor (path, shape, little-endian float64
-payload) in the header's order, and nothing after. Reloading reproduces
+names), then one record per tensor (path, shape, zero bytes up to the next
+8-byte file offset, little-endian float64 payload) in the header's order,
+and nothing after. Loading maps the file copy-on-write and views each
+payload in place, aligned, without copying it; the arrays are writable,
+and a write to one never reaches the file. Reloading reproduces
 bitwise-identical forward passes. A checkpoint is written to a temporary
 file beside its target and renamed over it, so an interrupted save leaves
-the previous file as it was.
+the previous file as it was, and a mapping of it stays valid.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -73,6 +78,7 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "map_checkpoint",
     "params_from_checkpoint",
     "Checkpoint",
     "CheckpointError",
@@ -81,7 +87,7 @@ __all__ = [
 PROB_FLOOR = 1e-12
 
 CHECKPOINT_MAGIC = b"SYNSUMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _ACC_PREFIX = "adagrad_acc/"   # record-path prefix of Adagrad accumulators
 _EXTRA_PREFIX = "extra/"       # and of extra arrays
 # every header key load_checkpoint reads, with its JSON type
@@ -427,14 +433,15 @@ def _write_record(fh, path: str, array: np.ndarray) -> None:
     fh.write(struct.pack("<I", arr.ndim))
     for dim in arr.shape:
         fh.write(struct.pack("<Q", dim))
+    fh.write(bytes(-fh.tell() % 8))  # the payload starts 8-byte aligned
     fh.write(arr.tobytes(order="C"))
 
 
 class _Reader:
     """Cursor over a checkpoint's bytes; every short read is an error."""
 
-    def __init__(self, blob: bytes):
-        self._view = memoryview(blob)
+    def __init__(self, buffer):
+        self._view = memoryview(buffer)
         self._pos = 0
 
     def take(self, size: int, what: str) -> memoryview:
@@ -450,6 +457,10 @@ class _Reader:
         return value
 
     @property
+    def position(self) -> int:
+        return self._pos
+
+    @property
     def remaining(self) -> int:
         return len(self._view) - self._pos
 
@@ -460,10 +471,13 @@ def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
     ndim = reader.unpack("<I", f"record header of tensor {path!r}")
     shape = tuple(reader.unpack("<Q", f"shape of tensor {path!r}")
                   for _ in range(ndim))
+    padding = reader.take(-reader.position % 8, f"padding of tensor {path!r}")
+    if any(padding):
+        raise CheckpointError(f"non-zero padding before tensor {path!r}")
     payload = reader.take(math.prod(shape) * 8,
                           f"payload of tensor {path!r}")
-    array = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return path, array.reshape(shape)
+    # a view of the buffer, not a copy
+    return path, np.frombuffer(payload, dtype="<f8").reshape(shape)
 
 
 def save_checkpoint(
@@ -503,11 +517,25 @@ def save_checkpoint(
     return path
 
 
-def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
-    """Parse a checkpoint from a path, or from the file's bytes already read
-    (so a caller can hash exactly the bytes that were parsed)."""
-    blob = source if isinstance(source, bytes) else Path(source).read_bytes()
-    reader = _Reader(blob)
+def map_checkpoint(path: str | Path) -> mmap.mmap:
+    """A private, copy-on-write mapping of the checkpoint file at ``path``:
+    writable, and no write to it reaches the file."""
+    with open(path, "rb") as fh:
+        if not os.fstat(fh.fileno()).st_size:
+            raise CheckpointError("truncated checkpoint: empty file")
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+
+
+def load_checkpoint(source: str | Path | bytes | mmap.mmap) -> Checkpoint:
+    """Parse a checkpoint from a path (mapped with ``map_checkpoint``), from
+    a mapping already made (so a caller can hash exactly the bytes that were
+    parsed), or from the file's bytes, which are copied once so that the
+    arrays are writable. The arrays view the mapping or that copy."""
+    if isinstance(source, (str, Path)):
+        source = map_checkpoint(source)
+    elif isinstance(source, bytes):
+        source = bytearray(source)
+    reader = _Reader(source)
     magic = bytes(reader.take(len(CHECKPOINT_MAGIC), "magic"))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}: not a checkpoint file")

@@ -179,6 +179,19 @@ def test_decode_truncated_checkpoint_is_a_clean_error(trained_dir, tmp_path,
     assert capsys.readouterr().err.startswith("error: truncated checkpoint")
 
 
+def test_decode_empty_checkpoint_is_a_clean_error(trained_dir, tmp_path,
+                                                  capsys):
+    corpus, out_dir = trained_dir
+    empty = tmp_path / "model.ckpt"
+    empty.write_bytes(b"")
+    code = main(["decode", "--checkpoint", str(empty),
+                 "--corpus", str(corpus), "--vocab", str(out_dir / "vocab.txt"),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: truncated checkpoint")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def edit_header(data: bytes, edit) -> bytes:
     """Rewrite a checkpoint's JSON header, keeping its digest consistent."""
     header_end = 20 + struct.unpack("<Q", data[12:20])[0]

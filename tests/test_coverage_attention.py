@@ -19,7 +19,7 @@ from synsum import autodiff as ad
 from synsum import cli
 from synsum import decoder as dec
 from synsum.autodiff import Tape, Tensor
-from synsum.corpus import UNK_ID
+from synsum.corpus import STOP_ID, UNK_ID, ids_to_tokens
 from synsum.decoder import (
     ContentMask,
     ContentSelector,
@@ -387,35 +387,73 @@ def test_row_count_must_match_tokens():
 # batched search against the scalar oracle
 
 
+def reference_decode(examples, params, vocab, beam, selector, damp):
+    """Each document encoded alone by ``encode_document`` and searched by
+    ``scalar_beam_search``: (tokens, gate, (best, pool)) per document."""
+    decoded = []
+    for example in examples:
+        enc, gated, ctx = encode_document(example, params)
+        mask = None
+        if selector is not None:
+            mask = selector.predict(enc.fused.data, 0.5)
+            mask.damp = damp
+        best, pool = scalar_beam_search(
+            dec.make_step_fn(ctx, params, mask=mask), initial_state(enc, params),
+            beam=beam, max_len=6, alpha=0.4, return_pool=True)
+        ids = [t for t in best.tokens if t != STOP_ID]
+        decoded.append((ids_to_tokens(ids, vocab, example.oov_tokens), gated,
+                        (best, pool)))
+    return decoded
+
+
 @pytest.mark.parametrize("beam", [1, 2, 3, 4, 5, 6])
 def test_batched_decode_corpus_matches_scalar_search_under_a_mask(
         beam, monkeypatch):
+    # chunks of 4: the 6-document corpus ends in a partial chunk, and at
+    # beams 1 and 4 a corpus of 2 chunks + 3 documents is decoded as well
+    monkeypatch.setattr(cli, "DECODE_CHUNK", 4)
     params, examples = case_model("toy-oov")
     vocab, _ = oov_corpus(cap=12)
+    corpora = [(vocab, examples)]
+    if beam in (1, 4):
+        corpora.append(oov_corpus(cap=12, size=2 * cli.DECODE_CHUNK + 3,
+                                  seed=4))
     rng = np.random.default_rng(0)
     d = params.config.enc_dim
     selector = ContentSelector(w=rng.normal(size=d), b=0.0,
                                mean=np.zeros(d), std=np.full(d, 0.05))
-    masks = [selector.predict(encode_document(ex, params)[0].fused.data, 0.5)
-             for ex in examples]
-    assert any(0 < m.selected().sum() < len(m.q) for m in masks)
 
-    def decode_with(search, damp):
+    def decode_with(vocab, examples, selector, damp):
         searches = []
 
         def recording(*args, **kwargs):
-            searches.append(search(*args, return_pool=True, **kwargs))
+            searches.append(dec.beam_search(*args, return_pool=True, **kwargs))
             return searches[-1][0]
 
         monkeypatch.setattr(cli, "beam_search", recording)
-        outputs = [tokens for tokens, _ in cli.decode_corpus(
-            examples, params, vocab, beam=beam, max_len=6, alpha=0.4,
-            selector=selector, threshold=0.5, damp=damp)]
-        return outputs, searches
+        outputs = list(cli.decode_corpus(
+            iter(examples), params, vocab, beam=beam, max_len=6, alpha=0.4,
+            selector=selector, threshold=0.5, damp=damp))
+        return [(tokens, gated, search)
+                for (tokens, gated), search in zip(outputs, searches,
+                                                   strict=True)]
 
-    for damp in (False, True):
-        outputs, searches = decode_with(dec.beam_search, damp)
-        outputs_ref, searches_ref = decode_with(scalar_beam_search, damp)
-        assert outputs == outputs_ref
-        for got, expected in zip(searches, searches_ref, strict=True):
-            assert_same_search(got, expected)
+    for vocab, examples in corpora:
+        assert vocab.size == params.config.vocab_size
+        masks = [selector.predict(encode_document(ex, params)[0].fused.data,
+                                  0.5) for ex in examples]
+        assert any(0 < m.selected().sum() < len(m.q) for m in masks)
+        for chosen, damp in ((None, False), (selector, False),
+                             (selector, True)):
+            got = decode_with(vocab, examples, chosen, damp)
+            expected = reference_decode(examples, params, vocab, beam, chosen,
+                                        damp)
+            assert len(got) == len(expected) == len(examples)
+            for (tokens, gated, search), (tokens_ref, gated_ref, search_ref) \
+                    in zip(got, expected):
+                assert tokens == tokens_ref
+                assert_same_search(search, search_ref)
+                for field in ("doc_vector", "attention", "gate", "gated"):
+                    a, b = getattr(gated, field), getattr(gated_ref, field)
+                    assert (a is None) == (b is None)
+                    assert a is None or same_bits(a.data, b.data)

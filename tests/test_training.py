@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -315,9 +316,127 @@ def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
                     extras={"selector/b": np.zeros(())})
     data = path.read_bytes()
     load_checkpoint(data)
+    cut_path = tmp_path / "cut.ckpt"
     for cut in range(len(data)):
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(data[:cut])
+        cut_path.write_bytes(data[:cut])   # cut 0 is an empty file
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(cut_path)
+
+
+def saved_checkpoint(tmp_path):
+    """A checkpoint with every section, its path and the saved arrays."""
+    config = ModelConfig(vocab_size=7, d_emb=3, d_h=2, d_g=3, gcn_layers=1,
+                         d_dec=3, d_attn=2)
+    params = ModelParams(config, seed=4)
+    rng = np.random.default_rng(4)
+    saved = {
+        "arrays": {n: t.data for n, t in params.named_tensors().items()},
+        "accumulators": {"embedding": rng.normal(size=(7, 3))},
+        "extras": {"selector/w": rng.normal(size=5), "selector/b": np.ones(())},
+    }
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, step=3, vocab_hash="x",
+                    accumulators=saved["accumulators"], extras=saved["extras"])
+    return path, saved
+
+
+def record_layout(data: bytes) -> list[tuple[str, int, int]]:
+    """(path, padding start, payload start) of each record of a checkpoint."""
+    pos = 20 + struct.unpack("<Q", data[12:20])[0]
+    layout = []
+    while pos < len(data):
+        (path_len,) = struct.unpack("<I", data[pos:pos + 4])
+        path = data[pos + 4:pos + 4 + path_len].decode()
+        pos += 4 + path_len
+        (ndim,) = struct.unpack("<I", data[pos:pos + 4])
+        shape = struct.unpack(f"<{ndim}Q", data[pos + 4:pos + 4 + 8 * ndim])
+        pad_start = pos + 4 + 8 * ndim
+        start = pad_start + (-pad_start % 8)
+        layout.append((path, pad_start, start))
+        pos = start + 8 * math.prod(shape)
+    return layout
+
+
+@pytest.mark.parametrize("from_path", [True, False], ids=["path", "bytes"])
+def test_loaded_checkpoint_arrays_are_aligned_writable_views(tmp_path,
+                                                             from_path):
+    path, saved = saved_checkpoint(tmp_path)
+    ckpt = load_checkpoint(path if from_path else path.read_bytes())
+    for section, arrays in saved.items():
+        loaded = getattr(ckpt, section)
+        assert list(loaded) == list(arrays)
+        for name, array in arrays.items():
+            got = loaded[name]
+            assert got.dtype == np.float64 and got.shape == array.shape
+            assert got.flags.writeable and got.flags.aligned
+            assert got.flags.c_contiguous
+            assert got.tobytes() == array.tobytes()
+
+
+def test_checkpoint_payloads_start_at_8_byte_offsets(tmp_path):
+    path, saved = saved_checkpoint(tmp_path)
+    data = path.read_bytes()
+    layout = record_layout(data)
+    assert len(layout) == sum(len(arrays) for arrays in saved.values())
+    assert all(start % 8 == 0 and start - pad < 8 for _, pad, start in layout)
+    assert all(data[pad:start] == bytes(start - pad)
+               for _, pad, start in layout)
+    assert any(start > pad for _, pad, start in layout)
+
+
+def test_write_to_loaded_array_leaves_the_file_unchanged(tmp_path):
+    path, saved = saved_checkpoint(tmp_path)
+    before = path.read_bytes()
+    ckpt = load_checkpoint(path)
+    ckpt.arrays["embedding"][...] = 7.0
+    ckpt.extras["selector/w"] += 1.0
+    assert (ckpt.arrays["embedding"] == 7.0).all()
+    assert path.read_bytes() == before
+    again = load_checkpoint(path)
+    assert again.arrays["embedding"].tobytes() \
+        == saved["arrays"]["embedding"].tobytes()
+
+
+def test_save_over_a_loaded_checkpoint_leaves_its_arrays(tmp_path):
+    path, saved = saved_checkpoint(tmp_path)
+    ckpt = load_checkpoint(path)
+    other = ModelParams(ckpt.config, seed=9)
+    save_checkpoint(path, other, step=4, vocab_hash="y")
+    for name, array in saved["arrays"].items():
+        assert ckpt.arrays[name].tobytes() == array.tobytes()
+    assert ckpt.extras["selector/w"].tobytes() \
+        == saved["extras"]["selector/w"].tobytes()
+    reloaded = load_checkpoint(path)
+    assert reloaded.step == 4
+    assert reloaded.arrays["embedding"].tobytes() \
+        == other.embedding.data.tobytes()
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    path, _ = saved_checkpoint(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 1)
+    with pytest.raises(CheckpointError,
+                       match="unsupported checkpoint version 1"):
+        load_checkpoint(bytes(data))
+
+
+def test_checkpoint_rejects_nonzero_padding(tmp_path):
+    path, _ = saved_checkpoint(tmp_path)
+    data = path.read_bytes()
+    padded = [(name, pad, start) for name, pad, start in record_layout(data)
+              if start > pad]
+    name, _, start = padded[len(padded) // 2]
+    corrupt = bytearray(data)
+    corrupt[start - 1] = 1
+    with pytest.raises(CheckpointError,
+                       match=f"non-zero padding before tensor '{name}'"):
+        load_checkpoint(bytes(corrupt))
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(CheckpointError, match="non-zero padding"):
+        load_checkpoint(path)
 
 
 def test_params_from_checkpoint_validates_paths(tiny_setup, tmp_path):
