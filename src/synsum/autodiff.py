@@ -38,7 +38,10 @@ Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
 one-row or vector form gives it, and the segment primitives
 (``segment_softmax``, ``segment_pool``) give each segment of rows the value
 it has alone, so stacking the rows of several decoder steps, beam
-hypotheses or documents into one call never changes a forward value.
+hypotheses or documents into one call never changes a forward value. The
+compositions a fused primitive is checked against use some primitives that
+nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``
+and more); those live with the tests, in ``tests/oracles.py``.
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
@@ -61,7 +64,6 @@ __all__ = [
     "GradCheckReport",
     "matmul",
     "add",
-    "sub",
     "mul",
     "sigmoid",
     "tanh",
@@ -72,22 +74,15 @@ __all__ = [
     "segment_softmax",
     "segment_pool",
     "log",
-    "sum_all",
     "sum_rows",
     "fold_sum",
     "concat",
-    "stack",
     "reshape",
-    "transpose",
-    "slice_cols",
     "gather_rows",
     "split_rows",
     "scatter_rows_sum",
     "add_rowvec",
-    "outer",
-    "pick",
     "pick_rows",
-    "scatter_sum_vec",
     "pointer_mix",
     "coverage_attention",
     "generation_gate",
@@ -149,12 +144,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -165,9 +154,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def sum(self):
-        return sum_all(self)
 
     def reshape(self, shape: Sequence[int]):
         return reshape(self, shape)
@@ -430,21 +416,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b, "sub")
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g))
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, -g))
-
-    _record("sub", out, backward)
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b, "mul")
@@ -649,17 +620,6 @@ def log(x) -> Tensor:
     return out
 
 
-def sum_all(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum(), x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(g, x.shape))
-
-    _record("sum_all", out, backward)
-    return out
-
-
 def sum_rows(x) -> Tensor:
     """Sum of each row of a matrix, bitwise ``x[r].sum()`` for row r; a
     vector is one row and sums to a scalar."""
@@ -677,7 +637,7 @@ def sum_rows(x) -> Tensor:
 
 def fold_sum(x) -> Tensor:
     """Sum of a vector as a strict left fold, ``((x0 + x1) + x2) + ...``:
-    the value of adding the entries one ``add`` at a time. ``sum_all`` sums
+    the value of adding the entries one ``add`` at a time. ``np.sum`` sums
     pairwise instead, which differs in the last bits from eight entries on.
     """
     x = _as_tensor(x)
@@ -714,25 +674,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return out
 
 
-def stack(parts: Sequence) -> Tensor:
-    """Equal-shape tensors as the slices of a new leading axis."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("stack of zero tensors")
-    if any(p.shape != parts[0].shape for p in parts):
-        raise ShapeError(f"stack: shapes differ {[p.shape for p in parts]}")
-    out = Tensor(np.stack([p.data for p in parts]),
-                 any(p.requires_grad for p in parts))
-
-    def backward(g: np.ndarray) -> None:
-        for p, g_part in zip(parts, g):
-            if p.requires_grad:
-                _accumulate(p, g_part)
-
-    _record("stack", out, backward)
-    return out
-
-
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.data.reshape(shape), x.requires_grad)
@@ -741,34 +682,6 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
         _accumulate(x, g.reshape(x.shape))
 
     _record("reshape", out, backward)
-    return out
-
-
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
-    out = Tensor(x.data.T, x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
-
-    _record("transpose", out, backward)
-    return out
-
-
-def slice_cols(x, lo: int, hi: int) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or not (0 <= lo <= hi <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{lo}:{hi}] invalid for shape {x.shape}")
-    out = Tensor(x.data[:, lo:hi], x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros(x.shape)
-        full[:, lo:hi] = g
-        _accumulate(x, full)
-
-    _record("slice_cols", out, backward)
     return out
 
 
@@ -868,41 +781,6 @@ def add_rowvec(m, v) -> Tensor:
     return out
 
 
-def outer(u, v) -> Tensor:
-    """Outer product of two vectors: out[i, j] = u[i] * v[j]."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.ndim != 1 or v.data.ndim != 1:
-        raise ShapeError(f"outer expects vectors, got {u.shape} and {v.shape}")
-    out = Tensor(np.outer(u.data, v.data), u.requires_grad or v.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        if u.requires_grad:
-            _accumulate(u, g @ v.data)
-        if v.requires_grad:
-            _accumulate(v, g.T @ u.data)
-
-    _record("outer", out, backward)
-    return out
-
-
-def pick(x, index: int) -> Tensor:
-    """Extract one element of a vector as a scalar tensor."""
-    x = _as_tensor(x)
-    if x.data.ndim != 1:
-        raise ShapeError(f"pick expects a vector, got shape {x.shape}")
-    if not 0 <= index < x.shape[0]:
-        raise IndexError(f"pick: index {index} out of range for length {x.shape[0]}")
-    out = Tensor(x.data[index], x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        dx = np.zeros(x.shape)
-        dx[index] = g
-        _accumulate(x, dx)
-
-    _record("pick", out, backward)
-    return out
-
-
 def pick_rows(x, columns) -> Tensor:
     """One element of each row of a matrix: ``out[r] = x[r, columns[r]]``."""
     x = _as_tensor(x)
@@ -922,25 +800,6 @@ def pick_rows(x, columns) -> Tensor:
         _accumulate(x, dx)
 
     _record("pick_rows", out, backward)
-    return out
-
-
-def scatter_sum_vec(values, indices, size: int) -> Tensor:
-    """out[indices[k]] += values[k]; duplicate indices accumulate."""
-    values = _as_tensor(values)
-    idx = np.asarray(indices, dtype=np.intp)
-    if values.data.ndim != 1 or idx.shape != values.shape:
-        raise ShapeError(
-            f"scatter_sum_vec: values {values.shape} vs indices {idx.shape}"
-        )
-    out_data = np.zeros(size)
-    np.add.at(out_data, idx, values.data)
-    out = Tensor(out_data, values.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(values, g[idx])
-
-    _record("scatter_sum_vec", out, backward)
     return out
 
 
@@ -1165,14 +1024,14 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
 
 def lstm_cell(
-    x_proj, h, c, W_h, b, row: int | Sequence[int] | None = None
+    x_proj, h, c, W_h, b, row: Sequence[int] | None = None
 ) -> tuple[Tensor, Tensor]:
     """One LSTM step of R rows from precomputed input projections; returns
     (h', c').
 
     ``x_proj`` holds the R rows' input projections ``x @ W_x``; ``row``
-    instead picks them from a taller ``x_proj``, one index or a sequence of
-    R, so a scan can project all its inputs with one matmul and read them
+    instead picks them from a taller ``x_proj``, a sequence of R indices,
+    so a scan can project all its inputs with one matmul and read them
     row by row. ``h`` and ``c`` hold at least R rows: the cell steps their
     first R and carries the rest into h' and c' unchanged, as a scan over
     length-sorted documents carries the final state of each document that
@@ -1191,15 +1050,14 @@ def lstm_cell(
     x_proj, h, c, W_h, b = (_as_tensor(t) for t in (x_proj, h, c, W_h, b))
     # a scan steps a handful of rows: Python checks on them cost less than
     # numpy reductions, and one row is read as a slice, not a gather
-    rows = [row] if isinstance(row, (int, np.integer)) else row
-    if rows is not None and not (
-            len(rows) and 0 <= min(rows) and max(rows) < len(x_proj.data)):
+    if row is not None and not (
+            len(row) and 0 <= min(row) and max(row) < len(x_proj.data)):
         raise IndexError(
             f"lstm_cell: row {row} out of range for {len(x_proj.data)} rows"
         )
-    xs = (x_proj.data if rows is None
-          else x_proj.data[rows[0]:rows[0] + 1] if len(rows) == 1
-          else x_proj.data[rows])
+    xs = (x_proj.data if row is None
+          else x_proj.data[row[0]:row[0] + 1] if len(row) == 1
+          else x_proj.data[row])
     h_prev, c_prev = h.data, c.data
     d = h_prev.shape[1] if h_prev.ndim == 2 else -1
     stepped = len(xs)
@@ -1240,12 +1098,12 @@ def lstm_cell(
         dz[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
         dz[:, 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
         if x_proj.requires_grad:
-            if rows is None:
+            if row is None:
                 _accumulate(x_proj, dz)
             else:
                 if x_proj.grad is None:
                     x_proj.grad = np.zeros(x_proj.shape)
-                x_proj.grad[rows] += dz
+                x_proj.grad[row] += dz
         if h.requires_grad:
             _accumulate(h, _with_carried(dz @ W_h.data.T, dh_kept, carried))
         if c.requires_grad:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
@@ -118,17 +118,10 @@ class Document:
 class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
-    label_to_id: dict[str, int] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
-
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
-    def token(self, token_id: int) -> str:
-        return self.id_to_token[token_id]
 
     def save(self, path: str | Path) -> None:
         """One non-reserved token per line; line number + 4 reserved = id.
@@ -240,8 +233,7 @@ def write_corpus(docs: Iterable[Document], path: str | Path) -> int:
 def build_vocabulary(docs: Iterable[Document], cap: int) -> Vocabulary:
     """Keep the ``cap`` most frequent source+reference tokens.
 
-    Frequency ties are broken by first appearance in the corpus. Dependency
-    labels are collected exhaustively (no cap), also in appearance order.
+    Frequency ties are broken by first appearance in the corpus.
     """
     if cap <= len(RESERVED_TOKENS):
         raise ValueError(
@@ -249,7 +241,6 @@ def build_vocabulary(docs: Iterable[Document], cap: int) -> Vocabulary:
         )
     counts: Counter[str] = Counter()
     first_seen: dict[str, int] = {}
-    label_to_id: dict[str, int] = {}
     n_docs = 0
     for doc in docs:
         n_docs += 1
@@ -257,8 +248,6 @@ def build_vocabulary(docs: Iterable[Document], cap: int) -> Vocabulary:
             for tok in sent.tokens:
                 counts[tok] += 1
                 first_seen.setdefault(tok, len(first_seen))
-            for label in sent.labels:
-                label_to_id.setdefault(label, len(label_to_id))
         for tok in doc.reference:
             counts[tok] += 1
             first_seen.setdefault(tok, len(first_seen))
@@ -269,9 +258,7 @@ def build_vocabulary(docs: Iterable[Document], cap: int) -> Vocabulary:
     kept = ranked[: cap - len(RESERVED_TOKENS)]
     id_to_token = list(RESERVED_TOKENS) + kept
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocabulary(
-        token_to_id=token_to_id, id_to_token=id_to_token, label_to_id=label_to_id
-    )
+    return Vocabulary(token_to_id=token_to_id, id_to_token=id_to_token)
 
 
 def encode_example(
@@ -288,6 +275,10 @@ def encode_example(
     """
     from .graph import build_document_graph  # local import to avoid a cycle
 
+    if max_target_len < 0:
+        raise ValueError(
+            f"max_target_len must be nonnegative, got {max_target_len}"
+        )
     doc.validate()
     sentences = list(doc.sentences)
     truncated_sentences = 0
@@ -344,9 +335,6 @@ def encode_example(
         bounds.append((start, start + len(sent.tokens)))
         start += len(sent.tokens)
 
-    label_map = vocab.label_to_id if vocab.label_to_id else None
-    graph = build_document_graph(kept_doc, label_ids=label_map)
-
     return EncodedExample(
         source_ids=source_ids,
         source_ext_ids=source_ext_ids,
@@ -354,7 +342,7 @@ def encode_example(
         target_ids=target_ids,
         target_ext_ids=target_ext_ids,
         sentence_bounds=bounds,
-        graph=graph,
+        graph=build_document_graph(kept_doc),
         source_tokens=source_tokens,
         reference_tokens=reference,
         truncated_sentences=truncated_sentences,

@@ -86,6 +86,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# every probability is floored here before its log, in search and in the loss
+PROB_FLOOR = 1e-12
+
 
 @dataclass
 class StepState:
@@ -192,28 +195,18 @@ def encode_document(
 
 
 def initial_state(enc: EncodedDocument, params: ModelParams) -> StepState:
-    """Project the final forward/backward encoder states into the decoder.
-
-    With ``zero_init_decoder`` the projection is skipped and the decoder
-    starts from zero states (ablation path)."""
-    config = params.config
-    if config.zero_init_decoder:
-        h0 = Tensor(np.zeros((1, config.d_dec)))
-        c0 = Tensor(np.zeros((1, config.d_dec)))
-    else:
-        fw_h, fw_c, bw_h, bw_c = enc.final_states
-        init = params.dec_init
-        h0 = ad.add_rowvec(
-            ad.matmul(ad.concat([fw_h, bw_h], axis=1), init["h_W"]), init["h_b"]
-        )
-        c0 = ad.add_rowvec(
-            ad.matmul(ad.concat([fw_c, bw_c], axis=1), init["c_W"]), init["c_b"]
-        )
+    """Project the final forward/backward encoder states into the decoder."""
+    fw_h, fw_c, bw_h, bw_c = enc.final_states
+    init = params.dec_init
     return StepState(
-        hidden=h0,
-        cell=c0,
+        hidden=ad.add_rowvec(
+            ad.matmul(ad.concat([fw_h, bw_h], axis=1), init["h_W"]), init["h_b"]
+        ),
+        cell=ad.add_rowvec(
+            ad.matmul(ad.concat([fw_c, bw_c], axis=1), init["c_W"]), init["c_b"]
+        ),
         coverage=Tensor(np.zeros((1, enc.n))),
-        prev_context=Tensor(np.zeros((1, config.enc_dim))),
+        prev_context=Tensor(np.zeros((1, params.config.enc_dim))),
     )
 
 
@@ -397,11 +390,10 @@ def make_step_fn(
     ctx: DecodeContext,
     params: ModelParams,
     mask: ContentMask | None = None,
-    prob_floor: float = 1e-12,
 ) -> StepFn:
     def step(state: StepState, y_prev: int | Sequence[int]):
         final, _, _, new_state = decode_step(state, y_prev, ctx, params, mask=mask)
-        return np.log(np.maximum(final.data, prob_floor)), new_state
+        return np.log(np.maximum(final.data, PROB_FLOOR)), new_state
 
     return step
 

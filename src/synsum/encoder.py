@@ -64,8 +64,6 @@ _CLASS_KEY = {
 
 @dataclass
 class EncodedDocument:
-    semantic: Tensor            # n x 2*d_h BiLSTM states
-    structural: Tensor | None   # n x d_g final graph-convolution states
     fused: Tensor               # n x enc_dim concatenation (or semantic alone)
     n: int
     final_states: tuple[Tensor, Tensor, Tensor, Tensor]  # fw_h, fw_c, bw_h, bw_c
@@ -84,22 +82,14 @@ class EncodedBatch:
     final_states: tuple[Tensor, Tensor, Tensor, Tensor]  # (B, d_h) each
 
     def documents(self) -> list[EncodedDocument]:
-        """Each stacked document's states, in stacking order, split off on
-        the tape so that gradients reaching them flow back into the batch.
-        A batch of one is its own document."""
+        """Each stacked document's fused and final states, in stacking
+        order, split off on the tape so that gradients reaching them flow
+        back into the batch. A batch of one is its own document."""
         batch = len(self.lengths)
-        semantic = ad.split_rows(self.semantic, self.lengths)
-        structural = (
-            [None] * batch if self.structural is None
-            else ad.split_rows(self.structural, self.lengths)
-        )
-        fused = (semantic if self.fused is self.semantic
-                 else ad.split_rows(self.fused, self.lengths))
+        fused = ad.split_rows(self.fused, self.lengths)
         finals = [ad.split_rows(t, (1,) * batch) for t in self.final_states]
         return [
             EncodedDocument(
-                semantic=semantic[k],
-                structural=structural[k],
                 fused=fused[k],
                 n=self.lengths[k],
                 final_states=tuple(f[k] for f in finals),

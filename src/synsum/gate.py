@@ -32,7 +32,6 @@ _LOGIT_CLAMP = 50.0
 
 @dataclass
 class GatedDocument:
-    doc_vector: Tensor | None   # (B, d) attention-pooled summary, a row per document
     attention: Tensor | None    # (n,) pooling weights, summing to 1 per document
     gate: Tensor | None         # (n, d) elementwise gate values in (0, 1)
     gated: Tensor               # (n, d) filtered states for the decoder
@@ -41,10 +40,8 @@ class GatedDocument:
         """Each document's part, for documents of ``lengths`` rows, split
         off on the tape (``EncodedBatch.documents``)."""
         parts = [
-            [None] * len(lengths) if t is None else ad.split_rows(t, sizes)
-            for t, sizes in ((self.doc_vector, (1,) * len(lengths)),
-                             (self.attention, lengths), (self.gate, lengths),
-                             (self.gated, lengths))
+            [None] * len(lengths) if t is None else ad.split_rows(t, lengths)
+            for t in (self.attention, self.gate, self.gated)
         ]
         return [GatedDocument(*fields) for fields in zip(*parts)]
 
@@ -94,9 +91,7 @@ def apply_gate(
     document by default). Ablated, every encoded token reaches the decoder
     unfiltered: ``gated`` is ``h`` itself."""
     if params.config.ablate_gate or params.config.ablate_gcn:
-        return GatedDocument(doc_vector=None, attention=None, gate=None,
-                             gated=h)
+        return GatedDocument(attention=None, gate=None, gated=h)
     doc_vec, attention = document_vector(h, params, lengths)
     g, gated = selective_gate(h, doc_vec, params, lengths)
-    return GatedDocument(doc_vector=doc_vec, attention=attention, gate=g,
-                         gated=gated)
+    return GatedDocument(attention=attention, gate=g, gated=gated)

@@ -14,9 +14,8 @@ dependency edges; then all self-loops; then the root chain.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Mapping
 
 from .corpus import Document
 
@@ -25,10 +24,8 @@ __all__ = [
     "Edge",
     "DocumentGraph",
     "build_document_graph",
-    "neighborhoods",
     "graph_stats",
     "export_graph",
-    "graph_from_record",
 ]
 
 
@@ -52,7 +49,7 @@ class DocumentGraph:
     n: int
     edges: list[Edge]
     roots: list[int]  # per-sentence root node index, in sentence order
-    label_names: list[str] = field(default_factory=list)  # id -> surface label
+    label_names: list[str]  # id -> surface label
 
     def validate(self) -> None:
         self_loops = Counter()
@@ -75,29 +72,13 @@ class DocumentGraph:
             raise ValueError("forward/backward dependency edges are not paired")
 
 
-def build_document_graph(
-    doc: Document, label_ids: Mapping[str, int] | None = None
-) -> DocumentGraph:
+def build_document_graph(doc: Document) -> DocumentGraph:
     """Assemble the typed-edge graph for one document.
 
-    ``label_ids`` maps dependency labels to ids; when omitted, ids are
-    assigned by first appearance within the document. The default model's
-    weights depend only on the edge class, so per-document label ids are
-    safe; pass a corpus-wide map when labels must align across documents.
+    Dependency labels get ids by first appearance within the document; the
+    model's weights depend only on the edge class, never on a label id.
     """
-    local_labels: dict[str, int] = {}
-    next_id = max(label_ids.values(), default=-1) + 1 if label_ids else 0
-
-    def label_id(name: str) -> int:
-        nonlocal next_id
-        if label_ids is not None and name in label_ids:
-            return label_ids[name]
-        # labels unseen by the map get fresh ids; weights never key on them
-        if name not in local_labels:
-            local_labels[name] = next_id
-            next_id += 1
-        return local_labels[name]
-
+    label_ids: dict[str, int] = {}
     edges: list[Edge] = []
     roots: list[int] = []
     offset = 0
@@ -108,7 +89,7 @@ def build_document_graph(
                 roots.append(node)
             else:
                 head_node = offset + head - 1
-                lid = label_id(label)
+                lid = label_ids.setdefault(label, len(label_ids))
                 edges.append(Edge(head_node, node, EdgeClass.FWD, lid))
                 edges.append(Edge(node, head_node, EdgeClass.BWD, lid))
         offset += len(sent.tokens)
@@ -120,21 +101,7 @@ def build_document_graph(
         edges.append(Edge(a, b, EdgeClass.ADJ, None))
         edges.append(Edge(b, a, EdgeClass.ADJ, None))
 
-    names = [""] * next_id
-    for name, lid in (label_ids or {}).items():
-        if lid < next_id:
-            names[lid] = name
-    for name, lid in local_labels.items():
-        names[lid] = name
-    return DocumentGraph(n=n, edges=edges, roots=roots, label_names=names)
-
-
-def neighborhoods(g: DocumentGraph) -> list[list[tuple[int, EdgeClass, int | None]]]:
-    """Incoming edges per node as (source, class, label), in edge order."""
-    incoming: list[list[tuple[int, EdgeClass, int | None]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        incoming[e.dst].append((e.src, e.cls, e.label))
-    return incoming
+    return DocumentGraph(n=n, edges=edges, roots=roots, label_names=list(label_ids))
 
 
 def graph_stats(g: DocumentGraph) -> dict:
@@ -146,12 +113,7 @@ def graph_stats(g: DocumentGraph) -> dict:
         class_counts[e.cls.name] += 1
         in_degree[e.dst] += 1
         if e.label is not None:
-            name = (
-                g.label_names[e.label]
-                if e.label < len(g.label_names)
-                else str(e.label)
-            )
-            label_hist[name] += 1
+            label_hist[g.label_names[e.label]] += 1
     return {
         "nodes": g.n,
         "edges": class_counts,
@@ -169,16 +131,3 @@ def export_graph(g: DocumentGraph) -> dict:
         "edges": [[e.src, e.dst, e.cls.name, e.label] for e in g.edges],
         "label_names": list(g.label_names),
     }
-
-
-def graph_from_record(record: Mapping) -> DocumentGraph:
-    edges = [
-        Edge(src, dst, EdgeClass[cls], label)
-        for src, dst, cls, label in record["edges"]
-    ]
-    return DocumentGraph(
-        n=record["n"],
-        edges=edges,
-        roots=list(record["roots"]),
-        label_names=list(record.get("label_names", [])),
-    )

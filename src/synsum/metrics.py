@@ -98,6 +98,8 @@ def bootstrap_ci(
     level: float = 95.0,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for the mean of ``values``."""
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     data = np.asarray(values, dtype=np.float64)
     if data.size == 0:
         raise ValueError("bootstrap over an empty sample")

@@ -40,7 +40,6 @@ class ModelConfig:
     ablate_gcn: bool = False
     use_coverage: bool = True
     tie_fwd_bwd: bool = False  # share one weight matrix across both dependency directions
-    zero_init_decoder: bool = False  # ablation: skip the encoder-state projection
 
     def __post_init__(self):
         for name in ("d_emb", "d_h", "d_g", "d_dec", "d_attn"):

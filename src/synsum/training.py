@@ -50,6 +50,7 @@ from .corpus import EncodedExample
 # decode_step and encode_document are bound here only because
 # perfbench/tracing.py wraps training.decode_step and training.encode_document
 from .decoder import (
+    PROB_FLOOR,
     coverage_loss,
     decode_step,
     encode_document,
@@ -84,10 +85,8 @@ __all__ = [
     "CheckpointError",
 ]
 
-PROB_FLOOR = 1e-12
-
 CHECKPOINT_MAGIC = b"SYNSUMCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _ACC_PREFIX = "adagrad_acc/"   # record-path prefix of Adagrad accumulators
 _EXTRA_PREFIX = "extra/"       # and of extra arrays
 # every header key load_checkpoint reads, with its JSON type
@@ -113,8 +112,10 @@ class TrainConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "
                                  f"{getattr(self, name)!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "init_accumulator"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{getattr(self, name)!r}")
         if self.coverage_weight < 0:
             raise ValueError("coverage_weight must be nonnegative")
         for name in ("batch_size", "epochs"):

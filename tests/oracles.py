@@ -1,0 +1,166 @@
+"""Autodiff primitives and graph helpers that only the tests use.
+
+The primitives are the composition oracles of the fused-op tests: a fused
+primitive (``lstm_cell``, ``coverage_attention``, ``pointer_mix``, ...) is
+checked bitwise against the same IEEE operations composed from these
+nodes, and each of them is grad-checked on its own. They record on the
+active tape exactly like the primitives of ``synsum.autodiff``.
+``graph_from_record`` reads back a record of ``graph.export_graph``.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from synsum.autodiff import (
+    ShapeError,
+    Tensor,
+    _accumulate,
+    _as_tensor,
+    _binary_shapes,
+    _record,
+    _reduce_to,
+)
+from synsum.graph import DocumentGraph, Edge, EdgeClass
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _binary_shapes(a, b, "sub")
+    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(a.shape, g))
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(b.shape, -g))
+
+    _record("sub", out, backward)
+    return out
+
+
+def sum_all(x) -> Tensor:
+    x = _as_tensor(x)
+    out = Tensor(x.data.sum(), x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, np.broadcast_to(g, x.shape))
+
+    _record("sum_all", out, backward)
+    return out
+
+
+def stack(parts: Sequence) -> Tensor:
+    """Equal-shape tensors as the slices of a new leading axis."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ShapeError("stack of zero tensors")
+    if any(p.shape != parts[0].shape for p in parts):
+        raise ShapeError(f"stack: shapes differ {[p.shape for p in parts]}")
+    out = Tensor(np.stack([p.data for p in parts]),
+                 any(p.requires_grad for p in parts))
+
+    def backward(g: np.ndarray) -> None:
+        for p, g_part in zip(parts, g):
+            if p.requires_grad:
+                _accumulate(p, g_part)
+
+    _record("stack", out, backward)
+    return out
+
+
+def transpose(x) -> Tensor:
+    x = _as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
+    out = Tensor(x.data.T, x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g.T)
+
+    _record("transpose", out, backward)
+    return out
+
+
+def slice_cols(x, lo: int, hi: int) -> Tensor:
+    x = _as_tensor(x)
+    if x.data.ndim != 2 or not (0 <= lo <= hi <= x.shape[1]):
+        raise ShapeError(f"slice_cols [{lo}:{hi}] invalid for shape {x.shape}")
+    out = Tensor(x.data[:, lo:hi], x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros(x.shape)
+        full[:, lo:hi] = g
+        _accumulate(x, full)
+
+    _record("slice_cols", out, backward)
+    return out
+
+
+def outer(u, v) -> Tensor:
+    """Outer product of two vectors: out[i, j] = u[i] * v[j]."""
+    u, v = _as_tensor(u), _as_tensor(v)
+    if u.data.ndim != 1 or v.data.ndim != 1:
+        raise ShapeError(f"outer expects vectors, got {u.shape} and {v.shape}")
+    out = Tensor(np.outer(u.data, v.data), u.requires_grad or v.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        if u.requires_grad:
+            _accumulate(u, g @ v.data)
+        if v.requires_grad:
+            _accumulate(v, g.T @ u.data)
+
+    _record("outer", out, backward)
+    return out
+
+
+def pick(x, index: int) -> Tensor:
+    """Extract one element of a vector as a scalar tensor."""
+    x = _as_tensor(x)
+    if x.data.ndim != 1:
+        raise ShapeError(f"pick expects a vector, got shape {x.shape}")
+    if not 0 <= index < x.shape[0]:
+        raise IndexError(f"pick: index {index} out of range for length {x.shape[0]}")
+    out = Tensor(x.data[index], x.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        dx = np.zeros(x.shape)
+        dx[index] = g
+        _accumulate(x, dx)
+
+    _record("pick", out, backward)
+    return out
+
+
+def scatter_sum_vec(values, indices, size: int) -> Tensor:
+    """out[indices[k]] += values[k]; duplicate indices accumulate."""
+    values = _as_tensor(values)
+    idx = np.asarray(indices, dtype=np.intp)
+    if values.data.ndim != 1 or idx.shape != values.shape:
+        raise ShapeError(
+            f"scatter_sum_vec: values {values.shape} vs indices {idx.shape}"
+        )
+    out_data = np.zeros(size)
+    np.add.at(out_data, idx, values.data)
+    out = Tensor(out_data, values.requires_grad)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(values, g[idx])
+
+    _record("scatter_sum_vec", out, backward)
+    return out
+
+
+def graph_from_record(record: Mapping) -> DocumentGraph:
+    edges = [
+        Edge(src, dst, EdgeClass[cls], label)
+        for src, dst, cls, label in record["edges"]
+    ]
+    return DocumentGraph(
+        n=record["n"],
+        edges=edges,
+        roots=list(record["roots"]),
+        label_names=list(record.get("label_names", [])),
+    )

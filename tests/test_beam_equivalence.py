@@ -96,7 +96,7 @@ def test_beam_search_matches_scalar_oracle_on_real_model(monkeypatch):
     base = build_vocabulary(docs, cap=syn.default_vocab_cap())
     tokens = base.id_to_token + [f"filler{i}" for i in range(2000 - base.size)]
     vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)},
-                       id_to_token=tokens, label_to_id=base.label_to_id)
+                       id_to_token=tokens)
     config = ModelConfig(vocab_size=vocab.size, d_emb=6, d_h=4, d_g=8,
                          gcn_layers=1, d_dec=6, d_attn=6)
     params = ModelParams(config, seed=1)

@@ -8,8 +8,9 @@ from synsum import synthetic as syn
 from synsum.cli import main, write_manifest
 from synsum.corpus import STOP_ID, Vocabulary, encode_example, ids_to_tokens, load_corpus
 from synsum.decoder import encode_document, greedy_decode, initial_state, make_step_fn
-from synsum.graph import graph_from_record
+from synsum.graph import build_document_graph
 from synsum.training import CheckpointError, load_checkpoint, params_from_checkpoint
+from oracles import graph_from_record
 
 
 TRAIN_FLAGS = [
@@ -217,6 +218,8 @@ MALFORMED_CHECKPOINTS = {
         lambda data: edit_header(data, lambda h: h["config"].update(d_extra=3)),
         "unknown model config keys"),
     "trailing bytes": (lambda data: data + b"JUNK", "4 trailing bytes"),
+    "version 2": (lambda data: data[:8] + struct.pack("<I", 2) + data[12:],
+                  "unsupported checkpoint version 2"),
     "record names out of header order": (
         lambda data: edit_header(data, swap_first_params),
         "where the header lists"),
@@ -343,6 +346,21 @@ def test_eval_count_mismatch_names_both_counts(trained_dir, tmp_path, capsys):
     assert "1 candidates" in err and "8 references" in err
 
 
+@pytest.mark.parametrize("resamples", ["0", "-3"])
+def test_eval_rejects_fewer_than_one_resample(trained_dir, tmp_path, capsys,
+                                              resamples):
+    corpus, _ = trained_dir
+    candidates = tmp_path / "cands.txt"
+    candidates.write_text("".join(" ".join(doc.reference) + "\n"
+                                  for doc in load_corpus(corpus)))
+    assert main(["eval", "--candidates", str(candidates),
+                 "--references", str(corpus),
+                 "--resamples", resamples]) == 1
+    assert capsys.readouterr().err == (
+        f"error: n_resamples must be at least 1, got {resamples}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cands.txt"]
+
+
 def test_eval_empty_candidate_flagged(tmp_path, capsys):
     corpus = tmp_path / "refs.jsonl"
     record = {
@@ -396,8 +414,6 @@ def test_graph_inspect_export_round_trip(tmp_path, capsys):
     record = json.loads(export.read_text())
     graph = graph_from_record(record)
     docs = list(load_corpus(corpus))
-    from synsum.graph import build_document_graph
-
     direct = build_document_graph(docs[1])
     assert sorted((e.src, e.dst, int(e.cls), e.label) for e in graph.edges) == \
         sorted((e.src, e.dst, int(e.cls), e.label) for e in direct.edges)
@@ -542,6 +558,9 @@ def test_train_rejects_non_finite_optimizer_values(tmp_path, capsys, flag,
     (["--d-dec", "0"], "d_dec must be at least 1"),
     (["--d-attn", "0"], "d_attn must be at least 1"),
     (["--gcn-layers", "-1"], "gcn_layers must be nonnegative"),
+    (["--init-acc", "0"], "init_accumulator must be positive"),
+    (["--init-acc", "-1"], "init_accumulator must be positive"),
+    (["--max-tgt-len", "-1"], "max_target_len must be nonnegative"),
 ])
 def test_train_rejects_impossible_sizes(tmp_path, capsys, flags, message):
     corpus = tmp_path / "corpus.jsonl"

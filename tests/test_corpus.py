@@ -183,7 +183,6 @@ def test_build_vocabulary_deterministic():
     v1 = build_vocabulary(docs, cap=30)
     v2 = build_vocabulary(docs, cap=30)
     assert v1.id_to_token == v2.id_to_token
-    assert v1.label_to_id == v2.label_to_id
 
 
 def test_vocabulary_file_round_trip(tmp_path):
@@ -269,6 +268,15 @@ def test_encode_target_truncation_recorded(small_vocab):
     ex = encode_example(doc, small_vocab, max_target_len=4)
     assert ex.truncated_target == 3
     assert len(ex.target_ids) == 6  # START + 4 + STOP
+
+
+def test_encode_rejects_a_negative_target_length(small_vocab):
+    doc = make_doc([["a", "b"]], ["a", "b", "a"])
+    with pytest.raises(ValueError, match="max_target_len must be nonnegative"):
+        encode_example(doc, small_vocab, max_target_len=-1)
+    ex = encode_example(doc, small_vocab, max_target_len=0)
+    assert ex.truncated_target == 3
+    assert len(ex.target_ids) == 2  # START + STOP
 
 
 def test_encode_ids_within_extended_range(small_vocab):

@@ -30,6 +30,7 @@ from synsum.decoder import (
 )
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import loss_from_rows, sequence_loss
+from oracles import outer, stack, sum_all
 from test_beam_equivalence import assert_same_search, scalar_beam_search
 from test_lstm_cell import same_bits
 from test_output_head import CASES, case_model, oov_corpus
@@ -59,7 +60,7 @@ def composed_recurrence(state, y_prev, ctx, params, mask=None):
         ad.add_rowvec(ctx.enc_attn_proj, dec_proj), attn["b"]
     )
     if config.use_coverage:
-        features = ad.add(features, ad.outer(state.coverage, attn["cov_w"]))
+        features = ad.add(features, outer(state.coverage, attn["cov_w"]))
     scores = ad.reshape(ad.matmul(ad.tanh(features), ctx.attn_v), (n,))
     attention = ad.softmax(scores)
     copy_attention = attention
@@ -133,7 +134,7 @@ def composed_sequence_loss(example, params, coverage_weight):
                              ad.concat(contexts, axis=0),
                              ad.concat(xs, axis=0), attention, ctx, params)
     return loss_from_rows(final, example.target_ext_ids[1:], attention,
-                          ad.stack(coverages), coverage_weight)
+                          stack(coverages), coverage_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_coverage_attention_grad_check(rows, coverage, reached):
 
     def f(p):
         outs = call_attention(p)
-        terms = [ad.sum_all(ad.mul(outs[i], probes[i])) for i in used]
+        terms = [sum_all(ad.mul(outs[i], probes[i])) for i in used]
         total = terms[0]
         for term in terms[1:]:
             total = ad.add(total, term)
@@ -198,7 +199,7 @@ def test_generation_gate_grad_check_and_bitwise_composition(rows):
     tensors = {**inputs, **params.pgen}
 
     def gate(p, fn):
-        return ad.sum_all(ad.mul(fn(p["context"], p["hidden"], p["x"]), probe))
+        return sum_all(ad.mul(fn(p["context"], p["hidden"], p["x"]), probe))
 
     def fused(c, h, x):
         return ad.generation_gate(c, h, x, params.pgen["ctx_w"],
@@ -453,7 +454,7 @@ def test_batched_decode_corpus_matches_scalar_search_under_a_mask(
                     in zip(got, expected):
                 assert tokens == tokens_ref
                 assert_same_search(search, search_ref)
-                for field in ("doc_vector", "attention", "gate", "gated"):
+                for field in ("attention", "gate", "gated"):
                     a, b = getattr(gated, field), getattr(gated_ref, field)
                     assert (a is None) == (b is None)
                     assert a is None or same_bits(a.data, b.data)

@@ -189,20 +189,6 @@ def test_damped_mask_reweights_copy_distribution(decode_setup):
     np.testing.assert_allclose(final.data, expected, atol=1e-12)
 
 
-def test_zero_init_decoder_state_flag(tiny_setup):
-    _, vocab, examples, _ = tiny_setup
-    from synsum.model import ModelConfig, ModelParams
-
-    config = ModelConfig(vocab_size=vocab.size, d_emb=6, d_h=4, d_g=8,
-                         gcn_layers=1, d_dec=6, d_attn=6,
-                         zero_init_decoder=True)
-    params = ModelParams(config, seed=0)
-    enc, _, ctx = dec.encode_document(examples[0], params)
-    state = dec.initial_state(enc, params)
-    assert not state.hidden.data.any()
-    assert not state.cell.data.any()
-
-
 def test_partial_mask_renormalizes_copy_distribution(decode_setup):
     params, example, ctx, state, vocab = decode_setup
     q = np.zeros(ctx.n)

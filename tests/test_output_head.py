@@ -25,11 +25,12 @@ from synsum.decoder import (
 )
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
+from oracles import outer, pick, scatter_sum_vec, stack, sub, sum_all
 from test_lstm_cell import TOY_WIDTHS, same_bits
 
 
 def _row_dot(row, w):
-    return ad.pick(
+    return pick(
         ad.reshape(ad.matmul(row, ad.reshape(w, (w.shape[0], 1))), (1,)), 0
     )
 
@@ -51,7 +52,7 @@ def composed_decode_step(state, y_prev, ctx, params, mask=None):
     features = ad.add_rowvec(ad.add_rowvec(ctx.enc_attn_proj, dec_proj),
                              attn["b"])
     if config.use_coverage:
-        features = ad.add(features, ad.outer(coverage, attn["cov_w"]))
+        features = ad.add(features, outer(coverage, attn["cov_w"]))
     scores = ad.reshape(
         ad.matmul(ad.tanh(features), ad.reshape(attn["v"], (config.d_attn, 1))),
         (n,),
@@ -86,9 +87,9 @@ def composed_decode_step(state, y_prev, ctx, params, mask=None):
     extended = vocab_size + ctx.n_oov
     gen_dist = (ad.concat([vocab_dist, Tensor(np.zeros(ctx.n_oov))])
                 if ctx.n_oov else vocab_dist)
-    copy_dist = ad.scatter_sum_vec(copy_attention, ctx.source_ext_ids, extended)
+    copy_dist = scatter_sum_vec(copy_attention, ctx.source_ext_ids, extended)
     final = ad.add(ad.mul(gen_dist, p_gen),
-                   ad.mul(copy_dist, ad.sub(1.0, p_gen)))
+                   ad.mul(copy_dist, sub(1.0, p_gen)))
     new_state = StepState(hidden=hidden, cell=c,
                           coverage=ad.reshape(ad.add(coverage, attention),
                                               (1, n)),
@@ -106,7 +107,7 @@ def oov_corpus(cap, pad_to=None, size=6, seed=3):
             f"filler{i}" for i in range(pad_to - vocab.size)
         ]
         vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)},
-                           id_to_token=tokens, label_to_id=vocab.label_to_id)
+                           id_to_token=tokens)
     return vocab, [encode_example(doc, vocab) for doc in docs]
 
 
@@ -115,8 +116,6 @@ CASES = {
     "toy-oov": dict(cap=12, pad_to=None, config={}),
     "v2000-oov": dict(cap=12, pad_to=2000, config={}),
     "no-coverage": dict(cap=12, pad_to=None, config=dict(use_coverage=False)),
-    "zero-init": dict(cap=12, pad_to=None,
-                      config=dict(zero_init_decoder=True)),
 }
 
 
@@ -168,8 +167,8 @@ def composed_sequence_loss(example, params, coverage_weight):
         coverage = ad.reshape(state.coverage, (ctx.n,))
         final, attention, _, state = composed_decode_step(state, y_prev, ctx,
                                                           params)
-        nll = ad.mul(ad.log(ad.maximum(ad.pick(final, gold), 1e-12)), -1.0)
-        cov = ad.sum_all(ad.minimum(attention, coverage))
+        nll = ad.mul(ad.log(ad.maximum(pick(final, gold), 1e-12)), -1.0)
+        cov = sum_all(ad.minimum(attention, coverage))
         nll_sum = nll if nll_sum is None else ad.add(nll_sum, nll)
         cov_sum = cov if cov_sum is None else ad.add(cov_sum, cov)
     steps = len(example.target_ids) - 1
@@ -238,7 +237,7 @@ def test_pointer_mix_grad_check():
 
     def f(p):
         out = ad.pointer_mix(p["vocab"], p["attention"], p["p_gen"], ids, 7)
-        return ad.sum_all(ad.mul(out, probe))
+        return sum_all(ad.mul(out, probe))
 
     report = ad.grad_check(f, params, tol=1e-6)
     assert report.ok, str(report)
@@ -254,8 +253,8 @@ def test_pointer_mix_rows_bitwise_equal_composition():
     for r in range(4):
         p = Tensor(p_gen[r, 0])
         gen = ad.concat([Tensor(vocab[r]), Tensor(np.zeros(2))])
-        copy = ad.scatter_sum_vec(Tensor(attention[r]), ids, 11)
-        want = ad.add(ad.mul(gen, p), ad.mul(copy, ad.sub(1.0, p)))
+        copy = scatter_sum_vec(Tensor(attention[r]), ids, 11)
+        want = ad.add(ad.mul(gen, p), ad.mul(copy, sub(1.0, p)))
         assert same_bits(out.data[r], want.data)
 
 
@@ -274,7 +273,7 @@ def test_row_softmax_grad_check():
     probe = rng.normal(size=(3, 5))
     params = {"x": rand(rng, (3, 5), scale=2.0)}
     report = ad.grad_check(
-        lambda p: ad.sum_all(ad.mul(ad.softmax(p["x"]), probe)), params,
+        lambda p: sum_all(ad.mul(ad.softmax(p["x"]), probe)), params,
         tol=1e-6)
     assert report.ok, str(report)
 
@@ -300,7 +299,7 @@ def test_pick_rows_grad_check_and_values():
     picked = ad.pick_rows(params["x"], cols).data
     assert same_bits(picked, params["x"].data[np.arange(4), cols])
     report = ad.grad_check(
-        lambda p: ad.sum_all(ad.mul(ad.pick_rows(p["x"], cols),
+        lambda p: sum_all(ad.mul(ad.pick_rows(p["x"], cols),
                                     Tensor([1.0, -2.0, 0.5, 3.0]))),
         params, tol=1e-6)
     assert report.ok, str(report)
@@ -330,7 +329,7 @@ def test_fold_sum_is_a_left_fold():
     ("sum_rows", lambda p: ad.sum_rows(ad.mul(p["x"], p["x"]))),
     ("fold_sum", lambda p: ad.fold_sum(ad.sum_rows(ad.tanh(p["x"])))),
     ("stack", lambda p: ad.sum_rows(ad.reshape(ad.mul(
-        s := ad.stack([p["x"], ad.tanh(p["x"]), Tensor(np.ones((3, 4)))]),
+        s := stack([p["x"], ad.tanh(p["x"]), Tensor(np.ones((3, 4)))]),
         s), (9, 4)))),
 ])
 def test_reduction_and_stack_grad_check(name, build):

@@ -24,6 +24,7 @@ from synsum.training import (
     sequence_loss,
     train,
 )
+from oracles import stack
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,7 @@ from synsum.training import (
 
 
 def rows(*vectors):
-    return ad.stack([Tensor(np.asarray(v, dtype=float)) for v in vectors])
+    return stack([Tensor(np.asarray(v, dtype=float)) for v in vectors])
 
 
 def test_loss_zero_when_gold_has_probability_one():
@@ -189,6 +190,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(coverage_weight=-1.0)
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError,
+                           match="init_accumulator must be positive"):
+            TrainConfig(init_accumulator=value)
 
 
 @pytest.mark.parametrize("field", ["learning_rate", "init_accumulator",
@@ -416,11 +421,12 @@ def test_save_over_a_loaded_checkpoint_leaves_its_arrays(tmp_path):
 
 def test_checkpoint_rejects_version_1(tmp_path):
     path, _ = saved_checkpoint(tmp_path)
-    data = bytearray(path.read_bytes())
-    data[8:12] = struct.pack("<I", 1)
-    with pytest.raises(CheckpointError,
-                       match="unsupported checkpoint version 1"):
-        load_checkpoint(bytes(data))
+    for version in (1, 2):
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", version)
+        with pytest.raises(CheckpointError,
+                           match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(bytes(data))
 
 
 def test_checkpoint_rejects_nonzero_padding(tmp_path):
