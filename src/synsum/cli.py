@@ -557,6 +557,8 @@ def validate_args(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "decode":
         if args.beam < 1:
             parser.error("--beam must be >= 1")
+        if args.max_dec_len < 1:
+            parser.error("--max-dec-len must be >= 1")
         require_finite("--len-penalty", args.len_penalty)
         require_finite("--bottom-up-threshold", args.bottom_up_threshold)
 

@@ -459,6 +459,18 @@ def beam_search(
     the candidates scoring at least the ``beam + len(live)``-th best score,
     every tie at that cutoff included, become ``Hypothesis`` objects and
     are sorted. The result equals a full sort of all candidates.
+
+    The search stops early once no live hypothesis can beat the best
+    finished one (Huang, Zhao & Ma 2017): when the best finished score is
+    strictly greater than the best live log-probability divided by the
+    length penalty of every length a live hypothesis can still finish at.
+    Extending a hypothesis never raises its log-probability while every
+    row is at most 0, and "strictly" keeps the tie rule, so the best
+    hypothesis is the one the search to ``max_len`` returns, and the
+    finished pool is a prefix of that search's pool. The stop is guarded:
+    it is taken only while every row returned so far has a maximum of at
+    most 0, so a step function that has shown a log-probability above 0
+    (a pointer mixture that rounds above 1) is searched to the end.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
@@ -467,6 +479,7 @@ def beam_search(
     batched = isinstance(init_state, StepState)
     live = [Hypothesis([], 0.0, (init_state, 0) if batched else init_state)]
     finished: list[Hypothesis] = []
+    nonpositive = True
     for step in range(max_len):
         prevs = [hyp.tokens[-1] if hyp.tokens else start_id for hyp in live]
         if batched:
@@ -479,6 +492,7 @@ def beam_search(
             log_probs = np.stack([np.asarray(lp, dtype=np.float64)
                                   for lp, _ in results])
             states = [state for _, state in results]
+        nonpositive = nonpositive and bool(log_probs.max() <= 0.0)
         if step == max_len - 1:
             candidates = [
                 Hypothesis(hyp.tokens + [stop_id],
@@ -501,6 +515,12 @@ def beam_search(
         live = next_live
         if not live:
             break
+        if nonpositive and finished:
+            # live[0] has the highest log-probability of the beam
+            reachable = max(live[0].log_prob / length_penalty(length, alpha)
+                            for length in range(step + 2, max_len + 1))
+            if max(h.score(alpha) for h in finished) > reachable:
+                break
     best = min(finished, key=lambda h: (-h.score(alpha), tuple(h.tokens)))
     if return_pool:
         return best, finished

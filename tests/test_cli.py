@@ -594,6 +594,19 @@ def test_decode_rejects_non_finite_values(trained_dir, tmp_path, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_decode_rejects_max_dec_len_below_one(trained_dir, tmp_path, value):
+    corpus, out_dir = trained_dir
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for source in (corpus, empty):
+        with pytest.raises(SystemExit) as exc:
+            main(decode_args(source, out_dir, tmp_path / "s.txt",
+                             "--max-dec-len", value))
+        assert exc.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
+
+
 def test_manifest_refuses_non_finite_numbers(tmp_path):
     path = tmp_path / "manifest.json"
     with pytest.raises(ValueError):

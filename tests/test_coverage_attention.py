@@ -453,7 +453,7 @@ def test_batched_decode_corpus_matches_scalar_search_under_a_mask(
             for (tokens, gated, search), (tokens_ref, gated_ref, search_ref) \
                     in zip(got, expected):
                 assert tokens == tokens_ref
-                assert_same_search(search, search_ref)
+                assert_same_search(search, search_ref, alpha=0.4)
                 for field in ("attention", "gate", "gated"):
                     a, b = getattr(gated, field), getattr(gated_ref, field)
                     assert (a is None) == (b is None)

@@ -8,6 +8,7 @@ from synsum.autodiff import Tensor
 from synsum.corpus import STOP_ID, UNK_ID, build_vocabulary, encode_example
 from synsum import synthetic as syn
 from synsum.model import ModelConfig, ModelParams
+from synsum.training import TrainConfig, train
 
 
 @pytest.fixture
@@ -298,6 +299,39 @@ def test_beam_one_equals_greedy_on_random_models():
                                stop_id=5, start_id=2)
         assert beam.tokens == greedy.tokens
         assert abs(beam.log_prob - greedy.log_prob) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def trained_setup(tiny_setup):
+    """15 epochs: enough for every summary to end in STOP within 8 tokens."""
+    _, _, examples, config = tiny_setup
+    return train(examples, config, TrainConfig(epochs=15, seed=0)).params, \
+        examples
+
+
+@pytest.mark.parametrize("max_len", [8, 30])
+def test_beam_one_makes_greedy_calls_on_trained_model(trained_setup, max_len):
+    params, examples = trained_setup
+
+    def counted(step_fn, calls):
+        def step(state, y_prev):
+            calls.append(y_prev)
+            return step_fn(state, y_prev)
+        return step
+
+    for example in examples:
+        enc, _, ctx = dec.encode_document(example, params)
+        step_fn = dec.make_step_fn(ctx, params)
+        greedy_calls, beam_calls = [], []
+        greedy = dec.greedy_decode(counted(step_fn, greedy_calls),
+                                   dec.initial_state(enc, params), max_len)
+        beam = dec.beam_search(counted(step_fn, beam_calls),
+                               dec.initial_state(enc, params), beam=1,
+                               max_len=max_len, alpha=0.0)
+        assert beam.tokens == greedy.tokens
+        assert beam.log_prob.hex() == greedy.log_prob.hex()
+        assert len(beam_calls) == len(greedy_calls) == len(greedy.tokens)
+        assert len(greedy.tokens) < max_len
 
 
 def test_beam_never_loses_to_greedy_when_it_survives():
