@@ -162,13 +162,10 @@ def cmd_train(args) -> int:
     extras = {}
     if not args.no_selector:
         states, targets = [], []
-        for ex in examples:
-            enc, _, _ = encode_document(ex, result.params)
+        for ex, (enc, _) in encode_in_chunks(examples, result.params):
             states.append(enc.fused.data.copy())
             ref = set(ex.reference_tokens)
-            targets.append(
-                np.array([1.0 if tok in ref else 0.0 for tok in ex.source_tokens])
-            )
+            targets.append(np.array([float(t in ref) for t in ex.source_tokens]))
         selector = train_content_selector(states, targets, seed=args.seed)
         extras = {
             "selector/w": selector.w,
@@ -238,9 +235,16 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # decode
 
-# documents that decode_corpus encodes in one forward: each held document
-# costs about 85 KB until it is searched
+# documents encoded in one forward, for decoding and for the selector's
+# training states: each held document costs about 85 KB until it is searched
 DECODE_CHUNK = 16
+
+
+def encode_in_chunks(examples: Iterable[EncodedExample], params: ModelParams):
+    """Each example with its part of ``encode_documents`` over its chunk."""
+    examples = iter(examples)
+    while chunk := list(itertools.islice(examples, DECODE_CHUNK)):
+        yield from zip(chunk, encode_documents(chunk, params))
 
 
 def decode_corpus(
@@ -265,19 +269,17 @@ def decode_corpus(
     attributes, so wrapping them here (perfbench's tracer and its beam-4
     log-probability check) sees every decoded document.
     """
-    examples = iter(examples)
-    while chunk := list(itertools.islice(examples, DECODE_CHUNK)):
-        for example, encoded in zip(chunk, encode_documents(chunk, params)):
-            enc, gated, ctx = encode_document(example, params, encoded)
-            mask = None
-            if selector is not None:
-                mask = selector.predict(enc.fused.data, threshold)
-                mask.damp = damp
-            hyp = beam_search(make_step_fn(ctx, params, mask=mask),
-                              initial_state(enc, params),
-                              beam=beam, max_len=max_len, alpha=alpha)
-            ids = [t for t in hyp.tokens if t != STOP_ID]
-            yield ids_to_tokens(ids, vocab, example.oov_tokens), gated
+    for example, encoded in encode_in_chunks(examples, params):
+        enc, gated, ctx = encode_document(example, params, encoded)
+        mask = None
+        if selector is not None:
+            mask = selector.predict(enc.fused.data, threshold)
+            mask.damp = damp
+        hyp = beam_search(make_step_fn(ctx, params, mask=mask),
+                          initial_state(enc, params),
+                          beam=beam, max_len=max_len, alpha=alpha)
+        ids = [t for t in hyp.tokens if t != STOP_ID]
+        yield ids_to_tokens(ids, vocab, example.oov_tokens), gated
 
 
 def cmd_decode(args) -> int:

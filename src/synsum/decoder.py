@@ -38,9 +38,9 @@ Beam search ranks finished hypotheses by log-probability divided by the
 length penalty ((5 + len) / 6) ** alpha, where len counts emitted tokens
 including STOP. Score ties are broken toward the lexicographically smaller
 token sequence. Hypotheses still alive at the step limit are forced to emit
-STOP, scored like any other token. With the model's state, each search step
-runs one decoder call whose rows are the live hypotheses, gathered from the
-previous call's rows with ``StepState.take``. Each step scores every (live
+STOP, scored like any other token. Each search step makes one step-function
+call whose rows are the live hypotheses, gathered from the previous call's
+rows with the state's ``take`` (``StepState.take``). It scores every (live
 hypothesis, token) pair in one numpy array and builds hypotheses only for
 the short list that can reach the beam: the ``beam + len(live)`` best
 scores plus every candidate tied with the last of them, so the tie rule
@@ -378,12 +378,12 @@ def coverage_loss(attention: Tensor, coverage: Tensor) -> Tensor:
 # search
 
 
-StepFn = Callable[[object, int], tuple[np.ndarray, object]]
-"""(state, previous token) -> (log-probabilities over the extended
-vocabulary, next state). Search routines only ever see this interface, so
-toy models plug in directly. The model's step (``make_step_fn``) also takes
-an R-row ``StepState`` with a sequence of R previous tokens and returns
-(R, ·) log-probabilities."""
+StepFn = Callable[[object, Sequence[int]], tuple[np.ndarray, object]]
+"""(R-row state, R previous tokens) -> ((R, ·) log-probabilities over the
+extended vocabulary, next state); a state's ``take(rows)`` is the state of
+``rows``, in that order. Search routines only ever see this interface. The
+model's step (``make_step_fn``) also takes one ``int`` token for a one-row
+``StepState`` and then returns a log-probability vector."""
 
 
 def make_step_fn(
@@ -407,7 +407,7 @@ def greedy_decode(
 ) -> Hypothesis:
     """Stepwise argmax under the same length convention as beam search:
     ``max_len`` bounds emitted tokens including STOP, which is forced (and
-    scored) at the final step."""
+    scored) at the final step. ``init_state`` has one row."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     tokens: list[int] = []
@@ -415,7 +415,7 @@ def greedy_decode(
     state = init_state
     prev = start_id
     for step in range(max_len):
-        log_probs, state = step_fn(state, prev)
+        (log_probs,), state = step_fn(state, [prev])
         token = stop_id if step == max_len - 1 else int(np.argmax(log_probs))
         tokens.append(token)
         log_prob += float(log_probs[token])
@@ -447,11 +447,10 @@ def beam_search(
     other candidate. With beam=1 this reduces to greedy decoding. Finished
     hypotheses compete by length-penalized score.
 
-    An ``init_state`` that is a ``StepState`` is stepped as a batch: each
-    search step gathers the live hypotheses' rows (``StepState.take``) and
-    makes one ``step_fn(batch, previous tokens)`` call, and a hypothesis
-    holds ``(that call's next state, its row)``. Any other state is stepped
-    once per live hypothesis, ``step_fn(state, previous token)``.
+    ``init_state`` has one row. Each search step gathers the live
+    hypotheses' rows (``take``) and makes one ``step_fn(batch, previous
+    tokens)`` call, and a hypothesis holds ``(that call's next state, its
+    row)``.
 
     Each live hypothesis has one STOP candidate, so the scan never reads
     past its ``beam + len(live)``-th candidate. Cumulative scores are kept
@@ -470,28 +469,30 @@ def beam_search(
     finished pool is a prefix of that search's pool. The stop is guarded:
     it is taken only while every row returned so far has a maximum of at
     most 0, so a step function that has shown a log-probability above 0
-    (a pointer mixture that rounds above 1) is searched to the end.
+    (a pointer mixture that rounds above 1) is searched to the end. An
+    ``alpha`` whose length penalty overflows or rounds to 0 at some length
+    up to ``max_len`` is a ``ValueError``.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    batched = isinstance(init_state, StepState)
-    live = [Hypothesis([], 0.0, (init_state, 0) if batched else init_state)]
+    try:
+        penalties = [length_penalty(n, alpha) for n in range(1, max_len + 1)]
+    except OverflowError:
+        penalties = [0.0]
+    if 0.0 in penalties:
+        raise ValueError(f"length penalty alpha {alpha} is out of range: "
+                         f"overflows or rounds to 0 by length {max_len}")
+    batch = init_state
+    live = [Hypothesis([], 0.0, (batch, 0))]
     finished: list[Hypothesis] = []
     nonpositive = True
     for step in range(max_len):
         prevs = [hyp.tokens[-1] if hyp.tokens else start_id for hyp in live]
-        if batched:
-            batch = live[0].state[0].take([hyp.state[1] for hyp in live])
-            log_probs, batch = step_fn(batch, prevs)
-            states = [(batch, row) for row in range(len(live))]
-        else:
-            results = [step_fn(hyp.state, prev)
-                       for hyp, prev in zip(live, prevs)]
-            log_probs = np.stack([np.asarray(lp, dtype=np.float64)
-                                  for lp, _ in results])
-            states = [state for _, state in results]
+        log_probs, batch = step_fn(batch.take([hyp.state[1] for hyp in live]),
+                                   prevs)
+        states = [(batch, row) for row in range(len(live))]
         nonpositive = nonpositive and bool(log_probs.max() <= 0.0)
         if step == max_len - 1:
             candidates = [
@@ -516,9 +517,9 @@ def beam_search(
         if not live:
             break
         if nonpositive and finished:
-            # live[0] has the highest log-probability of the beam
-            reachable = max(live[0].log_prob / length_penalty(length, alpha)
-                            for length in range(step + 2, max_len + 1))
+            # live[0] leads the beam; lengths step + 2 to max_len remain
+            reachable = max(live[0].log_prob / penalty
+                            for penalty in penalties[step + 1:])
             if max(h.score(alpha) for h in finished) > reachable:
                 break
     best = min(finished, key=lambda h: (-h.score(alpha), tuple(h.tokens)))

@@ -216,7 +216,7 @@ def gcn_layer(
 ) -> Tensor:
     n = h_in.shape[0]
     agg: Tensor | None = None
-    for key in ("fwd", "bwd", "self", "adj"):
+    for key in _CLASS_KEY.values():
         src, dst = edge_idx[key]
         if src.size == 0:
             continue

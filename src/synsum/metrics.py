@@ -130,7 +130,6 @@ class RougeReport:
     summaries: dict[str, MetricSummary]
     n_examples: int
     degenerate_rows: list[int] = field(default_factory=list)
-    per_example: dict[str, list[Score]] = field(default_factory=dict)
 
     def format_text(self) -> str:
         lines = [f"examples: {self.n_examples}"]
@@ -204,5 +203,4 @@ def evaluate_pairs(
         summaries=summaries,
         n_examples=len(candidates),
         degenerate_rows=degenerate_rows,
-        per_example=per_example,
     )

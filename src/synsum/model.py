@@ -21,10 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["ModelConfig", "ModelParams", "EDGE_CLASS_KEYS"]
-
-# parameter-sharing categories for graph-convolution weights
-EDGE_CLASS_KEYS = ("fwd", "bwd", "self", "adj")
+__all__ = ["ModelConfig", "ModelParams"]
 
 
 @dataclass

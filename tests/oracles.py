@@ -6,6 +6,9 @@ checked bitwise against the same IEEE operations composed from these
 nodes, and each of them is grad-checked on its own. They record on the
 active tape exactly like the primitives of ``synsum.autodiff``.
 ``graph_from_record`` reads back a record of ``graph.export_graph``.
+``batched`` and ``Rows`` turn a per-row toy step function into the batched
+step-function contract of ``decoder.greedy_decode`` and
+``decoder.beam_search``.
 """
 
 from __future__ import annotations
@@ -164,3 +167,24 @@ def graph_from_record(record: Mapping) -> DocumentGraph:
         roots=list(record["roots"]),
         label_names=list(record.get("label_names", [])),
     )
+
+
+class Rows(tuple):
+    """The per-row states of a toy step function as one batched state."""
+
+    def take(self, rows: Sequence[int]) -> "Rows":
+        return Rows(self[row] for row in rows)
+
+
+def batched(step):
+    """The batched step function over a per-row ``step(state, previous
+    token) -> (log-probabilities, next state)``: one ``step`` call per row
+    of a ``Rows`` state, stacked as (R, V) log-probabilities."""
+    def step_fn(state: Rows, prevs: Sequence[int]):
+        results = [step(row, prev)
+                   for row, prev in zip(state, prevs, strict=True)]
+        return (np.stack([np.asarray(lp, dtype=np.float64)
+                          for lp, _ in results]),
+                Rows(next_state for _, next_state in results))
+
+    return step_fn

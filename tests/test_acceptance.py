@@ -46,6 +46,7 @@ from synsum.training import (
     sequence_loss,
     train,
 )
+from oracles import Rows, batched
 
 
 def report(criterion: str, detail: str) -> None:
@@ -419,17 +420,18 @@ def test_a8_beam_oracle():
     }
     step = toy_table_step(table)
     for alpha in (0.0, 0.4, 8.0):
-        hyp = beam_search(step, (), beam=2, max_len=3, alpha=alpha,
-                          stop_id=2, start_id=2)
+        hyp = beam_search(batched(step), Rows([()]), beam=2, max_len=3,
+                          alpha=alpha, stop_id=2, start_id=2)
         expected = exhaustive_best(step, max_len=3, alpha=alpha, vocab=3,
                                    stop_id=2)
         assert hyp.tokens == expected, (alpha, hyp.tokens, expected)
 
     agreements = 0
     for seed in range(50):
-        step = random_step(seed, vocab=6)
-        greedy = greedy_decode(step, (), max_len=4, stop_id=5, start_id=2)
-        beam = beam_search(step, (), beam=1, max_len=4, alpha=0.0,
+        step = batched(random_step(seed, vocab=6))
+        greedy = greedy_decode(step, Rows([()]), max_len=4, stop_id=5,
+                               start_id=2)
+        beam = beam_search(step, Rows([()]), beam=1, max_len=4, alpha=0.0,
                            stop_id=5, start_id=2)
         assert beam.tokens == greedy.tokens
         assert abs(beam.log_prob - greedy.log_prob) < 1e-12

@@ -21,6 +21,7 @@ from synsum.corpus import (START_ID, STOP_ID, Vocabulary, build_vocabulary,
                            encode_example)
 from synsum.decoder import Hypothesis
 from synsum.model import ModelConfig, ModelParams
+from oracles import Rows, batched
 
 
 def scalar_beam_search(step_fn, init_state, beam, max_len, alpha=0.0,
@@ -99,7 +100,7 @@ def test_beam_search_matches_scalar_oracle_with_forced_ties():
                       alpha=rng.choice([-0.5, 0.0, 0.4, 1.0, 8.0]),
                       stop_id=rng.randrange(vocab), start_id=vocab,
                       return_pool=True)
-        got = dec.beam_search(step, (), **kwargs)
+        got = dec.beam_search(batched(step), Rows([()]), **kwargs)
         expected = scalar_beam_search(step, (), **kwargs)
         assert_same_search(got, expected, kwargs["alpha"])
         if len(got[1]) < len(expected[1]):
@@ -132,7 +133,7 @@ def test_stop_bound_is_tight(rows, alpha, beam, best_tokens):
     step = log_prob_rows(rows)
     kwargs = dict(beam=beam, max_len=4, alpha=alpha, stop_id=2, start_id=3,
                   return_pool=True)
-    got = dec.beam_search(step, (), **kwargs)
+    got = dec.beam_search(batched(step), Rows([()]), **kwargs)
     expected = scalar_beam_search(step, (), **kwargs)
     assert got[0].tokens == best_tokens
     assert_same_search(got, expected, alpha)
@@ -148,7 +149,7 @@ def test_positive_log_probabilities_disable_the_stop():
         for beam in (1, 2, 3):
             kwargs = dict(beam=beam, max_len=3, alpha=alpha, stop_id=2,
                           start_id=3, return_pool=True)
-            best, pool = dec.beam_search(step, (), **kwargs)
+            best, pool = dec.beam_search(batched(step), Rows([()]), **kwargs)
             best_ref, pool_ref = scalar_beam_search(step, (), **kwargs)
             assert best.tokens == best_ref.tokens == [0, 0, 2]
             assert best.log_prob.hex() == best_ref.log_prob.hex()

@@ -607,6 +607,20 @@ def test_decode_rejects_max_dec_len_below_one(trained_dir, tmp_path, value):
     assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
 
 
+@pytest.mark.parametrize("value", ["1000", "-5000"])
+def test_decode_rejects_a_length_penalty_out_of_range(trained_dir, tmp_path,
+                                                      capsys, value):
+    # ((5 + 30) / 6) ** 1000 overflows and ** -5000 rounds to 0
+    corpus, out_dir = trained_dir
+    code = main(decode_args(corpus, out_dir, tmp_path / "s.txt",
+                            "--max-dec-len", "30", "--len-penalty", value,
+                            "--dump-gates", str(tmp_path / "gates.jsonl")))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: length penalty alpha {float(value)} is out of range")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_refuses_non_finite_numbers(tmp_path):
     path = tmp_path / "manifest.json"
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from synsum.corpus import STOP_ID, UNK_ID, build_vocabulary, encode_example
 from synsum import synthetic as syn
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import TrainConfig, train
+from oracles import Rows, batched
 
 
 @pytest.fixture
@@ -273,8 +274,8 @@ TOY_VOCAB = 3  # tokens 0, 1 and STOP (id 2 doubles as the stop id here)
 def test_beam_two_matches_exhaustive_enumeration():
     step = table_model(TOY_TABLE, TOY_VOCAB)
     for alpha in (0.0, 0.4):
-        hyp = dec.beam_search(step, (), beam=2, max_len=3, alpha=alpha,
-                              stop_id=2, start_id=2)
+        hyp = dec.beam_search(batched(step), Rows([()]), beam=2, max_len=3,
+                              alpha=alpha, stop_id=2, start_id=2)
         tokens, logp = enumerate_best(step, max_len=3, alpha=alpha,
                                       vocab=TOY_VOCAB, stop_id=2)
         assert hyp.tokens == tokens
@@ -282,20 +283,21 @@ def test_beam_two_matches_exhaustive_enumeration():
 
 
 def test_length_penalty_changes_the_winner():
-    step = table_model(TOY_TABLE, TOY_VOCAB)
-    raw = dec.beam_search(step, (), beam=3, max_len=3, alpha=0.0,
+    step = batched(table_model(TOY_TABLE, TOY_VOCAB))
+    raw = dec.beam_search(step, Rows([()]), beam=3, max_len=3, alpha=0.0,
                           stop_id=2, start_id=2)
     assert raw.tokens == [1, 2]  # highest raw probability: 0.45 * 0.9
-    long_biased = dec.beam_search(step, (), beam=3, max_len=3, alpha=8.0,
-                                  stop_id=2, start_id=2)
+    long_biased = dec.beam_search(step, Rows([()]), beam=3, max_len=3,
+                                  alpha=8.0, stop_id=2, start_id=2)
     assert long_biased.tokens == [0, 0, 2]  # penalty now favors length
 
 
 def test_beam_one_equals_greedy_on_random_models():
     for seed in range(50):
-        step = random_model(seed, vocab=6)
-        greedy = dec.greedy_decode(step, (), max_len=4, stop_id=5, start_id=2)
-        beam = dec.beam_search(step, (), beam=1, max_len=4, alpha=0.0,
+        step = batched(random_model(seed, vocab=6))
+        greedy = dec.greedy_decode(step, Rows([()]), max_len=4, stop_id=5,
+                                   start_id=2)
+        beam = dec.beam_search(step, Rows([()]), beam=1, max_len=4, alpha=0.0,
                                stop_id=5, start_id=2)
         assert beam.tokens == greedy.tokens
         assert abs(beam.log_prob - greedy.log_prob) < 1e-12
@@ -337,12 +339,13 @@ def test_beam_one_makes_greedy_calls_on_trained_model(trained_setup, max_len):
 def test_beam_never_loses_to_greedy_when_it_survives():
     surviving = 0
     for seed in range(20):
-        step = random_model(seed, vocab=5)
-        greedy = dec.greedy_decode(step, (), max_len=4, stop_id=4, start_id=2)
+        step = batched(random_model(seed, vocab=5))
+        greedy = dec.greedy_decode(step, Rows([()]), max_len=4, stop_id=4,
+                                   start_id=2)
         for beam_width in (2, 3):
-            best, pool = dec.beam_search(step, (), beam=beam_width, max_len=4,
-                                         alpha=0.4, stop_id=4, start_id=2,
-                                         return_pool=True)
+            best, pool = dec.beam_search(step, Rows([()]), beam=beam_width,
+                                         max_len=4, alpha=0.4, stop_id=4,
+                                         start_id=2, return_pool=True)
             if any(h.tokens == greedy.tokens for h in pool):
                 surviving += 1
                 assert best.score(0.4) >= greedy.score(0.4) - 1e-12
@@ -353,8 +356,8 @@ def test_beam_tie_breaks_toward_lower_token_ids():
     uniform = {(): [0.45, 0.45, 0.1]}
     for prefix in [(0,), (1,)]:
         uniform[prefix] = [0.25, 0.25, 0.5]
-    step = table_model(uniform, 3)
-    hyp = dec.beam_search(step, (), beam=2, max_len=2, alpha=0.0,
+    step = batched(table_model(uniform, 3))
+    hyp = dec.beam_search(step, Rows([()]), beam=2, max_len=2, alpha=0.0,
                           stop_id=2, start_id=2)
     # sequences [0, 2] and [1, 2] tie at 0.45 * 0.5; the lower id must win
     assert hyp.tokens == [0, 2]
@@ -375,7 +378,8 @@ def test_hypothesis_log_prob_non_increasing():
 
 def test_beam_requires_positive_width():
     with pytest.raises(ValueError):
-        dec.beam_search(random_model(0, 4), (), beam=0, max_len=3)
+        dec.beam_search(batched(random_model(0, 4)), Rows([()]), beam=0,
+                        max_len=3)
 
 
 def test_model_greedy_decode_runs(decode_setup):
