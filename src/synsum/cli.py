@@ -307,6 +307,14 @@ def cmd_decode(args) -> int:
                 "checkpoint carries no content selector; retrain without "
                 "--no-selector to use --bottom-up-threshold"
             )
+        width = (config.enc_dim,)
+        for key, shape in (("w", width), ("b", ()), ("mean", width),
+                           ("std", width)):
+            array = ckpt.extras.get(f"selector/{key}")
+            if array is None or array.shape != shape:
+                found = "missing" if array is None else f"of shape {array.shape}"
+                raise CliError(f"checkpoint content selector/{key} is {found}, "
+                               f"expected shape {shape}")
         selector = ContentSelector(
             w=ckpt.extras["selector/w"],
             b=float(ckpt.extras["selector/b"]),

@@ -50,6 +50,7 @@ above still decides on exact scores.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -171,13 +172,26 @@ def encode_documents(
     examples: Sequence[EncodedExample], params: ModelParams
 ) -> list[tuple[EncodedDocument, GatedDocument]]:
     """Encoder and gate of every document of a batch, in input order: one
-    forward over the documents' stacked rows, split into documents."""
+    forward over the documents' stacked rows, then the one cut into
+    documents. Only what a gradient flows through, the gated and the final
+    states, is split on the tape; a document's fused states, attention and
+    gate values view the batch's rows without gradient (their readers, the
+    content selector and ``--dump-gates``, read only ``data``)."""
     batch = encode(examples, params)
     gated = apply_gate(batch.fused, params, batch.lengths)
+    hidden, cell = (ad.split_rows(t, (1,) * len(examples))
+                    for t in batch.final_states)
+    bounds = np.cumsum((0,) + batch.lengths)
     pairs: list = [None] * len(examples)
-    for k, parts in enumerate(zip(batch.documents(),
-                                  gated.split(batch.lengths))):
-        pairs[batch.order[k]] = parts
+    for k, doc_gated in enumerate(ad.split_rows(gated.gated, batch.lengths)):
+        rows = slice(bounds[k], bounds[k + 1])
+        fused, attention, gate = (
+            None if t is None else Tensor(t.data[rows])
+            for t in (batch.fused, gated.attention, gated.gate))
+        pairs[batch.order[k]] = (
+            EncodedDocument(fused, batch.lengths[k], (hidden[k], cell[k])),
+            GatedDocument(attention, gate, doc_gated),
+        )
     return pairs
 
 
@@ -195,16 +209,13 @@ def encode_document(
 
 
 def initial_state(enc: EncodedDocument, params: ModelParams) -> StepState:
-    """Project the final forward/backward encoder states into the decoder."""
-    fw_h, fw_c, bw_h, bw_c = enc.final_states
+    """Project the document's final encoder states, both directions joined
+    in one row each (``encoder.bilstm``), into the decoder."""
+    hidden, cell = enc.final_states
     init = params.dec_init
     return StepState(
-        hidden=ad.add_rowvec(
-            ad.matmul(ad.concat([fw_h, bw_h], axis=1), init["h_W"]), init["h_b"]
-        ),
-        cell=ad.add_rowvec(
-            ad.matmul(ad.concat([fw_c, bw_c], axis=1), init["c_W"]), init["c_b"]
-        ),
+        hidden=ad.add_rowvec(ad.matmul(hidden, init["h_W"]), init["h_b"]),
+        cell=ad.add_rowvec(ad.matmul(cell, init["c_W"]), init["c_b"]),
         coverage=Tensor(np.zeros((1, enc.n))),
         prev_context=Tensor(np.zeros((1, params.config.enc_dim))),
     )
@@ -471,7 +482,9 @@ def beam_search(
     most 0, so a step function that has shown a log-probability above 0
     (a pointer mixture that rounds above 1) is searched to the end. An
     ``alpha`` whose length penalty overflows or rounds to 0 at some length
-    up to ``max_len`` is a ``ValueError``.
+    up to ``max_len``, or is so small that a hypothesis of ``max_len``
+    tokens at the probability floor would score ``-inf`` (ties that only
+    the token order breaks), is a ``ValueError``.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
@@ -481,9 +494,11 @@ def beam_search(
         penalties = [length_penalty(n, alpha) for n in range(1, max_len + 1)]
     except OverflowError:
         penalties = [0.0]
-    if 0.0 in penalties:
+    if 0.0 in penalties or not math.isfinite(
+            max_len * math.log(PROB_FLOOR) / min(penalties)):
         raise ValueError(f"length penalty alpha {alpha} is out of range: "
-                         f"overflows or rounds to 0 by length {max_len}")
+                         f"overflows, or makes a score infinite, by length "
+                         f"{max_len}")
     batch = init_state
     live = [Hypothesis([], 0.0, (batch, 0))]
     finished: list[Hypothesis] = []

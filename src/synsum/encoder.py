@@ -12,7 +12,9 @@ still running: it reads each one's projection row at position t (from the
 end, backwards) and carries the final state of every document that has
 ended, so the scan's last state holds every document's final state. Each
 row of the sequential-k matmul is the same left fold as a one-row product,
-so a row's values do not depend on the rows stepped beside it.
+so a row's values do not depend on the rows stepped beside it. Each
+document's final hidden (and cell) states of both directions are joined in
+one row, which the decoder's initial state projects.
 
 The structural path projects the semantic states onto the graph width and
 applies a stack of typed-edge graph convolutions over the union of the
@@ -64,38 +66,21 @@ _CLASS_KEY = {
 
 @dataclass
 class EncodedDocument:
-    fused: Tensor               # n x enc_dim concatenation (or semantic alone)
+    fused: Tensor               # n x enc_dim rows of the batch's, off the tape
     n: int
-    final_states: tuple[Tensor, Tensor, Tensor, Tensor]  # fw_h, fw_c, bw_h, bw_c
+    final_states: tuple[Tensor, Tensor]  # (1, 2*d_h) hidden and cell
 
 
 @dataclass
 class EncodedBatch:
     """The encoder states of a batch of documents, stacked as rows, longest
-    document first (ties in input order)."""
+    document first (ties in input order), whole: ``decoder.encode_documents``
+    cuts them into documents."""
 
-    semantic: Tensor            # N x 2*d_h BiLSTM states
-    structural: Tensor | None   # N x d_g final graph-convolution states
     fused: Tensor               # N x enc_dim concatenation (or semantic alone)
     lengths: tuple[int, ...]    # rows of each stacked document
     order: tuple[int, ...]      # order[k]: input position of stacked document k
-    final_states: tuple[Tensor, Tensor, Tensor, Tensor]  # (B, d_h) each
-
-    def documents(self) -> list[EncodedDocument]:
-        """Each stacked document's fused and final states, in stacking
-        order, split off on the tape so that gradients reaching them flow
-        back into the batch. A batch of one is its own document."""
-        batch = len(self.lengths)
-        fused = ad.split_rows(self.fused, self.lengths)
-        finals = [ad.split_rows(t, (1,) * batch) for t in self.final_states]
-        return [
-            EncodedDocument(
-                fused=fused[k],
-                n=self.lengths[k],
-                final_states=tuple(f[k] for f in finals),
-            )
-            for k in range(batch)
-        ]
+    final_states: tuple[Tensor, Tensor]  # (B, 2*d_h) hidden and cell
 
 
 def embed(ids, params: ModelParams) -> Tensor:
@@ -162,9 +147,10 @@ def _document_rows(
 
 def bilstm(
     x: Tensor, params: ModelParams, lengths: Sequence[int] | None = None
-) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor, Tensor]]:
+) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """BiLSTM states of the documents stacked in ``x`` (``lengths`` rows
-    each, longest first) and each document's final states, one row each."""
+    each, longest first) and each document's final hidden and cell states,
+    one row each, the forward direction's columns first: (B, 2*d_h) each."""
     d_h = params.config.d_h
     lengths = tuple(lengths or (x.shape[0],))
     fw_steps, fw_h, fw_c = lstm_scan(x, params.lstm_fw, d_h, lengths=lengths)
@@ -172,7 +158,8 @@ def bilstm(
                                      lengths=lengths)
     states = ad.concat([_document_rows(fw_steps, lengths, False),
                         _document_rows(bw_steps, lengths, True)], axis=1)
-    return states, (fw_h, fw_c, bw_h, bw_c)
+    return states, (ad.concat([fw_h, bw_h], axis=1),
+                    ad.concat([fw_c, bw_c], axis=1))
 
 
 def edge_index_arrays(g: DocumentGraph) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -250,8 +237,7 @@ def encode(examples: Sequence[EncodedExample], params: ModelParams) -> EncodedBa
     x = embed([t for ex in docs for t in ex.source_ids], params)
     semantic, finals = bilstm(x, params, lengths)
     if config.ablate_gcn:
-        return EncodedBatch(semantic=semantic, structural=None,
-                            fused=semantic, lengths=lengths, order=order,
+        return EncodedBatch(fused=semantic, lengths=lengths, order=order,
                             final_states=finals)
     h0 = (
         semantic
@@ -261,5 +247,5 @@ def encode(examples: Sequence[EncodedExample], params: ModelParams) -> EncodedBa
     structural = gcn_stack(h0, union_edge_index([ex.graph for ex in docs]),
                            params)
     fused = ad.concat([semantic, structural], axis=1)
-    return EncodedBatch(semantic=semantic, structural=structural, fused=fused,
-                        lengths=lengths, order=order, final_states=finals)
+    return EncodedBatch(fused=fused, lengths=lengths, order=order,
+                        final_states=finals)

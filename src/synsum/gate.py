@@ -11,7 +11,7 @@ The gate takes the token states of a batch of documents stacked as rows,
 ``lengths`` rows per document. The token-wise products run over all rows at
 once; the pooling softmax, the pooled sum and the document-vector term are
 taken per document, so every document's values are bitwise those of gating
-it alone.
+it alone. ``decoder.encode_documents`` cuts the result into documents.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ class GatedDocument:
     attention: Tensor | None    # (n,) pooling weights, summing to 1 per document
     gate: Tensor | None         # (n, d) elementwise gate values in (0, 1)
     gated: Tensor               # (n, d) filtered states for the decoder
-
-    def split(self, lengths: Sequence[int]) -> list["GatedDocument"]:
-        """Each document's part, for documents of ``lengths`` rows, split
-        off on the tape (``EncodedBatch.documents``)."""
-        parts = [
-            [None] * len(lengths) if t is None else ad.split_rows(t, lengths)
-            for t in (self.attention, self.gate, self.gated)
-        ]
-        return [GatedDocument(*fields) for fields in zip(*parts)]
 
 
 def _lengths(h: Tensor, lengths: Sequence[int] | None) -> tuple[int, ...]:

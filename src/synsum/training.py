@@ -466,9 +466,15 @@ class _Reader:
         return len(self._view) - self._pos
 
 
-def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
+def _read_record(reader: _Reader, path: str) -> np.ndarray:
+    """The array of the next record, which the header lists as ``path``."""
     path_len = reader.unpack("<I", "missing record header")
-    path = str(reader.take(path_len, "record path"), "utf-8")
+    raw = bytes(reader.take(path_len, "record path"))
+    if raw != path.encode("utf-8"):
+        raise CheckpointError(
+            f"checkpoint record {str(raw, 'utf-8', 'replace')!r} where the "
+            f"header lists {path!r}"
+        )
     ndim = reader.unpack("<I", f"record header of tensor {path!r}")
     shape = tuple(reader.unpack("<Q", f"shape of tensor {path!r}")
                   for _ in range(ndim))
@@ -477,8 +483,12 @@ def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
         raise CheckpointError(f"non-zero padding before tensor {path!r}")
     payload = reader.take(math.prod(shape) * 8,
                           f"payload of tensor {path!r}")
-    # a view of the buffer, not a copy
-    return path, np.frombuffer(payload, dtype="<f8").reshape(shape)
+    try:
+        # a view of the buffer, not a copy
+        return np.frombuffer(payload, dtype="<f8").reshape(shape)
+    except ValueError as exc:  # numpy refuses the shape itself
+        raise CheckpointError(
+            f"impossible shape of tensor {path!r}: {exc}") from None
 
 
 def save_checkpoint(
@@ -557,13 +567,7 @@ def load_checkpoint(source: str | Path | bytes | mmap.mmap) -> Checkpoint:
     for key, prefix in (("params", ""), ("accumulators", _ACC_PREFIX),
                         ("extras", _EXTRA_PREFIX)):
         for name in header[key]:
-            path, array = _read_record(reader)
-            if path != prefix + name:
-                raise CheckpointError(
-                    f"checkpoint record {path!r} where the header lists "
-                    f"{prefix + name!r}"
-                )
-            sections[key][name] = array
+            sections[key][name] = _read_record(reader, prefix + name)
     if reader.remaining:
         raise CheckpointError(
             f"{reader.remaining} trailing bytes after the last checkpoint record"

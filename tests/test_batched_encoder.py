@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from synsum import autodiff as ad
+from synsum import decoder
 from synsum import synthetic as syn
 from synsum import training as tr
 from synsum.autodiff import Tape, Tensor
@@ -150,19 +151,46 @@ def test_batched_encoder_states_are_bitwise_each_documents_own():
                          (gated.gate, gated_ref.gate),
                          (gated.gated, gated_ref.gated)]:
             assert same_bits(got.data, ref.data)
-    # the batch's semantic and structural rows and its document vectors
+    # the batch's semantic and structural rows (column blocks of ``fused``,
+    # which ``concat`` copies bitwise) and its document vectors
     batch = encode(examples, params)
     doc_vectors, _ = document_vector(batch.fused, params, batch.lengths)
     offsets = np.cumsum((0,) + batch.lengths)
+    width = 2 * params.config.d_h
     for k, i in enumerate(batch.order):
         alone = encode([examples[i]], params)
         rows = slice(offsets[k], offsets[k + 1])
         for got, ref in [
-                (batch.semantic.data[rows], alone.semantic.data),
-                (batch.structural.data[rows], alone.structural.data),
+                (batch.fused.data[rows, :width], alone.fused.data[:, :width]),
+                (batch.fused.data[rows, width:], alone.fused.data[:, width:]),
                 (doc_vectors.data[k:k + 1],
                  document_vector(alone.fused, params)[0].data)]:
             assert same_bits(got, ref)
+
+
+def test_document_views_are_off_the_tape_and_share_the_batch_arrays(
+        monkeypatch):
+    """Only the gated and final states are split on the tape; a document's
+    fused states, attention and gate values view the batch's arrays."""
+    vocab, examples = mixed_corpus()
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
+                         seed=6)
+    made = {}
+    for name in ("encode", "apply_gate"):
+        def record(*args, real=getattr(decoder, name), name=name):
+            made[name] = real(*args)
+            return made[name]
+        monkeypatch.setattr(decoder, name, record)
+    documents = encode_documents(examples, params)
+    batch, gate = made["encode"], made["apply_gate"]
+    for enc, gated in documents:
+        for view, whole in [(enc.fused, batch.fused),
+                            (gated.attention, gate.attention),
+                            (gated.gate, gate.gate)]:
+            assert not view.requires_grad
+            assert np.shares_memory(view.data, whole.data)
+        for tracked in (gated.gated, *enc.final_states):
+            assert tracked.requires_grad
 
 
 def test_encode_stacks_the_longest_document_first():
@@ -175,7 +203,7 @@ def test_encode_stacks_the_longest_document_first():
     assert [lengths[i] for i in batch.order] == list(batch.lengths)
     assert sorted(batch.order) == list(range(len(examples)))
     assert batch.fused.shape[0] == sum(lengths)
-    assert all(t.shape == (len(examples), params.config.d_h)
+    assert all(t.shape == (len(examples), 2 * params.config.d_h)
                for t in batch.final_states)
     with pytest.raises(ValueError, match="empty batch"):
         encode([], params)
@@ -207,9 +235,10 @@ def test_summed_loss_of_a_three_document_batch_grad_check():
 
 def test_toy_four_document_batch_tape_size():
     """Pins the nodes of a toy 4-document batch (18, 14, 18 and 14 source
-    tokens, 4 decoder steps each): 96 on its encoder tape, 8 of them
-    ``split_rows``, and 50 on each decoder tape. One tape per example
-    records 136 + 128 + 136 + 128 = 528; the target was at most 400."""
+    tokens, 4 decoder steps each): 93 on its encoder tape, 3 of them
+    ``split_rows`` (the gated states and the two joined final states), and
+    48 on each decoder tape. One tape per example records 136 + 128 + 136 +
+    128 = 528; the target was at most 400."""
     docs = syn.generate_documents(seed=7, size=4)
     vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
     batch = [encode_example(d, vocab) for d in docs]
@@ -224,8 +253,8 @@ def test_toy_four_document_batch_tape_size():
             tr.sequence_loss(example, params, 1.0, parts)
         nodes.append(len(tape.nodes))
     assert [ex.n for ex in batch] == [18, 14, 18, 14]
-    assert nodes == [96, 50, 50, 50, 50]
-    assert splits == 8
+    assert nodes == [93, 48, 48, 48, 48]
+    assert splits == 3
 
 
 def test_decoder_tapes_are_freed_one_by_one():

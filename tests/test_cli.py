@@ -2,14 +2,21 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from synsum import cli
 from synsum import synthetic as syn
-from synsum.cli import main, write_manifest
+from synsum.cli import decode_corpus, main, write_manifest
 from synsum.corpus import STOP_ID, Vocabulary, encode_example, ids_to_tokens, load_corpus
 from synsum.decoder import encode_document, greedy_decode, initial_state, make_step_fn
 from synsum.graph import build_document_graph
-from synsum.training import CheckpointError, load_checkpoint, params_from_checkpoint
+from synsum.training import (
+    CheckpointError,
+    load_checkpoint,
+    params_from_checkpoint,
+    save_checkpoint,
+)
 from oracles import graph_from_record
 
 
@@ -607,10 +614,11 @@ def test_decode_rejects_max_dec_len_below_one(trained_dir, tmp_path, value):
     assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
 
 
-@pytest.mark.parametrize("value", ["1000", "-5000"])
+@pytest.mark.parametrize("value", ["1000", "-5000", "-400", "-410"])
 def test_decode_rejects_a_length_penalty_out_of_range(trained_dir, tmp_path,
                                                       capsys, value):
-    # ((5 + 30) / 6) ** 1000 overflows and ** -5000 rounds to 0
+    # ((5 + 30) / 6) ** 1000 overflows and ** -5000 rounds to 0; at -400 and
+    # -410 a 30-token summary at the probability floor would score -inf
     corpus, out_dir = trained_dir
     code = main(decode_args(corpus, out_dir, tmp_path / "s.txt",
                             "--max-dec-len", "30", "--len-penalty", value,
@@ -619,6 +627,101 @@ def test_decode_rejects_a_length_penalty_out_of_range(trained_dir, tmp_path,
     assert capsys.readouterr().err.startswith(
         f"error: length penalty alpha {float(value)} is out of range")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_decode_length_penalty_bound_is_tight(trained_dir, tmp_path, capsys):
+    # at length 30, 30 * ln(1e-12) over the penalty is -inf from -399 on
+    corpus, out_dir = trained_dir
+    for value, code in (("-399", 1), ("-398", 0)):
+        out = tmp_path / value / "s.txt"
+        out.parent.mkdir()
+        assert main(decode_args(corpus, out_dir, out, "--max-dec-len", "30",
+                                "--len-penalty", value)) == code
+        assert out.exists() == (code == 0)
+    assert "error: length penalty alpha -399.0" in capsys.readouterr().err
+
+
+def checkpoint_header(path):
+    data = path.read_bytes()
+    (length,) = struct.unpack("<Q", data[12:20])
+    return json.loads(data[20:20 + length])
+
+
+def test_train_no_coverage_writes_it_into_the_checkpoint(trained_dir,
+                                                         tmp_path):
+    corpus, out_dir = trained_dir
+    assert checkpoint_header(out_dir / "model.ckpt")["config"]["use_coverage"]
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out-dir", str(run),
+                 "--seed", "3", "--no-coverage", *TRAIN_FLAGS]) == 0
+    assert checkpoint_header(run / "model.ckpt")["config"]["use_coverage"] \
+        is False
+
+
+def test_decode_no_coverage_turns_coverage_off_for_the_run_only(
+        trained_dir, tmp_path, monkeypatch):
+    corpus, out_dir = trained_dir
+    ckpt_path = out_dir / "model.ckpt"
+    before = ckpt_path.read_bytes()
+    # this small model's summaries are the same with coverage on, so also
+    # record the config each decoded document sees
+    seen = []
+    real = cli.encode_document
+
+    def record(example, params, *rest):
+        seen.append(params.config.use_coverage)
+        return real(example, params, *rest)
+
+    monkeypatch.setattr(cli, "encode_document", record)
+    out = tmp_path / "s.txt"
+    assert main(decode_args(corpus, out_dir, out, "--beam", "2",
+                            "--max-dec-len", "8", "--no-coverage")) == 0
+    assert seen and not any(seen)
+    manifest = json.loads((tmp_path / "s.txt.manifest.json").read_text())
+    assert manifest["config"]["no_coverage"] is True
+    assert manifest["config"]["model"]["use_coverage"] is False
+
+    ckpt = load_checkpoint(ckpt_path)
+    assert ckpt.config.use_coverage
+    ckpt.config.use_coverage = False
+    params = params_from_checkpoint(ckpt)
+    vocab = Vocabulary.load(out_dir / "vocab.txt")
+    examples = [encode_example(doc, vocab) for doc in load_corpus(corpus)]
+    expected = [" ".join(tokens) for tokens, _ in
+                decode_corpus(examples, params, vocab, beam=2, max_len=8,
+                              alpha=0.4)]
+    assert out.read_text().splitlines() == expected
+    assert ckpt_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("case,message", [
+    ("only w", "selector/b is missing, expected shape ()"),
+    ("two-entry b", "selector/b is of shape (2,), expected shape ()"),
+    ("one column too many", "selector/w is of shape (17,), expected shape (16,)"),
+])
+def test_decode_rejects_a_malformed_content_selector(trained_dir, tmp_path,
+                                                     capsys, case, message):
+    corpus, out_dir = trained_dir
+    ckpt = load_checkpoint(out_dir / "model.ckpt")
+    extras = dict(ckpt.extras)
+    if case == "only w":
+        extras = {"selector/w": extras["selector/w"]}
+    elif case == "two-entry b":
+        extras["selector/b"] = np.zeros(2)
+    else:
+        for key in ("w", "mean", "std"):
+            extras[f"selector/{key}"] = np.ones(ckpt.config.enc_dim + 1)
+    bad = tmp_path / "model.ckpt"
+    save_checkpoint(bad, params_from_checkpoint(ckpt), step=ckpt.step,
+                    vocab_hash=ckpt.vocab_hash, extras=extras)
+    out = tmp_path / "out" / "s.txt"
+    out.parent.mkdir()
+    args = decode_args(corpus, out_dir, out, "--bottom-up-threshold", "0.3")
+    args[args.index("--checkpoint") + 1] = str(bad)
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint content {message}\n")
+    assert list(out.parent.iterdir()) == []
 
 
 def test_manifest_refuses_non_finite_numbers(tmp_path):

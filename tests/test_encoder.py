@@ -81,7 +81,8 @@ def test_bilstm_single_token_shape(tiny_params):
     x = Tensor(np.random.default_rng(0).normal(size=(1, tiny_params.config.d_emb)))
     h_e, finals = enc.bilstm(x, tiny_params)
     assert h_e.shape == (1, 2 * tiny_params.config.d_h)
-    assert all(f.shape == (1, tiny_params.config.d_h) for f in finals)
+    assert len(finals) == 2
+    assert all(f.shape == (1, 2 * tiny_params.config.d_h) for f in finals)
 
 
 def test_backward_scan_equals_forward_scan_on_reversed_input(tiny_params):
@@ -179,9 +180,8 @@ def test_encode_shapes():
                          gcn_layers=2, d_dec=6, d_attn=6)
     params = ModelParams(config, seed=0)
     doc_enc = enc.encode([example], params)
-    assert doc_enc.semantic.shape == (5, 8)
-    assert doc_enc.structural.shape == (5, 6)
-    assert doc_enc.fused.shape == (5, 14)
+    assert doc_enc.fused.shape == (5, 8 + 6)
+    assert all(f.shape == (1, 8) for f in doc_enc.final_states)
 
 
 def test_receptive_field_matches_graph_distance():
@@ -247,16 +247,14 @@ def test_encode_zero_gcn_layers_concatenates_projection(tiny_setup):
     params = ModelParams(config, seed=0)
     assert params.gcn_input_proj is not None  # 2*d_h != d_g needs a projection
     doc_enc = enc.encode([examples[0]], params)
+    semantic, _ = enc.bilstm(enc.embed(examples[0].source_ids, params), params)
     with np.errstate(all="ignore"):
         h0 = np.add.accumulate(
-            doc_enc.semantic.data[:, :, None] * params.gcn_input_proj.data[None],
+            semantic.data[:, :, None] * params.gcn_input_proj.data[None],
             axis=1,
         )[:, -1]
-    np.testing.assert_allclose(doc_enc.structural.data, h0, atol=1e-12)
-    np.testing.assert_array_equal(
-        doc_enc.fused.data,
-        np.concatenate([doc_enc.semantic.data, doc_enc.structural.data], axis=1),
-    )
+    np.testing.assert_array_equal(doc_enc.fused.data[:, :12], semantic.data)
+    np.testing.assert_allclose(doc_enc.fused.data[:, 12:], h0, atol=1e-12)
 
 
 def test_encode_identity_projection_when_widths_match(tiny_setup):
@@ -273,8 +271,9 @@ def test_encode_gcn_ablation_reduces_to_semantic(tiny_setup):
                          gcn_layers=2, d_dec=10, d_attn=10, ablate_gcn=True)
     params = ModelParams(config, seed=0)
     doc_enc = enc.encode([examples[0]], params)
-    assert doc_enc.structural is None
-    assert doc_enc.fused is doc_enc.semantic
+    semantic, _ = enc.bilstm(enc.embed(examples[0].source_ids, params), params)
+    assert doc_enc.fused.shape == (examples[0].n, 12)
+    np.testing.assert_array_equal(doc_enc.fused.data, semantic.data)
 
 
 def test_encode_outputs_finite(tiny_setup):

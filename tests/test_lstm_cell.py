@@ -68,7 +68,8 @@ def composed_bilstm(x, params, lengths=None):
     rows = [
         ad.concat([fw_states[i], bw_states[i]], axis=1) for i in range(x.shape[0])
     ]
-    return ad.concat(rows, axis=0), (fw_h, fw_c, bw_h, bw_c)
+    return ad.concat(rows, axis=0), (ad.concat([fw_h, bw_h], axis=1),
+                                     ad.concat([fw_c, bw_c], axis=1))
 
 
 @pytest.fixture

@@ -312,14 +312,19 @@ def test_checkpoint_rejects_truncation(tiny_setup, tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
+def tiny_checkpoint(tmp_path) -> bytes:
+    """A checkpoint of every width 1 with one accumulator and one extra."""
     config = ModelConfig(vocab_size=6, d_emb=1, d_h=1, d_g=1, gcn_layers=1,
                          d_dec=1, d_attn=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ModelParams(config, seed=0), step=0, vocab_hash="x",
                     accumulators={"embedding": np.ones((6, 1))},
                     extras={"selector/b": np.zeros(())})
-    data = path.read_bytes()
+    return path.read_bytes()
+
+
+def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
+    data = tiny_checkpoint(tmp_path)
     load_checkpoint(data)
     cut_path = tmp_path / "cut.ckpt"
     for cut in range(len(data)):
@@ -328,6 +333,41 @@ def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
         cut_path.write_bytes(data[:cut])   # cut 0 is an empty file
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(cut_path)
+
+
+def test_checkpoint_every_framing_bit_flip_loads_or_is_a_checkpoint_error(
+        tmp_path):
+    """Flips each bit outside the float payloads, one at a time: a record
+    path that is no longer UTF-8, or a dimension count or shape numpy
+    refuses, is a ``CheckpointError`` naming the record like any other
+    framing fault, and ``params_from_checkpoint`` adds only shape
+    mismatches."""
+    data = tiny_checkpoint(tmp_path)
+    ckpt = load_checkpoint(data)
+    arrays = [*ckpt.arrays.values(), *ckpt.accumulators.values(),
+              *ckpt.extras.values()]
+    payload = set()
+    for (_, _, start), array in zip(record_layout(data), arrays, strict=True):
+        payload.update(range(start, start + 8 * array.size))
+    framing = [pos for pos in range(len(data)) if pos not in payload]
+    assert (len(data), len(framing)) == (3616, 2368)
+    corrupt = bytearray(data)
+    loaded = 0
+    for pos in framing:
+        for bit in range(8):
+            corrupt[pos] ^= 1 << bit
+            try:
+                flipped = load_checkpoint(bytes(corrupt))
+            except CheckpointError:
+                pass
+            else:
+                loaded += 1
+                try:
+                    params_from_checkpoint(flipped)
+                except ValueError as exc:
+                    assert str(exc).startswith("shape mismatch for "), exc
+            corrupt[pos] ^= 1 << bit
+    assert 0 < loaded < len(framing)
 
 
 def saved_checkpoint(tmp_path):
