@@ -6,8 +6,9 @@ with equal manifests produce byte-identical primary outputs. A subcommand
 writes its outputs only once its work has succeeded, each to a temporary
 file that replaces the target (``fileio.atomic_write``), and its manifest
 last, so a run that fails leaves no partial output and no manifest
-describing one. All randomness flows from the --seed flags, never from the
-clock or the OS.
+describing one. Two paths of a run that name the same file are a usage
+error, raised before anything is written. All randomness flows from the
+--seed flags, never from the clock or the OS.
 """
 
 from __future__ import annotations
@@ -82,6 +83,21 @@ def write_manifest(path: Path, manifest: dict) -> None:
         fh.write("\n")
 
 
+def manifest_path(args) -> Path:
+    """``--manifest``, or by default a file beside the run's main file."""
+    if args.manifest:
+        return Path(args.manifest)
+    if args.command == "train":
+        return Path(args.out_dir) / "manifest.json"
+    beside, suffix = {
+        "synth": ("out", ".manifest.json"),
+        "decode": ("out", ".manifest.json"),
+        "eval": ("candidates", ".eval-manifest.json"),
+        "graph-inspect": ("corpus", ".graph-manifest.json"),
+    }[args.command]
+    return Path(str(getattr(args, beside)) + suffix)
+
+
 def emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -96,13 +112,10 @@ def emit(payload: dict, as_json: bool) -> None:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    manifest_path = Path(args.manifest) if args.manifest else Path(
-        str(out) + ".manifest.json"
-    )
     synthetic.generate_synthetic_corpus(seed=args.seed, size=args.size,
                                         out_path=out)
     corpus_hash = file_hash(out)
-    write_manifest(manifest_path, {
+    write_manifest(manifest_path(args), {
         "subcommand": "synth",
         "seed": args.seed,
         "config": {"size": args.size},
@@ -136,7 +149,6 @@ def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
-    manifest_path = Path(args.manifest) if args.manifest else out_dir / "manifest.json"
 
     docs = list(load_corpus(args.corpus))
     vocab = build_vocabulary(docs, cap=args.cap)
@@ -195,7 +207,7 @@ def cmd_train(args) -> int:
     with atomic_write(jsonl_path) as fh:
         for stats in result.history:
             fh.write(json.dumps(asdict(stats), sort_keys=True) + "\n")
-    write_manifest(manifest_path, {
+    write_manifest(manifest_path(args), {
         "subcommand": "train",
         "seed": args.seed,
         "config": {
@@ -325,9 +337,6 @@ def cmd_decode(args) -> int:
         raise CliError("--bottom-up-damp requires --bottom-up-threshold")
 
     out = Path(args.out)
-    manifest_path = Path(args.manifest) if args.manifest else Path(
-        str(out) + ".manifest.json"
-    )
     manifest = {
         "subcommand": "decode",
         "seed": 0,
@@ -373,7 +382,7 @@ def cmd_decode(args) -> int:
                           for v in gated.gate.data.mean(axis=1)],
                 }
                 gates_fh.write(json.dumps(record) + "\n")
-    write_manifest(manifest_path, manifest)
+    write_manifest(manifest_path(args), manifest)
     emit({"summaries": str(out), "hash": file_hash(out)}, args.json)
     return 0
 
@@ -395,10 +404,7 @@ def cmd_eval(args) -> int:
         )
     report = evaluate_pairs(candidates, references,
                             n_resamples=args.resamples, seed=args.seed)
-    manifest_path = Path(args.manifest) if args.manifest else Path(
-        str(args.candidates) + ".eval-manifest.json"
-    )
-    write_manifest(manifest_path, {
+    write_manifest(manifest_path(args), {
         "subcommand": "eval",
         "seed": args.seed,
         "config": {"resamples": args.resamples},
@@ -428,15 +434,12 @@ def cmd_graph_inspect(args) -> int:
             f"document index {args.index} out of range for corpus of "
             f"{len(docs)} documents"
         )
-    manifest_path = Path(args.manifest) if args.manifest else Path(
-        str(args.corpus) + ".graph-manifest.json"
-    )
     graph = build_document_graph(docs[args.index])
     stats = graph_stats(graph)
     if args.export:
         with atomic_write(args.export) as fh:
             fh.write(json.dumps(export_graph(graph), sort_keys=True) + "\n")
-    write_manifest(manifest_path, {
+    write_manifest(manifest_path(args), {
         "subcommand": "graph-inspect",
         "seed": 0,
         "config": {"index": args.index, "export": args.export},
@@ -549,6 +552,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_paths(args) -> dict[str, Path]:
+    """Every file the run reads or writes, resolved, by what names it."""
+    options = {
+        "synth": ("out",),
+        "train": ("corpus",),
+        "decode": ("checkpoint", "corpus", "vocab", "out", "dump_gates"),
+        "eval": ("candidates", "references"),
+        "graph-inspect": ("corpus", "export"),
+    }[args.command]
+    paths = {f"--{name.replace('_', '-')}": getattr(args, name)
+             for name in options if getattr(args, name)}
+    if args.command == "train":
+        for name in ("vocab.txt", "model.ckpt", "metrics.log", "metrics.jsonl"):
+            paths[f"{name} in --out-dir"] = Path(args.out_dir) / name
+    paths["the manifest"] = manifest_path(args)
+    return {name: Path(path).resolve() for name, path in paths.items()}
+
+
 def validate_args(parser: argparse.ArgumentParser, args) -> None:
     def require_finite(flag: str, value: float | None) -> None:
         if value is not None and not math.isfinite(value):
@@ -571,6 +592,12 @@ def validate_args(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--max-dec-len must be >= 1")
         require_finite("--len-penalty", args.len_penalty)
         require_finite("--bottom-up-threshold", args.bottom_up_threshold)
+    # an output written over another file of the run would replace it
+    seen: dict[Path, str] = {}
+    for name, path in run_paths(args).items():
+        if path in seen:
+            parser.error(f"{seen[path]} and {name} name the same file {path}")
+        seen[path] = name
 
 
 def main(argv=None) -> int:

@@ -24,12 +24,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
+from typing import Iterable, Iterator, Sequence
 
 from .fileio import atomic_write
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .graph import DocumentGraph
+from .graph import DocumentGraph, build_document_graph
 
 __all__ = [
     "PAD_ID",
@@ -148,7 +146,7 @@ class EncodedExample:
     target_ids: list[int]        # START ... STOP, all OOVs as UNK
     target_ext_ids: list[int]    # START ... STOP, source OOVs as extended ids
     sentence_bounds: list[tuple[int, int]]
-    graph: "DocumentGraph"
+    graph: DocumentGraph
     source_tokens: list[str]
     reference_tokens: list[str]
     truncated_sentences: int = 0
@@ -170,19 +168,40 @@ def _check_tokens(tokens: list[str], where: str, line_no: int) -> None:
             )
 
 
-def _parse_record(obj: dict, line_no: int) -> Document:
-    try:
-        sentences = [
-            ParsedSentence(
-                tokens=list(map(str, s["tokens"])),
-                heads=list(map(int, s["heads"])),
-                labels=list(map(str, s["labels"])),
-            )
-            for s in obj["sentences"]
-        ]
-        reference = list(map(str, obj["reference"]))
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"line {line_no}: missing or malformed field ({exc})")
+_KINDS = {str: "strings", int: "integers"}
+
+
+def _typed_list(obj: dict, key: str, kind: type, where: str) -> list:
+    """``obj[key]`` if it is a list of exactly ``kind``: a JSON ``true`` is
+    no integer, and neither is ``2.9`` or ``"2"``."""
+    if key not in obj:
+        raise CorpusFormatError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    bad = ([v for v in value if type(v) is not kind]
+           if isinstance(value, list) else [value])
+    if bad:
+        raise CorpusFormatError(f"{where}: field {key!r} must be a list of "
+                                f"{_KINDS[kind]}, got {json.dumps(bad[0])}")
+    return value
+
+
+def _parse_record(obj, line_no: int) -> Document:
+    where = f"line {line_no}"
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{where}: a record must be a JSON object")
+    if not isinstance(obj.get("sentences"), list) or not all(
+            isinstance(s, dict) for s in obj["sentences"]):
+        raise CorpusFormatError(
+            f"{where}: field 'sentences' must be a list of objects")
+    sentences = [
+        ParsedSentence(
+            tokens=_typed_list(s, "tokens", str, f"{where}, sentence {k}"),
+            heads=_typed_list(s, "heads", int, f"{where}, sentence {k}"),
+            labels=_typed_list(s, "labels", str, f"{where}, sentence {k}"),
+        )
+        for k, s in enumerate(obj["sentences"])
+    ]
+    reference = _typed_list(obj, "reference", str, where)
     for sent in sentences:
         _check_tokens(sent.tokens, "source", line_no)
     _check_tokens(reference, "reference", line_no)
@@ -273,8 +292,6 @@ def encode_example(
     every retained sentence keeps a complete dependency tree; the number of
     dropped sentences and reference tokens is recorded on the result.
     """
-    from .graph import build_document_graph  # local import to avoid a cycle
-
     if max_target_len < 0:
         raise ValueError(
             f"max_target_len must be nonnegative, got {max_target_len}"

@@ -20,7 +20,9 @@ The structural path projects the semantic states onto the graph width and
 applies a stack of typed-edge graph convolutions over the union of the
 documents' graphs: each document's edges with its row offset added, a
 block-diagonal graph, as PyTorch Geometric batches graphs (Fey & Lenssen
-2019). One layer computes, for every node i,
+2019). A graph holds its edges as parallel ``src``, ``dst`` and ``cls``
+arrays, so the union is one concatenation of each, and a mask per class
+picks that class's edges in edge order. One layer computes, for every node i,
 
     out_i = relu( sum over incoming edges (j -> i, class c) of  h_j @ W_c  + b )
 
@@ -49,7 +51,6 @@ __all__ = [
     "embed",
     "lstm_scan",
     "bilstm",
-    "edge_index_arrays",
     "union_edge_index",
     "gcn_layer",
     "gcn_stack",
@@ -162,38 +163,18 @@ def bilstm(
                     ad.concat([fw_c, bw_c], axis=1))
 
 
-def edge_index_arrays(g: DocumentGraph) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per edge class, (source, destination) index arrays in edge order."""
-    buckets: dict[str, tuple[list[int], list[int]]] = {
-        key: ([], []) for key in _CLASS_KEY.values()
-    }
-    for e in g.edges:
-        src, dst = buckets[_CLASS_KEY[e.cls]]
-        src.append(e.src)
-        dst.append(e.dst)
-    return {
-        key: (np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp))
-        for key, (src, dst) in buckets.items()
-    }
-
-
 def union_edge_index(
     graphs: Sequence[DocumentGraph],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """``edge_index_arrays`` of the block-diagonal union of ``graphs``: each
-    graph's nodes follow the previous graphs' nodes, and its edges keep
-    their order."""
-    parts, offset = [], 0
-    for g in graphs:
-        parts.append((edge_index_arrays(g), offset))
-        offset += g.n
-    return {
-        key: tuple(
-            np.concatenate([idx[key][side] + off for idx, off in parts])
-            for side in (0, 1)
-        )
-        for key in _CLASS_KEY.values()
-    }
+    """Per edge class, the (source, destination) index arrays of the
+    block-diagonal union of ``graphs``: each graph's nodes follow the
+    previous graphs' nodes, and its edges keep their order."""
+    offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
+    shift = np.repeat(offsets, [g.src.size for g in graphs])
+    src = np.concatenate([g.src for g in graphs]) + shift
+    dst = np.concatenate([g.dst for g in graphs]) + shift
+    cls = np.concatenate([g.cls for g in graphs])
+    return {key: (src[cls == c], dst[cls == c]) for c, key in _CLASS_KEY.items()}
 
 
 def gcn_layer(

@@ -7,8 +7,12 @@ gets a self-loop, and the syntactic roots of consecutive sentences are
 chained with bidirectional adjacency edges, so the undirected view of the
 graph is always connected.
 
-Edge order is deterministic: per sentence, per token, forward then backward
-dependency edges; then all self-loops; then the root chain.
+The edges are four parallel ``np.intp`` arrays, the ``edge_index`` layout
+of PyTorch Geometric (Fey & Lenssen 2019) with a class and a label per
+edge: edge k runs from ``src[k]`` to ``dst[k]``, has class ``cls[k]`` (an
+``EdgeClass`` value) and label id ``label[k]``, which is -1 on SELF and ADJ
+edges. Edge order is deterministic: per sentence, per token, forward then
+backward dependency edges; then all self-loops; then the root chain.
 """
 
 from __future__ import annotations
@@ -16,12 +20,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
-from .corpus import Document
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .corpus import Document
 
 __all__ = [
     "EdgeClass",
-    "Edge",
     "DocumentGraph",
     "build_document_graph",
     "graph_stats",
@@ -36,39 +43,31 @@ class EdgeClass(IntEnum):
     ADJ = 3   # root of one sentence <-> root of the next
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    cls: EdgeClass
-    label: int | None  # dependency-label id, present iff cls is FWD or BWD
-
-
-@dataclass
+@dataclass(eq=False)
 class DocumentGraph:
     n: int
-    edges: list[Edge]
+    src: np.ndarray    # (E,) source node of each edge
+    dst: np.ndarray    # (E,) destination node of each edge
+    cls: np.ndarray    # (E,) EdgeClass value of each edge
+    label: np.ndarray  # (E,) dependency-label id, -1 unless FWD or BWD
     roots: list[int]  # per-sentence root node index, in sentence order
     label_names: list[str]  # id -> surface label
 
     def validate(self) -> None:
-        self_loops = Counter()
-        fwd = Counter()
-        bwd = Counter()
-        for e in self.edges:
-            if not (0 <= e.src < self.n and 0 <= e.dst < self.n):
-                raise ValueError(f"edge {e} outside [0, {self.n})")
-            if (e.label is not None) != (e.cls in (EdgeClass.FWD, EdgeClass.BWD)):
-                raise ValueError(f"edge {e}: label presence violates class rule")
-            if e.cls == EdgeClass.SELF:
-                self_loops[e.src] += 1
-            elif e.cls == EdgeClass.FWD:
-                fwd[(e.src, e.dst, e.label)] += 1
-            elif e.cls == EdgeClass.BWD:
-                bwd[(e.dst, e.src, e.label)] += 1
-        if any(self_loops[i] != 1 for i in range(self.n)):
+        src, dst, cls, label = self.src, self.dst, self.cls, self.label
+        if ((src < 0) | (src >= self.n) | (dst < 0) | (dst >= self.n)).any():
+            raise ValueError(f"an edge lies outside [0, {self.n})")
+        dep = (cls == EdgeClass.FWD) | (cls == EdgeClass.BWD)
+        if ((label >= 0) != dep).any():
+            raise ValueError("label presence violates class rule")
+        loops = cls == EdgeClass.SELF
+        if (src[loops] != dst[loops]).any():
+            raise ValueError("a SELF edge is not a loop")
+        if (np.bincount(src[loops], minlength=self.n) != 1).any():
             raise ValueError("every node must have exactly one self-loop")
-        if fwd != bwd:
+        fwd = np.stack([src, dst, label], axis=1)[cls == EdgeClass.FWD]
+        bwd = np.stack([dst, src, label], axis=1)[cls == EdgeClass.BWD]
+        if sorted(fwd.tolist()) != sorted(bwd.tolist()):
             raise ValueError("forward/backward dependency edges are not paired")
 
 
@@ -79,7 +78,9 @@ def build_document_graph(doc: Document) -> DocumentGraph:
     model's weights depend only on the edge class, never on a label id.
     """
     label_ids: dict[str, int] = {}
-    edges: list[Edge] = []
+    src: list[int] = []
+    dst: list[int] = []
+    labels: list[int] = []
     roots: list[int] = []
     offset = 0
     for sent in doc.sentences:
@@ -90,35 +91,41 @@ def build_document_graph(doc: Document) -> DocumentGraph:
             else:
                 head_node = offset + head - 1
                 lid = label_ids.setdefault(label, len(label_ids))
-                edges.append(Edge(head_node, node, EdgeClass.FWD, lid))
-                edges.append(Edge(node, head_node, EdgeClass.BWD, lid))
+                src += (head_node, node)
+                dst += (node, head_node)
+                labels += (lid, lid)
         offset += len(sent.tokens)
 
-    n = offset
-    for i in range(n):
-        edges.append(Edge(i, i, EdgeClass.SELF, None))
+    n, n_dep = offset, len(src)
+    src += range(n)
+    dst += range(n)
     for a, b in zip(roots, roots[1:]):
-        edges.append(Edge(a, b, EdgeClass.ADJ, None))
-        edges.append(Edge(b, a, EdgeClass.ADJ, None))
-
-    return DocumentGraph(n=n, edges=edges, roots=roots, label_names=list(label_ids))
+        src += (a, b)
+        dst += (b, a)
+    n_adj = len(src) - n_dep - n
+    cls = np.repeat(np.intp([EdgeClass.FWD, EdgeClass.SELF, EdgeClass.ADJ]),
+                    [n_dep, n, n_adj])
+    cls[1:n_dep:2] = EdgeClass.BWD  # each FWD edge is followed by its BWD
+    return DocumentGraph(
+        n=n,
+        src=np.array(src, dtype=np.intp),
+        dst=np.array(dst, dtype=np.intp),
+        cls=cls,
+        label=np.array(labels + [-1] * (n + n_adj), dtype=np.intp),
+        roots=roots,
+        label_names=list(label_ids),
+    )
 
 
 def graph_stats(g: DocumentGraph) -> dict:
     """Edge counts per class, label histogram and maximum in-degree."""
-    class_counts = {cls.name: 0 for cls in EdgeClass}
-    label_hist: Counter[str] = Counter()
-    in_degree = Counter()
-    for e in g.edges:
-        class_counts[e.cls.name] += 1
-        in_degree[e.dst] += 1
-        if e.label is not None:
-            label_hist[g.label_names[e.label]] += 1
+    labels = Counter(g.label_names[lid] for lid in g.label[g.label >= 0].tolist())
     return {
         "nodes": g.n,
-        "edges": class_counts,
-        "labels": dict(sorted(label_hist.items())),
-        "max_in_degree": max(in_degree.values(), default=0),
+        "edges": {cls.name: int(np.count_nonzero(g.cls == cls))
+                  for cls in EdgeClass},
+        "labels": dict(sorted(labels.items())),
+        "max_in_degree": int(np.bincount(g.dst).max(initial=0)),
         "roots": list(g.roots),
     }
 
@@ -128,6 +135,11 @@ def export_graph(g: DocumentGraph) -> dict:
     return {
         "n": g.n,
         "roots": list(g.roots),
-        "edges": [[e.src, e.dst, e.cls.name, e.label] for e in g.edges],
+        "edges": [
+            [src, dst, EdgeClass(cls).name, None if label < 0 else label]
+            for src, dst, cls, label in zip(
+                g.src.tolist(), g.dst.tolist(), g.cls.tolist(), g.label.tolist()
+            )
+        ],
         "label_names": list(g.label_names),
     }

@@ -5,7 +5,11 @@ primitive (``lstm_cell``, ``coverage_attention``, ``pointer_mix``, ...) is
 checked bitwise against the same IEEE operations composed from these
 nodes, and each of them is grad-checked on its own. They record on the
 active tape exactly like the primitives of ``synsum.autodiff``.
-``graph_from_record`` reads back a record of ``graph.export_graph``.
+``edge_tuples`` lists a graph's edges as (src, dst, class, label) tuples
+and ``graph_from_edges`` builds a graph from such tuples;
+``graph_from_record`` reads back a record of ``graph.export_graph``, and
+``union_edge_index_oracle`` is ``encoder.union_edge_index`` as one walk
+over the edges.
 ``batched`` and ``Rows`` turn a per-row toy step function into the batched
 step-function contract of ``decoder.greedy_decode`` and
 ``decoder.beam_search``.
@@ -26,7 +30,7 @@ from synsum.autodiff import (
     _record,
     _reduce_to,
 )
-from synsum.graph import DocumentGraph, Edge, EdgeClass
+from synsum.graph import DocumentGraph, EdgeClass
 
 
 def sub(a, b) -> Tensor:
@@ -156,17 +160,54 @@ def scatter_sum_vec(values, indices, size: int) -> Tensor:
     return out
 
 
-def graph_from_record(record: Mapping) -> DocumentGraph:
-    edges = [
-        Edge(src, dst, EdgeClass[cls], label)
-        for src, dst, cls, label in record["edges"]
+def edge_tuples(g: DocumentGraph) -> list[tuple]:
+    """(src, dst, EdgeClass, label id or None) of each edge, in edge order."""
+    return [
+        (src, dst, EdgeClass(cls), None if label < 0 else label)
+        for src, dst, cls, label in zip(
+            g.src.tolist(), g.dst.tolist(), g.cls.tolist(), g.label.tolist()
+        )
     ]
-    return DocumentGraph(
-        n=record["n"],
-        edges=edges,
-        roots=list(record["roots"]),
-        label_names=list(record.get("label_names", [])),
+
+
+def graph_from_edges(n: int, edges: Sequence[tuple], roots: Sequence[int],
+                     label_names: Sequence[str] = ()) -> DocumentGraph:
+    """The graph whose ``edge_tuples`` are ``edges``."""
+    src, dst, cls, label = np.array(
+        [(src, dst, cls, -1 if label is None else label)
+         for src, dst, cls, label in edges], dtype=np.intp,
+    ).reshape(-1, 4).T
+    return DocumentGraph(n=n, src=src, dst=dst, cls=cls, label=label,
+                         roots=list(roots), label_names=list(label_names))
+
+
+def graph_from_record(record: Mapping) -> DocumentGraph:
+    return graph_from_edges(
+        record["n"],
+        [(src, dst, EdgeClass[cls], label)
+         for src, dst, cls, label in record["edges"]],
+        record["roots"],
+        record.get("label_names", []),
     )
+
+
+def union_edge_index_oracle(
+    graphs: Sequence[DocumentGraph],
+) -> dict[str, tuple[list[int], list[int]]]:
+    """Per edge class, the sources and destinations of the union of
+    ``graphs``, one edge at a time: each graph's nodes follow the previous
+    graphs' nodes."""
+    out: dict[str, tuple[list[int], list[int]]] = {
+        cls.name.lower(): ([], []) for cls in EdgeClass
+    }
+    offset = 0
+    for g in graphs:
+        for src, dst, cls, _ in edge_tuples(g):
+            sources, destinations = out[cls.name.lower()]
+            sources.append(src + offset)
+            destinations.append(dst + offset)
+        offset += g.n
+    return out
 
 
 class Rows(tuple):

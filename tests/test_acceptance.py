@@ -35,7 +35,7 @@ from synsum.decoder import (
     length_penalty,
     make_step_fn,
 )
-from synsum.encoder import edge_index_arrays, gcn_layer, gcn_stack
+from synsum.encoder import gcn_layer, gcn_stack, union_edge_index
 from synsum.graph import build_document_graph
 from synsum.metrics import evaluate_pairs, rouge
 from synsum.model import ModelConfig, ModelParams
@@ -46,7 +46,7 @@ from synsum.training import (
     sequence_loss,
     train,
 )
-from oracles import Rows, batched
+from oracles import Rows, batched, edge_tuples
 
 
 def report(criterion: str, detail: str) -> None:
@@ -174,13 +174,13 @@ def test_a2_gcn_matches_dense_adjacency_oracle():
         weights["bias"] = Tensor(rng.uniform(-0.5, 0.5, d_g))
         h = rng.normal(size=(n, d_g))
 
-        out = gcn_layer(Tensor(h), edge_index_arrays(graph), weights)
+        out = gcn_layer(Tensor(h), union_edge_index([graph]), weights)
 
         # dense oracle: one adjacency matrix per edge class
         adjacency = {k: np.zeros((n, n)) for k in ("fwd", "bwd", "self", "adj")}
         key_of = {0: "fwd", 1: "bwd", 2: "self", 3: "adj"}
-        for e in graph.edges:
-            adjacency[key_of[int(e.cls)]][e.dst, e.src] += 1.0
+        for src, dst, cls, _ in edge_tuples(graph):
+            adjacency[key_of[int(cls)]][dst, src] += 1.0
         dense = np.zeros((n, d_g))
         for key, A in adjacency.items():
             dense += A @ h @ weights[key].data
@@ -311,7 +311,7 @@ def test_a6_receptive_field_on_path_graph():
         for key in ("fwd", "bwd", "self", "adj"):
             layer[key].data[...] = rng.uniform(0.05, 0.1, layer[key].shape)
         layer["bias"].data[...] = 0.1
-    idx = edge_index_arrays(graph)
+    idx = union_edge_index([graph])
     base_h = rng.uniform(0.5, 1.0, (n, config.d_g))
     base_out = gcn_stack(Tensor(base_h), idx, params).data
     mismatches = 0

@@ -17,7 +17,7 @@ from synsum.training import (
     params_from_checkpoint,
     save_checkpoint,
 )
-from oracles import graph_from_record
+from oracles import edge_tuples, graph_from_record
 
 
 TRAIN_FLAGS = [
@@ -422,8 +422,7 @@ def test_graph_inspect_export_round_trip(tmp_path, capsys):
     graph = graph_from_record(record)
     docs = list(load_corpus(corpus))
     direct = build_document_graph(docs[1])
-    assert sorted((e.src, e.dst, int(e.cls), e.label) for e in graph.edges) == \
-        sorted((e.src, e.dst, int(e.cls), e.label) for e in direct.edges)
+    assert sorted(edge_tuples(graph)) == sorted(edge_tuples(direct))
 
 
 def test_graph_inspect_index_out_of_range(tmp_path, capsys):
@@ -500,6 +499,23 @@ def test_train_and_decode_reject_tokens_that_break_files(
     assert err.startswith(f"error: line {line}: {where} token")
     assert "Traceback" not in err
     assert not (tmp_path / "s.txt").exists()
+
+
+def test_train_rejects_a_corpus_field_of_the_wrong_type(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "1", "--size", "4",
+                 "--out", str(corpus)]) == 0
+    record = json.loads(corpus.read_text().splitlines()[0])
+    record["sentences"][0]["heads"][0] = float(record["sentences"][0]["heads"][0])
+    corpus.write_text(corpus.read_text() + json.dumps(record) + "\n")
+    capsys.readouterr()
+
+    assert main(["train", "--corpus", str(corpus), "--out-dir",
+                 str(tmp_path / "run"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 5, sentence 0: field 'heads' must be "
+                          "a list of integers")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_writes_epoch_telemetry_beside_the_log(trained_dir):
@@ -729,3 +745,155 @@ def test_manifest_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         write_manifest(path, {"config": {"len_penalty": float("nan")}})
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# a written path that names another file of the run
+
+
+def snapshot(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_collision_refused(argv, root, capsys, names):
+    """The run exits with a usage error naming both paths and writes nothing."""
+    before = snapshot(root)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{names} name the same file" in err
+    assert snapshot(root) == before
+
+
+def test_synth_refuses_a_manifest_over_its_corpus(tmp_path, capsys):
+    out = tmp_path / "k.jsonl"
+    assert_collision_refused(
+        ["synth", "--seed", "1", "--size", "2", "--out", str(out),
+         "--manifest", str(tmp_path / "sub" / ".." / "k.jsonl")],
+        tmp_path, capsys, "--out and the manifest")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["corpus.jsonl", "run/model.ckpt"])
+def test_train_refuses_a_manifest_over_another_file(tmp_path, capsys, target):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "1", "--size", "4",
+                 "--out", str(corpus)]) == 0
+    names = ("--corpus and the manifest" if target == "corpus.jsonl"
+             else "model.ckpt in --out-dir and the manifest")
+    assert_collision_refused(
+        ["train", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+         "--manifest", str(tmp_path / target), *TRAIN_FLAGS],
+        tmp_path, capsys, names)
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_an_output_over_its_corpus(tmp_path, capsys):
+    corpus = tmp_path / "run" / "vocab.txt"
+    corpus.parent.mkdir()
+    assert main(["synth", "--seed", "1", "--size", "4",
+                 "--out", str(corpus)]) == 0
+    assert_collision_refused(
+        ["train", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+         *TRAIN_FLAGS],
+        tmp_path, capsys, "--corpus and vocab.txt in --out-dir")
+
+
+@pytest.mark.parametrize("flags, names", [
+    (["--dump-gates", "s.txt"], "--out and --dump-gates"),
+    (["--manifest", "s.txt"], "--out and the manifest"),
+    (["--manifest", "gates.jsonl", "--dump-gates", "gates.jsonl"],
+     "--dump-gates and the manifest"),
+])
+def test_decode_refuses_a_side_output_over_another_file(
+        trained_dir, tmp_path, capsys, monkeypatch, flags, names):
+    corpus, out_dir = trained_dir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.txt").write_text("earlier summaries\n")
+    assert_collision_refused(
+        decode_args(corpus, out_dir, tmp_path / "s.txt", *flags),
+        tmp_path, capsys, names)
+
+
+def test_decode_refuses_an_output_over_one_of_its_inputs(trained_dir, tmp_path,
+                                                         capsys):
+    corpus, out_dir = trained_dir
+    assert_collision_refused(
+        decode_args(corpus, out_dir, tmp_path / "s.txt", "--manifest",
+                    str(out_dir / "model.ckpt")),
+        out_dir, capsys, "--checkpoint and the manifest")
+    assert_collision_refused(
+        decode_args(corpus, out_dir, corpus), corpus.parent, capsys,
+        "--corpus and --out")
+
+
+def test_eval_refuses_a_manifest_over_its_candidates(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    assert main(["synth", "--seed", "4", "--size", "1",
+                 "--out", str(corpus)]) == 0
+    candidates = tmp_path / "cand.txt"
+    candidates.write_text("a b c\n")
+    assert_collision_refused(
+        ["eval", "--candidates", str(candidates), "--references", str(corpus),
+         "--manifest", str(candidates)],
+        tmp_path, capsys, "--candidates and the manifest")
+
+
+@pytest.mark.parametrize("flags, names", [
+    (["--export", "e.json", "--manifest", "e.json"],
+     "--export and the manifest"),
+    (["--export", "c.jsonl"], "--corpus and --export"),
+])
+def test_graph_inspect_refuses_a_written_path_over_another_file(
+        tmp_path, capsys, monkeypatch, flags, names):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--seed", "4", "--size", "2",
+                 "--out", "c.jsonl"]) == 0
+    assert_collision_refused(
+        ["graph-inspect", "--corpus", str(tmp_path / "c.jsonl"), *flags],
+        tmp_path, capsys, names)
+
+
+# sha256 of graph-inspect's text output, --json output and --export file for
+# documents 0, 1, 7 and 39 of `synsum synth --seed 3 --size 40` (documents 1
+# and 39 have the same parse trees)
+GRAPH_INSPECT_PINS = {
+    0: (
+        "ae7dcbb78c1c6ff88288f2a523f5ec47eada5041140435ad4a2312520335091a",
+        "1685a859e61f4029ad413b5bcbbf632f35e0889ad3129a7bb13053616e6637f7",
+        "24669b79bf2790bc0cb589e07f8ba81f8ab6ecede1ee61f38b96df3bc1c07df7",
+    ),
+    1: (
+        "e11c7acaad7abd6811d8ccf8f468cdc483c7e90becb7b0a420508708b4834f64",
+        "5a3bbde71ce21e127b5bb175fb717b063db8eecee05543d8ae6d4b8b520e6ac4",
+        "c9c7daa134db7af1bcd9f18ded14e850e106112b4d8910beaf8ee9aca84e5f2d",
+    ),
+    7: (
+        "a99698fd61da2b655fd7c6e968823dac0af85d58dc3ce0a0d778079c9462ad39",
+        "a645425d00aa8eea71810566e31c8a937b724c02878497858b960e4b089d6675",
+        "5004fe92aa8709c6753ab494c00e175a54425c84f3d8143e9083b8c76b44c94b",
+    ),
+    39: (
+        "e11c7acaad7abd6811d8ccf8f468cdc483c7e90becb7b0a420508708b4834f64",
+        "5a3bbde71ce21e127b5bb175fb717b063db8eecee05543d8ae6d4b8b520e6ac4",
+        "c9c7daa134db7af1bcd9f18ded14e850e106112b4d8910beaf8ee9aca84e5f2d",
+    ),
+}
+
+
+@pytest.mark.parametrize("index", [0, 1, 7, 39])
+def test_graph_inspect_outputs_are_pinned(tmp_path, capsys, index):
+    corpus = tmp_path / "c.jsonl"
+    assert main(["synth", "--seed", "3", "--size", "40",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    inspect = ["graph-inspect", "--corpus", str(corpus), "--index", str(index)]
+    assert main(inspect) == 0
+    text = capsys.readouterr().out
+    export = tmp_path / "e.json"
+    assert main([*inspect, "--json", "--export", str(export)]) == 0
+    as_json = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in
+                    (text.encode(), as_json.encode(), export.read_bytes()))
+    assert digests == GRAPH_INSPECT_PINS[index]

@@ -117,6 +117,45 @@ def test_load_corpus_rejects_length_mismatch(tmp_path):
         list(load_corpus(path))
 
 
+def _with(sentence=None, **record):
+    """VALID_RECORD with some fields of the record and its sentence replaced."""
+    bad = json.loads(json.dumps(VALID_RECORD))
+    bad["sentences"][0].update(sentence or {})
+    bad.update(record)
+    return bad
+
+
+@pytest.mark.parametrize("bad, where", [
+    # each of these loaded without an error when fields were coerced
+    (_with(reference="cats"), "field 'reference'"),
+    (_with({"tokens": "ab"}), "sentence 0: field 'tokens'"),
+    (_with({"labels": "xy"}), "sentence 0: field 'labels'"),
+    (_with({"tokens": [None, "sleep"]}), "sentence 0: field 'tokens'"),
+    (_with({"heads": [2.9, 0]}), "sentence 0: field 'heads'"),
+    (_with({"heads": ["2", 0]}), "sentence 0: field 'heads'"),
+    (_with({"heads": [True, 0]}), "sentence 0: field 'heads'"),
+    (_with(reference=["cats", 3]), "field 'reference'"),
+    (_with(sentences=["cats sleep"]), "field 'sentences'"),
+    (_with(sentences={"tokens": ["cats"]}), "field 'sentences'"),
+    (["cats"], "a record must be a JSON object"),
+])
+def test_load_corpus_rejects_a_field_of_the_wrong_type(tmp_path, bad, where):
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [VALID_RECORD, bad])
+    with pytest.raises(cp.CorpusFormatError, match=f"^line 2(: |, ){where}"):
+        list(load_corpus(path))
+
+
+def test_load_corpus_names_a_missing_field(tmp_path):
+    bad = _with()
+    del bad["sentences"][0]["heads"]
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [bad])
+    with pytest.raises(cp.CorpusFormatError,
+                       match="^line 1, sentence 0: missing field 'heads'"):
+        list(load_corpus(path))
+
+
 def test_write_then_load_round_trip(tmp_path):
     docs = syn.generate_documents(seed=3, size=5)
     path = tmp_path / "round.jsonl"

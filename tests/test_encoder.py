@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synsum import autodiff as ad
 from synsum import encoder as enc
+from synsum import synthetic as syn
 from synsum.autodiff import Tape, Tensor
 from synsum.corpus import Document, ParsedSentence, build_vocabulary, encode_example
 from synsum.graph import build_document_graph
 from synsum.model import ModelConfig, ModelParams
-from oracles import sum_all
+from oracles import (
+    edge_tuples,
+    graph_from_edges,
+    sum_all,
+    union_edge_index_oracle,
+)
 
 
 def path_document(n):
@@ -29,8 +37,8 @@ def dense_gcn_oracle(h, graph, layer_weights):
     n = graph.n
     adjacency = {key: np.zeros((n, n)) for key in ("fwd", "bwd", "self", "adj")}
     key_of = {0: "fwd", 1: "bwd", 2: "self", 3: "adj"}
-    for e in graph.edges:
-        adjacency[key_of[int(e.cls)]][e.dst, e.src] += 1.0
+    for src, dst, cls, _ in edge_tuples(graph):
+        adjacency[key_of[int(cls)]][dst, src] += 1.0
     total = np.zeros((n, layer_weights["bias"].shape[0]))
     for key, A in adjacency.items():
         total += A @ h @ layer_weights[key].data
@@ -125,7 +133,7 @@ def test_bilstm_gradients_match_finite_differences():
 
 def test_gcn_layer_zero_weights_give_zero_output(tiny_params):
     graph = build_document_graph(path_document(4))
-    idx = enc.edge_index_arrays(graph)
+    idx = enc.union_edge_index([graph])
     layer = tiny_params.gcn[0]
     for key in ("fwd", "bwd", "self", "adj"):
         layer[key].data[...] = 0.0
@@ -148,7 +156,7 @@ def test_gcn_layer_identity_on_self_loop_only_node():
     layer["self"].data[...] = np.eye(4)
     layer["bias"].data[...] = 0.0
     h = Tensor(np.array([[0.5, 0.0, 1.25, 0.75]]))
-    out = enc.gcn_layer(h, enc.edge_index_arrays(graph), layer)
+    out = enc.gcn_layer(h, enc.union_edge_index([graph]), layer)
     np.testing.assert_array_equal(out.data, h.data)
 
 
@@ -163,9 +171,24 @@ def test_gcn_layer_matches_dense_adjacency_oracle(tiny_params):
     graph = build_document_graph(doc)
     h = np.random.default_rng(2).normal(size=(3, tiny_params.config.d_g))
     layer = tiny_params.gcn[0]
-    out = enc.gcn_layer(Tensor(h), enc.edge_index_arrays(graph), layer)
+    out = enc.gcn_layer(Tensor(h), enc.union_edge_index([graph]), layer)
     expected = dense_gcn_oracle(h, graph, layer)
     assert np.abs(out.data - expected).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5))
+def test_union_edge_index_matches_the_per_edge_walk(seed, size):
+    grammar = syn.GrammarConfig(copy_place=True, distractor_every=1)
+    graphs = [build_document_graph(doc)
+              for doc in syn.generate_documents(seed, size, grammar)]
+    union = enc.union_edge_index(graphs)
+    expected = union_edge_index_oracle(graphs)
+    assert union.keys() == expected.keys()
+    for key, (src, dst) in union.items():
+        assert src.dtype == dst.dtype == np.intp
+        assert src.tolist() == expected[key][0]
+        assert dst.tolist() == expected[key][1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +222,7 @@ def test_receptive_field_matches_graph_distance():
             layer[key].data[...] = rng.uniform(0.05, 0.1, layer[key].shape)
         layer["bias"].data[...] = 0.1
     base_h = rng.uniform(0.5, 1.0, (n, config.d_g))
-    idx = enc.edge_index_arrays(graph)
+    idx = enc.union_edge_index([graph])
     base_out = enc.gcn_stack(Tensor(base_h), idx, params).data
     for j in range(n):
         perturbed = base_h.copy()
@@ -218,24 +241,22 @@ def test_gcn_stack_equivariant_to_node_relabeling(tiny_setup):
     n = graph.n
     rng = np.random.default_rng(3)
     h0 = rng.normal(size=(n, config.d_g))
-    out = enc.gcn_stack(Tensor(h0), enc.edge_index_arrays(graph), params).data
+    out = enc.gcn_stack(Tensor(h0), enc.union_edge_index([graph]), params).data
 
     perm = rng.permutation(n)
     # relabel nodes: node i becomes perm[i]
-    from synsum.graph import DocumentGraph, Edge
-
     permuted_edges = [
-        Edge(int(perm[e.src]), int(perm[e.dst]), e.cls, e.label)
-        for e in graph.edges
+        (int(perm[src]), int(perm[dst]), cls, label)
+        for src, dst, cls, label in edge_tuples(graph)
     ]
-    permuted = DocumentGraph(
-        n=n, edges=permuted_edges, roots=[int(perm[r]) for r in graph.roots],
+    permuted = graph_from_edges(
+        n, permuted_edges, roots=[int(perm[r]) for r in graph.roots],
         label_names=graph.label_names,
     )
     h0_perm = np.empty_like(h0)
     h0_perm[perm] = h0
     out_perm = enc.gcn_stack(
-        Tensor(h0_perm), enc.edge_index_arrays(permuted), params
+        Tensor(h0_perm), enc.union_edge_index([permuted]), params
     ).data
     np.testing.assert_allclose(out_perm[perm], out, atol=1e-12)
 

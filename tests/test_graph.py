@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +8,12 @@ from hypothesis import strategies as st
 from synsum import synthetic as syn
 from synsum.corpus import Document, ParsedSentence
 from synsum.graph import (
-    Edge,
     EdgeClass,
     build_document_graph,
     export_graph,
     graph_stats,
 )
-from oracles import graph_from_record
+from oracles import edge_tuples, graph_from_edges, graph_from_record
 
 
 @pytest.fixture
@@ -49,11 +49,11 @@ def test_minimal_graph_construction(cats_sleep):
     assert g.n == 2
     assert g.roots == [1]
     nsubj = g.label_names.index("nsubj")
-    assert g.edges == [
-        Edge(1, 0, EdgeClass.FWD, nsubj),
-        Edge(0, 1, EdgeClass.BWD, nsubj),
-        Edge(0, 0, EdgeClass.SELF, None),
-        Edge(1, 1, EdgeClass.SELF, None),
+    assert edge_tuples(g) == [
+        (1, 0, EdgeClass.FWD, nsubj),
+        (0, 1, EdgeClass.BWD, nsubj),
+        (0, 0, EdgeClass.SELF, None),
+        (1, 1, EdgeClass.SELF, None),
     ]
 
 
@@ -66,11 +66,11 @@ def test_two_single_token_sentences():
         reference=["go"],
     )
     g = build_document_graph(doc)
-    assert g.edges == [
-        Edge(0, 0, EdgeClass.SELF, None),
-        Edge(1, 1, EdgeClass.SELF, None),
-        Edge(0, 1, EdgeClass.ADJ, None),
-        Edge(1, 0, EdgeClass.ADJ, None),
+    assert edge_tuples(g) == [
+        (0, 0, EdgeClass.SELF, None),
+        (1, 1, EdgeClass.SELF, None),
+        (0, 1, EdgeClass.ADJ, None),
+        (1, 0, EdgeClass.ADJ, None),
     ]
 
 
@@ -98,9 +98,9 @@ def test_three_sentence_graph_matches_hand_built_adjacency(three_sentence_doc):
         (3, 6, EdgeClass.ADJ, None),
         (6, 3, EdgeClass.ADJ, None),
     }
-    actual = {(e.src, e.dst, e.cls, e.label) for e in g.edges}
+    actual = set(edge_tuples(g))
     assert actual == expected_dep | expected_self | expected_adj
-    assert sum(1 for e in g.edges if e.cls == EdgeClass.ADJ) == 4
+    assert sum(1 for e in edge_tuples(g) if e[2] == EdgeClass.ADJ) == 4
 
 
 def test_graph_stats_fixture(cats_sleep):
@@ -133,9 +133,10 @@ def test_fwd_bwd_pairing_and_symmetry(seed):
     assert stats["edges"]["FWD"] == stats["edges"]["BWD"]
     # reversing every edge and swapping FWD/BWD reproduces the edge multiset
     swap = {EdgeClass.FWD: EdgeClass.BWD, EdgeClass.BWD: EdgeClass.FWD}
-    original = Counter((e.src, e.dst, e.cls, e.label) for e in g.edges)
+    original = Counter(edge_tuples(g))
     reversed_ = Counter(
-        (e.dst, e.src, swap.get(e.cls, e.cls), e.label) for e in g.edges
+        (dst, src, swap.get(cls, cls), label)
+        for src, dst, cls, label in edge_tuples(g)
     )
     assert original == reversed_
 
@@ -146,9 +147,9 @@ def test_undirected_view_is_connected(seed):
     doc = syn.generate_documents(seed=seed, size=1)[0]
     g = build_document_graph(doc)
     adjacency = [set() for _ in range(g.n)]
-    for e in g.edges:
-        adjacency[e.src].add(e.dst)
-        adjacency[e.dst].add(e.src)
+    for src, dst, _, _ in edge_tuples(g):
+        adjacency[src].add(dst)
+        adjacency[dst].add(src)
     seen = {0}
     stack = [0]
     while stack:
@@ -163,7 +164,7 @@ def test_identical_documents_produce_identical_edge_lists():
     doc = syn.generate_documents(seed=42, size=1)[0]
     g1 = build_document_graph(doc)
     g2 = build_document_graph(doc)
-    assert g1.edges == g2.edges
+    assert edge_tuples(g1) == edge_tuples(g2)
     assert g1.roots == g2.roots
 
 
@@ -171,6 +172,39 @@ def test_export_round_trip(three_sentence_doc):
     g = build_document_graph(three_sentence_doc)
     record = export_graph(g)
     back = graph_from_record(record)
-    assert Counter(back.edges) == Counter(g.edges)
+    assert edge_tuples(back) == edge_tuples(g)
     assert back.roots == g.roots
     assert back.n == g.n
+
+
+def test_validate_rejects_a_self_edge_that_is_not_a_loop():
+    # each node is the source of one SELF edge, but neither edge is a loop
+    g = graph_from_edges(2, [(0, 1, EdgeClass.SELF, None),
+                             (1, 0, EdgeClass.SELF, None)], roots=[0])
+    with pytest.raises(ValueError, match="not a loop"):
+        g.validate()
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 0, EdgeClass.SELF, None), (1, 2, EdgeClass.SELF, None)], "outside"),
+    ([(0, 0, EdgeClass.SELF, 0), (1, 1, EdgeClass.SELF, None)], "label"),
+    ([(0, 0, EdgeClass.SELF, None), (1, 0, EdgeClass.FWD, None)], "label"),
+    ([(0, 0, EdgeClass.SELF, None)], "exactly one self-loop"),
+    ([(0, 0, EdgeClass.SELF, None), (0, 0, EdgeClass.SELF, None),
+      (1, 1, EdgeClass.SELF, None)], "exactly one self-loop"),
+    ([(0, 0, EdgeClass.SELF, None), (1, 1, EdgeClass.SELF, None),
+      (1, 0, EdgeClass.FWD, 0)], "not paired"),
+    ([(0, 0, EdgeClass.SELF, None), (1, 1, EdgeClass.SELF, None),
+      (1, 0, EdgeClass.FWD, 0), (0, 1, EdgeClass.BWD, 1)], "not paired"),
+])
+def test_validate_rejects_each_broken_invariant(edges, message):
+    g = graph_from_edges(2, edges, roots=[1], label_names=["x", "y"])
+    with pytest.raises(ValueError, match=message):
+        g.validate()
+
+
+def test_edge_arrays_are_intp_and_parallel(three_sentence_doc):
+    g = build_document_graph(three_sentence_doc)
+    for array in (g.src, g.dst, g.cls, g.label):
+        assert array.dtype == np.intp
+        assert array.shape == (len(edge_tuples(g)),)
