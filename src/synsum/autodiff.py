@@ -43,6 +43,14 @@ compositions a fused primitive is checked against use some primitives that
 nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``
 and more); those live with the tests, in ``tests/oracles.py``.
 
+The forward matrix product is one left fold per output entry: its k
+products summed in ascending order from product 0, bitwise the triple loop
+of ``tests/oracles.py`` (up to the sign and payload of a NaN, which IEEE 754
+leaves to the hardware). By output size, ``_matmul_data`` folds with
+``np.add.accumulate`` (one entry), with chunked ``np.add.reduce`` (up to
+2,560 entries) or with a Python loop over k (wider, such as the output
+head's (rows x V) product).
+
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
 ``minimum``/``maximum`` give the tie subgradient to their first argument.
@@ -312,16 +320,27 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # primitives
 
 
-# A product whose output (rows x cols) has at most 512 entries forms all k
-# rank-1 terms in one multiply, a (k, rows, cols) array, and folds them: by
-# add.accumulate while that array has at most 28,672 entries (224 KB), by a
-# Python loop of in-place adds above, where add.accumulate slows once its
-# arrays leave the cache. Larger outputs multiply each term inside the loop.
-# Timed on a 2-vCPU Xeon guest (interleaved, best of 30), accumulate against
-# the loop: (8 x 96) @ (96 x 36) 0.17 against 0.28 ms, (10 x 96) @ (96 x 36)
-# 0.41 against 0.28 ms, (4 x 80) @ (80 x 128) 0.51 against 0.26 ms.
-_TERMS_MAX_OUT = 512
-_ACCUMULATE_MAX_TERMS = 28_672
+# A product whose output (rows x cols) has 2 to 2,560 entries folds its k
+# rank-1 terms a chunk at a time: it multiplies up to 32,768 terms (256 KB)
+# into one C-ordered (k, rows, cols) buffer and sums the chunk with
+# np.add.reduce along axis 0. NumPy sums pairwise only along the fast memory
+# axis, which axis 0 of that buffer never is when it has two or more output
+# entries, so each entry is the plain sum in k order. initial=-0.0, the IEEE
+# additive identity, keeps a fold of -0.0 terms at -0.0 (reduce starts from
+# +0.0 otherwise), and each chunk after the first starts from the running
+# sum, added into its first term as the loop adds it. The buffer is written
+# with out= because a broadcast product picks its own layout, which puts k
+# innermost when cols is 1. A one-entry output has no other axis, so it
+# folds by add.accumulate; larger outputs multiply each term inside a
+# k-loop. Timed on a 2-vCPU Xeon guest (interleaved, best of 30), reduce
+# against the k-loop, and against add.accumulate of all terms at once:
+# (1 x 80) @ (80 x 128) 0.020 against 0.11 and 0.044 ms, (4 x 80) @
+# (80 x 128) 0.085 against 0.16 and 0.28 ms, (72 x 32) @ (32 x 32) 0.11
+# against 0.13 ms. Near the limit neither wins: (2 x 96) @ (96 x 1,280)
+# 0.32 against 0.25 ms, (72 x 64) @ (64 x 64) 0.41 against 0.48 ms,
+# (288 x 32) @ (32 x 32) 0.45 against 0.43 ms.
+_REDUCE_MAX_OUT = 2560
+_REDUCE_MAX_TERMS = 32_768
 # Column-block width of a multi-row product's k-loop. Timed on a 2 MB-L2
 # Xeon for (21 x 96) @ (96 x 20,000): 58-65 ms unblocked, 28-37 ms with
 # 4,096-column blocks (a 21-row block and its temporary, 2 x 688 KB, stay
@@ -363,18 +382,24 @@ def _matmul_data(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     stacking rows into one call never changes a value."""
     rows, inner = av.shape
     cols = bv.shape[1]
-    if inner == 0:
+    entries = rows * cols
+    if inner == 0 or entries == 0:
         return np.zeros((rows, cols))
-    if rows * cols <= _TERMS_MAX_OUT:
-        terms = av.T[:, :, None] * bv[:, None, :]  # term k is terms[k]
-        if terms.size <= _ACCUMULATE_MAX_TERMS:
-            # a strict left fold, the same association as the loop
-            return np.add.accumulate(terms, axis=0)[-1].copy()
-        out_data = terms[0].copy()
-        for term in terms[1:]:
-            out_data += term
+    if entries == 1:
+        return np.add.accumulate(av[0] * bv[:, 0])[-1:, None].copy()
+    if entries <= _REDUCE_MAX_OUT:
+        step = _REDUCE_MAX_TERMS // entries
+        terms = np.empty((min(step, inner), rows, cols))
+        out_data = None
+        for lo in range(0, inner, step):
+            chunk = terms[:min(step, inner - lo)]  # term lo + k is chunk[k]
+            np.multiply(av.T[lo:lo + step, :, None], bv[lo:lo + step, None, :],
+                        out=chunk)
+            if out_data is not None:
+                np.add(out_data, chunk[0], out=chunk[0])
+            out_data = np.add.reduce(chunk, axis=0, initial=-0.0)
         return out_data
-    block = _BLOCK_COLS if rows > 1 else max(cols, 1)
+    block = _BLOCK_COLS if rows > 1 else cols
     out_data = np.empty((rows, cols))
     tmp = np.empty((rows, min(block, cols)))
     for lo in range(0, cols, block):

@@ -36,6 +36,7 @@ from .corpus import (
     encode_example,
     ids_to_tokens,
     load_corpus,
+    read_lines,
 )
 from .decoder import (
     ContentSelector,
@@ -392,10 +393,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    candidates = []
-    with open(args.candidates, encoding="utf-8") as fh:
-        for line in fh:
-            candidates.append(line.strip().split() if line.strip() else [])
+    candidates = [line.split() for _, line in read_lines(args.candidates)]
     references = [doc.reference for doc in load_corpus(args.references)]
     if len(candidates) != len(references):
         raise CliError(

@@ -21,6 +21,7 @@ id, all other unknown reference tokens fall back to UNK.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,7 @@ __all__ = [
     "STOP_ID",
     "RESERVED_TOKENS",
     "CorpusFormatError",
+    "read_lines",
     "ParsedSentence",
     "Document",
     "Vocabulary",
@@ -56,6 +58,31 @@ DEFAULT_MAX_TARGET_LEN = 100
 
 class CorpusFormatError(ValueError):
     """A corpus record is malformed; the message names line and invariant."""
+
+
+# undecodable bytes 0x80-0xff, as the surrogateescape error handler maps them
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file with their 1-based numbers, split and
+    newline-translated as ``open(path, encoding="utf-8")`` does. A file that
+    is not UTF-8 is a ``CorpusFormatError`` naming the file, the first line
+    that is not and its first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # read again to find the line: the decoder reports only an offset
+        # into the chunk it was decoding
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                bad = _ESCAPED_BYTE.search(line)
+                if bad:
+                    raise CorpusFormatError(
+                        f"{path}: line {line_no}: not UTF-8 (byte "
+                        f"0x{ord(bad.group()) - 0xDC00:02x})") from None
+        raise
 
 
 @dataclass
@@ -131,9 +158,8 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         id_to_token = list(RESERVED_TOKENS)
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                id_to_token.append(line.rstrip("\n"))
+        for _, line in read_lines(path):
+            id_to_token.append(line.rstrip("\n"))
         token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
         return cls(token_to_id=token_to_id, id_to_token=id_to_token)
 
@@ -215,16 +241,15 @@ def _parse_record(obj, line_no: int) -> Document:
 
 def load_corpus(path: str | Path) -> Iterator[Document]:
     """Stream documents from a JSON-lines corpus file, validating each."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})")
-            yield _parse_record(obj, line_no)
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})")
+        yield _parse_record(obj, line_no)
 
 
 def document_to_record(doc: Document) -> dict:

@@ -261,7 +261,13 @@ def adagrad_step(
     init_acc: float,
 ) -> None:
     """acc += g^2; theta -= lr * g / sqrt(acc). Accumulators start at
-    ``init_acc``, created on first touch. Aborts on non-finite gradients."""
+    ``init_acc``, created on first touch. Aborts on non-finite gradients.
+
+    Updates in place through two scratch arrays the size of the largest
+    parameter, in the expression's operation order, so parameters and
+    accumulators get bitwise the expression's values."""
+    largest = max((t.size for t in params.values()), default=0)
+    scratch = (np.empty(largest), np.empty(largest))
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -279,8 +285,10 @@ def adagrad_step(
         if acc is None:
             acc = np.full(tensor.shape, init_acc)
             state[name] = acc
-        acc += g * g
-        tensor.data -= lr * g / np.sqrt(acc)
+        square, step = (s[:g.size].reshape(g.shape) for s in scratch)
+        acc += np.multiply(g, g, out=square)
+        np.multiply(lr, g, out=step)
+        tensor.data -= np.divide(step, np.sqrt(acc, out=square), out=step)
 
 
 # ---------------------------------------------------------------------------

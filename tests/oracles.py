@@ -13,6 +13,8 @@ over the edges.
 ``batched`` and ``Rows`` turn a per-row toy step function into the batched
 step-function contract of ``decoder.greedy_decode`` and
 ``decoder.beam_search``.
+``matmul_fold`` is the triple loop every forward matrix product must equal
+byte for byte, and ``same_bits`` the byte comparison.
 """
 
 from __future__ import annotations
@@ -229,3 +231,28 @@ def batched(step):
                 Rows(next_state for _, next_state in results))
 
     return step_fn
+
+
+def same_bits(a, b) -> bool:
+    """Same shape and the same bytes: ``-0.0`` differs from ``0.0``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def matmul_fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as a triple loop of Python floats: each entry is the left
+    fold of its products in ascending k, starting from product 0. Starting
+    from ``0.0`` instead would turn a fold of ``-0.0`` products into
+    ``+0.0``. An empty inner axis gives zeros."""
+    rows, inner = a.shape
+    cols = b.shape[1]
+    a_rows, b_cols = a.tolist(), b.T.tolist()
+    out = np.zeros((rows, cols))
+    for i in range(rows if inner else 0):
+        for j in range(cols):
+            terms = [x * y for x, y in zip(a_rows[i], b_cols[j])]
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = acc + term
+            out[i, j] = acc
+    return out

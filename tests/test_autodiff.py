@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from synsum import autodiff as ad
 from synsum.autodiff import Tape, Tensor
 from oracles import (
+    matmul_fold,
     outer,
     pick,
+    same_bits,
     scatter_sum_vec,
     slice_cols,
     sub,
@@ -78,10 +80,12 @@ def test_matmul_matches_triple_loop_oracle():
     np.testing.assert_array_equal(out.data, expected)
 
 
-@pytest.mark.parametrize("inner,width", [(64, 512), (64, 513), (1, 3),
-                                         (1, 600)])
+@pytest.mark.parametrize("inner,width", [(64, 512), (64, 513), (64, 2560),
+                                         (64, 2561), (1, 3), (1, 600)])
 def test_one_row_matmul_matches_triple_loop_oracle(inner, width):
     # widths on both sides of the switch between the two one-row fold paths
+    # (2,560), and two whose 64 terms fill one chunk exactly (512) or
+    # straddle two (513)
     rng = np.random.default_rng(inner * 1000 + width)
     a = rng.normal(size=(1, inner))
     b = rng.normal(size=(inner, width))
@@ -91,6 +95,81 @@ def test_one_row_matmul_matches_triple_loop_oracle(inner, width):
             expected[0, j] += a[0, k] * b[k, j]
     out = ad.matmul(Tensor(a), Tensor(b))
     np.testing.assert_array_equal(out.data, expected)
+
+
+# every NaN a fold can give, read as one: IEEE 754 leaves the sign and
+# payload of a NaN sum of two NaNs to whichever operand the hardware keeps,
+# and neither NumPy's loops nor a Python triple loop fix the operand order
+def _nan_canonical(x):
+    return np.where(np.isnan(x), np.nan, x)
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+_ORACLE_OPS = 70_000  # multiply-adds per case, to keep the Python loop quick
+
+
+@st.composite
+def fold_shapes(draw):
+    """(rows, inner, cols) on every branch of ``_matmul_data`` and at its
+    limits: one entry (accumulate), one column and one row (reduce), the
+    reduce limit and the column block on both sides (reduce, k-loop), and
+    inner axes that fill one chunk of terms exactly or straddle two."""
+    limit, block = ad._REDUCE_MAX_OUT, ad._BLOCK_COLS
+    near = draw(st.integers(-1, 1))
+    kind = draw(st.sampled_from(
+        ["entry", "column", "row", "reduce limit", "block", "small"]))
+    if kind == "entry":
+        rows, cols = 1, 1
+    elif kind == "column":
+        rows, cols = draw(st.integers(2, 40)), 1
+    elif kind == "row":
+        rows, cols = 1, draw(st.sampled_from([2, 3, 129, limit + near, 3000]))
+    elif kind == "reduce limit":
+        rows = draw(st.integers(2, 6))
+        cols = limit // rows + near
+    elif kind == "block":
+        rows, cols = 2, block + near
+    else:
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    step = ad._REDUCE_MAX_TERMS // (rows * cols)
+    inner = draw(st.sampled_from([
+        1, draw(st.integers(2, 24)), step, step + 1, 2 * step + 1]))
+    if rows * cols * inner > _ORACLE_OPS:
+        inner = draw(st.integers(1, 24))
+    return rows, inner, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=fold_shapes(), seed=st.integers(0, 2**32 - 1),
+       values=st.sampled_from(["normal", "specials", "signed zeros"]),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_matmul_forward_is_the_term_zero_fold_byte_for_byte(shape, seed,
+                                                            values, layout):
+    rows, inner, cols = shape
+    rng = np.random.default_rng(seed)
+
+    def operand(shape, common):
+        if values == "signed zeros":  # most folds are of -0.0 terms only
+            x = np.where(rng.random(shape) < 0.9, common, -common)
+        else:
+            x = rng.normal(size=shape)
+            if values == "specials":
+                mask = rng.random(shape) < 0.4
+                x[mask] = rng.choice(_SPECIALS, mask.sum())
+        if layout == "F":
+            return np.asfortranarray(x)
+        if layout == "strided":
+            wide = np.full((2 * shape[0], 3 * shape[1]), 7.0)
+            wide[::2, ::3] = x
+            return wide[::2, ::3]
+        return x
+
+    a, b = operand((rows, inner), -0.0), operand((inner, cols), 1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+        # Tensor makes its data C-ordered; the fused primitives hand the
+        # fold views of any layout
+        got = ad._matmul_data(a, b)
+    assert same_bits(_nan_canonical(got), _nan_canonical(matmul_fold(a, b)))
 
 
 def test_matmul_shape_mismatch_names_both_shapes():

@@ -26,7 +26,7 @@ from synsum.decoder import encode_document, encode_documents
 from synsum.encoder import encode
 from synsum.gate import document_vector
 from synsum.model import ModelConfig, ModelParams
-from oracles import sum_all
+from oracles import same_bits, sum_all
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
 ABLATIONS = [
@@ -36,11 +36,6 @@ ABLATIONS = [
     dict(tie_fwd_bwd=True),
     dict(use_coverage=False),
 ]
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def mixed_corpus(vocab_size=None):

@@ -173,6 +173,23 @@ def test_decode_refuses_vocab_hash_mismatch(trained_dir, tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+def test_decode_non_utf8_vocabulary_names_file_and_line(trained_dir, tmp_path,
+                                                        capsys):
+    corpus, out_dir = trained_dir
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_bytes((out_dir / "vocab.txt").read_bytes() + b"caf\xe9\n")
+    lines = len(vocab.read_bytes().splitlines())
+    ckpt = load_checkpoint(out_dir / "model.ckpt")
+    save_checkpoint(tmp_path / "model.ckpt", params_from_checkpoint(ckpt),
+                    ckpt.step, vocab_hash=cli.file_hash(vocab))
+    code = main(["decode", "--checkpoint", str(tmp_path / "model.ckpt"),
+                 "--corpus", str(corpus), "--vocab", str(vocab),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {vocab}: line {lines}: not UTF-8 (byte 0xe9)\n")
+
+
 def test_decode_truncated_checkpoint_is_a_clean_error(trained_dir, tmp_path,
                                                       capsys):
     corpus, out_dir = trained_dir
@@ -381,6 +398,24 @@ def test_eval_empty_candidate_flagged(tmp_path, capsys):
                  "--references", str(corpus), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["degenerate_rows"] == [1]
+
+
+@pytest.mark.parametrize("bad", ["candidates", "references"])
+def test_eval_non_utf8_byte_names_file_and_line(trained_dir, tmp_path, capsys,
+                                                bad):
+    corpus, _ = trained_dir
+    paths = {"candidates": tmp_path / "cands.txt",
+             "references": tmp_path / "refs.jsonl"}
+    paths["candidates"].write_text("".join(
+        " ".join(doc.reference) + "\n" for doc in load_corpus(corpus)))
+    paths["references"].write_bytes(corpus.read_bytes())
+    with open(paths[bad], "r+b") as fh:
+        fh.seek(len(fh.readline()))  # the first byte of line 2
+        fh.write(b"\xff")
+    assert main(["eval", "--candidates", str(paths["candidates"]),
+                 "--references", str(paths["references"])]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[bad]}: line 2: not UTF-8 (byte 0xff)\n")
 
 
 # ---------------------------------------------------------------------------

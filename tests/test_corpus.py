@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -64,6 +65,17 @@ def test_load_corpus_preserves_order(tmp_path):
     assert len(docs) == 2
     assert docs[0].source_tokens == ["cats", "sleep"]
     assert docs[1].source_tokens == ["dogs", "bark"]
+
+
+def test_load_corpus_names_file_and_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [VALID_RECORD])
+    with open(path, "ab") as fh:
+        fh.write(b'{"reference": ["caf\xe9"]}\n')
+    where = re.escape(str(path))
+    with pytest.raises(cp.CorpusFormatError,
+                       match=f"^{where}: line 2: not UTF-8 \\(byte 0xe9\\)$"):
+        list(load_corpus(path))
 
 
 def test_load_corpus_rejects_cycle_with_line_number(tmp_path):
@@ -234,6 +246,22 @@ def test_vocabulary_file_round_trip(tmp_path):
     loaded = Vocabulary.load(path)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.token_to_id == vocab.token_to_id
+
+
+def test_vocabulary_load_names_file_and_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"alpha\nbeta\n\xffgamma\n")
+    where = re.escape(str(path))
+    with pytest.raises(cp.CorpusFormatError,
+                       match=f"^{where}: line 3: not UTF-8 \\(byte 0xff\\)$"):
+        Vocabulary.load(path)
+
+
+def test_read_lines_splits_and_numbers_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("a b\r\nc\rd\n\u00e9\n".encode())
+    assert list(cp.read_lines(path)) == [
+        (1, "a b\n"), (2, "c\n"), (3, "d\n"), (4, "\u00e9\n")]
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@ from synsum.decoder import (
 )
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import loss_from_rows, sequence_loss
-from oracles import outer, stack, sum_all
+from oracles import outer, same_bits, stack, sum_all
 from test_beam_equivalence import assert_same_search, scalar_beam_search
-from test_lstm_cell import same_bits
 from test_output_head import CASES, case_model, oov_corpus
 
 

@@ -19,7 +19,7 @@ from synsum.corpus import Vocabulary, build_vocabulary, encode_example
 from synsum.decoder import decode_step, encode_document, initial_state
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
-from oracles import slice_cols, sum_all
+from oracles import same_bits, slice_cols, sum_all
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
 
@@ -92,10 +92,6 @@ def random_cell(rng, d, rows=1, scale=1.0):
         W_h=Tensor(rng.uniform(-0.5, 0.5, (d, 4 * d)), requires_grad=True),
         b=Tensor(rng.normal(0, scale, 4 * d), requires_grad=True),
     )
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def corpus(seed, size, vocab_size=None):

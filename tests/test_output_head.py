@@ -25,8 +25,10 @@ from synsum.decoder import (
 )
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
-from oracles import outer, pick, scatter_sum_vec, stack, sub, sum_all
-from test_lstm_cell import TOY_WIDTHS, same_bits
+from oracles import (
+    outer, pick, same_bits, scatter_sum_vec, stack, sub, sum_all,
+)
+from test_lstm_cell import TOY_WIDTHS
 
 
 def _row_dot(row, w):
@@ -347,11 +349,12 @@ def test_reduction_and_stack_grad_check(name, build):
 @pytest.mark.parametrize("rows,inner,width", [
     (2, 3, 4095), (2, 3, 4096), (2, 3, 4097), (3, 2, 8193), (21, 4, 5),
     (21, 80, 1), (2, 112, 128), (2, 113, 128), (2, 3, 256), (2, 3, 257),
+    (2, 128, 128), (2, 129, 128), (2, 3, 1280), (2, 3, 1281),
 ])
 def test_multi_row_matmul_matches_triple_loop_oracle(rows, inner, width):
     # shapes on both sides of the column-block boundary, of the largest
-    # output whose terms are formed at once and of the most terms folded by
-    # add.accumulate
+    # output folded by np.add.reduce (2 x 1,280) and of the most terms in
+    # one of its chunks (128 for 256 entries)
     rng = np.random.default_rng(rows * 10000 + width)
     a = rng.normal(size=(rows, inner))
     b = rng.normal(size=(inner, width))

@@ -135,6 +135,28 @@ def test_adagrad_step_magnitude_strictly_decreases():
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
 
+def test_adagrad_in_place_update_is_bitwise_the_expression_form():
+    rng = np.random.default_rng(11)
+    shapes = {"W": (7, 5), "b": (5,), "E": (30, 4)}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True)
+              for n, s in shapes.items()}
+    want = {n: t.data.copy() for n, t in params.items()}
+    state, want_acc = {}, {}
+    for _ in range(4):
+        grads = {n: rng.normal(scale=3.0, size=s) for n, s in shapes.items()
+                 if n != "b" or not want_acc}  # b: on the first step only
+        given = {n: g.copy() for n, g in grads.items()}
+        adagrad_step(params, grads, state, lr=0.15, init_acc=0.1)
+        for n, g in grads.items():
+            acc = want_acc.setdefault(n, np.full(shapes[n], 0.1))
+            acc += g * g
+            want[n] -= 0.15 * g / np.sqrt(acc)
+            assert grads[n].tobytes() == given[n].tobytes()  # left as given
+        for n, t in params.items():
+            assert t.data.tobytes() == want[n].tobytes()
+            assert state[n].tobytes() == want_acc[n].tobytes()
+
+
 def test_adagrad_rejects_non_finite_gradient():
     theta = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(NonFiniteGradientError, match="theta"):
