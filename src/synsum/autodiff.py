@@ -21,10 +21,11 @@ means every term is filed before its flush. Only the order in which
 gradient terms are summed changes; forward values do not.
 
 A primitive may have several outputs: ``lstm_cell`` records one node for
-the new hidden and cell state together, ``split_rows`` one node for all the
-blocks it cuts a tensor into. Its backward receives one gradient per
-output, ``None`` for an output that nothing downstream reached, and is
-skipped only when no output was reached.
+the new hidden and cell state together, ``lstm_scan`` one node for a scan's
+states and final states, ``split_rows`` one node for all the blocks it cuts
+a tensor into. Its backward receives one gradient per output, ``None`` for
+an output that nothing downstream reached, and is skipped only when no
+output was reached.
 
 Tapes can be chained. ``backward()`` without a loss starts from the
 gradients already on the tape's tensors, so a tape whose outputs a later
@@ -36,10 +37,10 @@ Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
 ``sum_rows``, ``pick_rows``, ``pointer_mix``, ``coverage_attention``,
 ``generation_gate``, ``lstm_cell``) give each row bitwise the value the
 one-row or vector form gives it, and the segment primitives
-(``segment_softmax``, ``segment_pool``) give each segment of rows the value
-it has alone, so stacking the rows of several decoder steps, beam
-hypotheses or documents into one call never changes a forward value. The
-compositions a fused primitive is checked against use some primitives that
+(``segment_softmax``, ``segment_pool``, ``lstm_scan``) give each segment of
+rows the value it has alone, so stacking the rows of several decoder steps,
+beam hypotheses or documents into one call never changes a forward value.
+The compositions a fused primitive is checked against use some primitives that
 nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``
 and more); those live with the tests, in ``tests/oracles.py``.
 
@@ -96,6 +97,7 @@ __all__ = [
     "generation_gate",
     "clip",
     "lstm_cell",
+    "lstm_scan",
     "zero_grads",
     "grad_check",
 ]
@@ -1048,20 +1050,38 @@ def clip(x, lo: float, hi: float) -> Tensor:
     return out
 
 
-def lstm_cell(
-    x_proj, h, c, W_h, b, row: Sequence[int] | None = None
-) -> tuple[Tensor, Tensor]:
-    """One LSTM step of R rows from precomputed input projections; returns
-    (h', c').
+def _cell_forward(xs, h_prev, c_prev, W_h, b):
+    """One cell step of R rows on arrays: (h', c', gates, tanh(c'))."""
+    d = h_prev.shape[1]
+    z = (xs + _matmul_data(h_prev, W_h)) + b[None, :]
+    gates = _sigmoid_data(z)
+    gates[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
+    i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    c_new = f * c_prev + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, gates, tc
 
-    ``x_proj`` holds the R rows' input projections ``x @ W_x``; ``row``
-    instead picks them from a taller ``x_proj``, a sequence of R indices,
-    so a scan can project all its inputs with one matmul and read them
-    row by row. ``h`` and ``c`` hold at least R rows: the cell steps their
-    first R and carries the rest into h' and c' unchanged, as a scan over
-    length-sorted documents carries the final state of each document that
-    has ended. With gates laid out (input, forget, candidate, output), each
-    ``d`` wide:
+
+def _cell_backward(dh, dc, gates, tc, c_prev):
+    """``dz`` and the input cell state's gradient of one cell step, from its
+    outputs' gradients (``None`` for one that nothing reached)."""
+    d = tc.shape[1]
+    i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    if dh is not None:
+        dc_h = dh * o * (1.0 - tc * tc)
+        dc = dc_h if dc is None else dc + dc_h
+    dz = np.empty_like(gates)
+    dz[:, :d] = dc * g * i * (1.0 - i)
+    dz[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
+    dz[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
+    dz[:, 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
+    return dz, dc * f
+
+
+def lstm_cell(x_proj, h, c, W_h, b) -> tuple[Tensor, Tensor]:
+    """One LSTM step of R rows, from their input projections ``x_proj``
+    (``x @ W_x``) and states ``h`` and ``c``; returns (h', c'). With gates
+    laid out (input, forget, candidate, output), each ``d`` wide:
 
         z = (x_proj + h @ W_h) + b
         i, f, o = sigmoid(z) on their columns;  g = tanh(z) on its columns
@@ -1073,66 +1093,27 @@ def lstm_cell(
     every row is bitwise equal to it; the backward is analytic instead.
     """
     x_proj, h, c, W_h, b = (_as_tensor(t) for t in (x_proj, h, c, W_h, b))
-    # a scan steps a handful of rows: Python checks on them cost less than
-    # numpy reductions, and one row is read as a slice, not a gather
-    if row is not None and not (
-            len(row) and 0 <= min(row) and max(row) < len(x_proj.data)):
-        raise IndexError(
-            f"lstm_cell: row {row} out of range for {len(x_proj.data)} rows"
-        )
-    xs = (x_proj.data if row is None
-          else x_proj.data[row[0]:row[0] + 1] if len(row) == 1
-          else x_proj.data[row])
     h_prev, c_prev = h.data, c.data
     d = h_prev.shape[1] if h_prev.ndim == 2 else -1
-    stepped = len(xs)
-    if (d < 0 or c_prev.shape != h_prev.shape or W_h.shape != (d, 4 * d)
-            or b.shape != (4 * d,) or xs.shape[1:] != (4 * d,)
-            or not 0 < stepped <= len(h_prev)):
+    if (c_prev.shape != h_prev.shape or x_proj.shape != (len(h_prev), 4 * d)
+            or W_h.shape != (d, 4 * d) or b.shape != (4 * d,)):
         raise ShapeError(
-            f"lstm_cell: incompatible shapes x_proj {xs.shape}, h {h.shape}, "
+            f"lstm_cell: incompatible shapes x_proj {x_proj.shape}, h {h.shape}, "
             f"c {c.shape}, W_h {W_h.shape}, b {b.shape}"
         )
-    carried = len(h_prev) - stepped
-    if carried:
-        h_prev, c_prev = h_prev[:stepped], c_prev[:stepped]
-    z = (xs + _matmul_data(h_prev, W_h.data)) + b.data[None, :]
-    gates = _sigmoid_data(z)
-    gates[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
-    i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
-    c_data = f * c_prev + i * g
-    tc = np.tanh(c_data)
-    h_data = o * tc
-    if carried:
-        h_data = np.concatenate([h_data, h.data[stepped:]])
-        c_data = np.concatenate([c_data, c.data[stepped:]])
+    h_data, c_data, gates, tc = _cell_forward(x_proj.data, h_prev, c_prev,
+                                              W_h.data, b.data)
     h_out = Tensor(h_data, any(t.requires_grad for t in (x_proj, h, c, W_h, b)))
     c_out = Tensor(c_data, h_out.requires_grad)
 
     def backward(dh: np.ndarray | None, dc: np.ndarray | None) -> None:
-        dh_kept = None if dh is None else dh[stepped:]
-        dc_kept = None if dc is None else dc[stepped:]
-        dh = None if dh is None else dh[:stepped]
-        dc = None if dc is None else dc[:stepped]
-        if dh is not None:
-            dc_h = dh * o * (1.0 - tc * tc)
-            dc = dc_h if dc is None else dc + dc_h
-        dz = np.empty_like(z)
-        dz[:, :d] = dc * g * i * (1.0 - i)
-        dz[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
-        dz[:, 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
+        dz, dc_prev = _cell_backward(dh, dc, gates, tc, c_prev)
         if x_proj.requires_grad:
-            if row is None:
-                _accumulate(x_proj, dz)
-            else:
-                if x_proj.grad is None:
-                    x_proj.grad = np.zeros(x_proj.shape)
-                x_proj.grad[row] += dz
+            _accumulate(x_proj, dz)
         if h.requires_grad:
-            _accumulate(h, _with_carried(dz @ W_h.data.T, dh_kept, carried))
+            _accumulate(h, dz @ W_h.data.T)
         if c.requires_grad:
-            _accumulate(c, _with_carried(dc * f, dc_kept, carried))
+            _accumulate(c, dc_prev)
         if W_h.requires_grad:
             _accumulate(W_h, h_prev.T @ dz)
         if b.requires_grad:
@@ -1142,16 +1123,70 @@ def lstm_cell(
     return h_out, c_out
 
 
-def _with_carried(stepped: np.ndarray, kept: np.ndarray | None,
-                  carried: int) -> np.ndarray:
-    """A cell input's gradient: its stepped rows, then the ``carried`` rows
-    whose gradient passes through unchanged (``kept``; zero when nothing
-    reached that output)."""
-    if not carried:
-        return stepped
-    if kept is None:
-        kept = np.zeros((carried, stepped.shape[1]))
-    return np.concatenate([stepped, kept])
+def lstm_scan(
+    x_proj, W_h, b, lengths: Sequence[int], reverse: bool = False
+) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM direction over documents of ``lengths`` rows each, longest
+    first, stacked in ``x_proj`` (each token's ``x @ W_x``): one node, whose
+    backward runs backpropagation through time. From zero states, step t
+    runs ``lstm_cell``'s arithmetic over the documents still running, each
+    on its row at position t (from the end for ``reverse``), so every value
+    is the one of scanning the document alone. Returns the hidden state of
+    every row of ``x_proj`` and each document's final hidden and cell
+    states, (B, d) each."""
+    x_proj, W_h, b = (_as_tensor(t) for t in (x_proj, W_h, b))
+    lengths = tuple(lengths)
+    d = W_h.shape[0] if W_h.data.ndim == 2 else -1
+    if (W_h.shape != (d, 4 * d) or b.shape != (4 * d,) or not lengths
+            or x_proj.shape != (sum(lengths), 4 * d) or min(lengths) < 1
+            or any(m < k for m, k in zip(lengths, lengths[1:]))):
+        raise ShapeError(
+            f"lstm_scan: shapes x_proj {x_proj.shape}, W_h {W_h.shape}, b "
+            f"{b.shape} and lengths {lengths} (longest first, summing to the "
+            f"rows) do not fit")
+    n = np.asarray(lengths)
+    move = -1 if reverse else 1
+    first = np.cumsum(n) - (1 if reverse else n)  # each document's step-0 row
+    states, cells = np.empty((len(x_proj.data), d)), np.empty((len(x_proj.data), d))
+    h = c = np.zeros((len(n), d))
+    steps = []  # per step: its rows, the h and c it reads, gates, tanh(c')
+    for t in range(lengths[0]):
+        rows = first[:np.count_nonzero(n > t)] + move * t
+        h, c = h[:len(rows)], c[:len(rows)]
+        h_new, c_new, gates, tc = _cell_forward(x_proj.data[rows], h, c,
+                                                W_h.data, b.data)
+        steps.append((rows, h, c, gates, tc))
+        states[rows], cells[rows], h, c = h_new, c_new, h_new, c_new
+    last = first + move * (n - 1)
+    grad = x_proj.requires_grad or W_h.requires_grad or b.requires_grad
+    outs = (Tensor(states, grad), Tensor(states[last], grad),
+            Tensor(cells[last], grad))
+
+    def backward(d_states, dh_final, dc_final) -> None:
+        # the recurrent gradients into each document's states; a document
+        # that has ended keeps its final states' gradients for its last step
+        dh_next, dc_next = (np.zeros((len(n), d)) if g is None else g.copy()
+                            for g in (dh_final, dc_final))
+        dx = np.zeros(x_proj.shape) if x_proj.grad is None else x_proj.grad
+        for t in range(len(steps) - 1, -1, -1):
+            rows, h_in, c_in, gates, tc = steps[t]
+            live = len(rows)
+            dh = (dh_next[:live] if d_states is None
+                  else d_states[rows] + dh_next[:live])
+            dz, dc_next[:live] = _cell_backward(dh, dc_next[:live], gates, tc,
+                                                c_in)
+            if W_h.requires_grad:
+                _accumulate(W_h, h_in.T @ dz)
+            if b.requires_grad:
+                _accumulate(b, dz.sum(axis=0))
+            dx[rows] += dz
+            if t:
+                dh_next[:live] = dz @ W_h.data.T
+        if x_proj.requires_grad:
+            x_proj.grad = dx
+
+    _record("lstm_scan", outs, backward)
+    return outs
 
 
 # ---------------------------------------------------------------------------

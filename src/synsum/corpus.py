@@ -57,7 +57,8 @@ DEFAULT_MAX_TARGET_LEN = 100
 
 
 class CorpusFormatError(ValueError):
-    """A corpus record is malformed; the message names line and invariant."""
+    """A corpus record is malformed; the message names file, line and
+    invariant."""
 
 
 # undecodable bytes 0x80-0xff, as the surrogateescape error handler maps them
@@ -183,13 +184,13 @@ class EncodedExample:
         return len(self.source_ids)
 
 
-def _check_tokens(tokens: list[str], where: str, line_no: int) -> None:
+def _check_tokens(tokens: list[str], kind: str, where: str) -> None:
     # the vocabulary file holds one token per line and summaries are joined
     # on spaces, so a token must be exactly one whitespace-split field
     for tok in tokens:
         if tok.split() != [tok]:
             raise CorpusFormatError(
-                f"line {line_no}: {where} token {tok!r} is empty or contains "
+                f"{where}: {kind} token {tok!r} is empty or contains "
                 "whitespace"
             )
 
@@ -211,8 +212,7 @@ def _typed_list(obj: dict, key: str, kind: type, where: str) -> list:
     return value
 
 
-def _parse_record(obj, line_no: int) -> Document:
-    where = f"line {line_no}"
+def _parse_record(obj, where: str) -> Document:
     if not isinstance(obj, dict):
         raise CorpusFormatError(f"{where}: a record must be a JSON object")
     if not isinstance(obj.get("sentences"), list) or not all(
@@ -229,27 +229,30 @@ def _parse_record(obj, line_no: int) -> Document:
     ]
     reference = _typed_list(obj, "reference", str, where)
     for sent in sentences:
-        _check_tokens(sent.tokens, "source", line_no)
-    _check_tokens(reference, "reference", line_no)
+        _check_tokens(sent.tokens, "source", where)
+    _check_tokens(reference, "reference", where)
     doc = Document(sentences=sentences, reference=reference)
     try:
         doc.validate()
     except ValueError as exc:
-        raise CorpusFormatError(f"line {line_no}: {exc}")
+        raise CorpusFormatError(f"{where}: {exc}")
     return doc
 
 
 def load_corpus(path: str | Path) -> Iterator[Document]:
-    """Stream documents from a JSON-lines corpus file, validating each."""
+    """Stream documents from a JSON-lines corpus file, validating each. A
+    malformed record is a ``CorpusFormatError`` that starts
+    ``<path>: line N:``."""
     for line_no, line in read_lines(path):
         line = line.strip()
         if not line:
             continue
+        where = f"{path}: line {line_no}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})")
-        yield _parse_record(obj, line_no)
+            raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})")
+        yield _parse_record(obj, where)
 
 
 def document_to_record(doc: Document) -> dict:

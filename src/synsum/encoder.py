@@ -5,16 +5,14 @@ longest document first; one document is a batch of one. Every document's
 rows come out bitwise equal to encoding it alone.
 
 The semantic path embeds token ids and runs a bidirectional LSTM. Each
-direction projects all its input rows with one matmul, ``x @ W_x``, before
-the scan (the input projection hoisted out of the recurrence, as in cuDNN's
-LSTM). Step t of the scan is one fused ``lstm_cell`` over the documents
-still running: it reads each one's projection row at position t (from the
-end, backwards) and carries the final state of every document that has
-ended, so the scan's last state holds every document's final state. Each
-row of the sequential-k matmul is the same left fold as a one-row product,
-so a row's values do not depend on the rows stepped beside it. Each
-document's final hidden (and cell) states of both directions are joined in
-one row, which the decoder's initial state projects.
+direction projects all its input rows with one matmul, ``x @ W_x`` (the
+input projection hoisted out of the recurrence, as in cuDNN's LSTM), and
+scans them in one ``ad.lstm_scan`` node, whose step t steps the documents
+still running: a document that has ended drops out, nothing is carried.
+Each row of the sequential-k matmul is the same left fold as a one-row
+product, so a row's values do not depend on the rows stepped beside it.
+Each document's final hidden (and cell) states of both directions are
+joined in one row, which the decoder's initial state projects.
 
 The structural path projects the semantic states onto the graph width and
 applies a stack of typed-edge graph convolutions over the union of the
@@ -49,7 +47,6 @@ __all__ = [
     "EncodedDocument",
     "EncodedBatch",
     "embed",
-    "lstm_scan",
     "bilstm",
     "union_edge_index",
     "gcn_layer",
@@ -89,78 +86,18 @@ def embed(ids, params: ModelParams) -> Tensor:
     return ad.gather_rows(params.embedding, list(ids))
 
 
-def lstm_scan(
-    x: Tensor,
-    cell: dict,
-    d_h: int,
-    reverse: bool = False,
-    lengths: Sequence[int] | None = None,
-) -> tuple[list[Tensor], Tensor, Tensor]:
-    """Run one LSTM direction over the documents stacked in ``x``.
-
-    ``lengths`` gives each document's rows, longest first (one document of
-    all the rows by default). Gate layout in the fused projection is
-    (input, forget, candidate, output). Initial states are zero. Returns the
-    hidden state of every scan step, one row per document (a row past its
-    document's end repeats its final state), listed in input order: step 0
-    first, or for ``reverse`` the last step first, so that a one-document
-    scan lists position i's state i-th. Then the final hidden and cell
-    states, one row per document.
-    """
-    lengths = tuple(lengths or (x.shape[0],))
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ValueError(f"document lengths {lengths} are not longest first")
-    # each document's row of x at step 0, and how its row moves each step
-    first = [sum(lengths[:k]) + (lengths[k] - 1 if reverse else 0)
-             for k in range(len(lengths))]
-    move = -1 if reverse else 1
-    x_proj = ad.matmul(x, cell["W_x"])
-    h = Tensor(np.zeros((len(lengths), d_h)))
-    c = Tensor(np.zeros((len(lengths), d_h)))
-    states: list[Tensor] = []
-    for t in range(lengths[0]):
-        rows = [row + move * t for row, length in zip(first, lengths)
-                if length > t]
-        h, c = ad.lstm_cell(x_proj, h, c, cell["W_h"], cell["b"], row=rows)
-        states.append(h)
-    if reverse:
-        states.reverse()
-    return states, h, c
-
-
-def _document_rows(
-    steps: list[Tensor], lengths: tuple[int, ...], reverse: bool
-) -> Tensor:
-    """The states of ``lstm_scan`` as one row per token, documents stacked:
-    one ``concat`` of the steps and, for several documents, one gather."""
-    stacked = ad.concat(steps, axis=0)
-    batch, last = len(lengths), lengths[0]
-    if batch == 1:
-        return stacked
-    # step s of the listed steps holds document k's row s * batch + k; a
-    # backward scan lists document k's position p at step p + last - length
-    index = [
-        (p + (last - length if reverse else 0)) * batch + k
-        for k, length in enumerate(lengths) for p in range(length)
-    ]
-    return ad.gather_rows(stacked, index)
-
-
 def bilstm(
     x: Tensor, params: ModelParams, lengths: Sequence[int] | None = None
 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """BiLSTM states of the documents stacked in ``x`` (``lengths`` rows
     each, longest first) and each document's final hidden and cell states,
     one row each, the forward direction's columns first: (B, 2*d_h) each."""
-    d_h = params.config.d_h
     lengths = tuple(lengths or (x.shape[0],))
-    fw_steps, fw_h, fw_c = lstm_scan(x, params.lstm_fw, d_h, lengths=lengths)
-    bw_steps, bw_h, bw_c = lstm_scan(x, params.lstm_bw, d_h, reverse=True,
-                                     lengths=lengths)
-    states = ad.concat([_document_rows(fw_steps, lengths, False),
-                        _document_rows(bw_steps, lengths, True)], axis=1)
-    return states, (ad.concat([fw_h, bw_h], axis=1),
-                    ad.concat([fw_c, bw_c], axis=1))
+    states, hidden, cell = zip(*(
+        ad.lstm_scan(ad.matmul(x, w["W_x"]), w["W_h"], w["b"], lengths, reverse)
+        for w, reverse in ((params.lstm_fw, False), (params.lstm_bw, True))))
+    return ad.concat(states, axis=1), (ad.concat(hidden, axis=1),
+                                       ad.concat(cell, axis=1))
 
 
 def union_edge_index(

@@ -242,15 +242,23 @@ class NonFiniteGradientError(RuntimeError):
 def clip_gradients(
     grads: Mapping[str, np.ndarray], max_norm: float
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients in place so their global L2 norm is at most
+    ``max_norm``; returns them and the norm before clipping.
+
+    Each gradient is squared into one scratch array the size of the largest,
+    so the norm is bitwise ``sum((g * g).sum())`` and the scaled arrays
+    bitwise ``g * scale``."""
+    square = np.empty(max((g.size for g in grads.values()), default=0))
     total = 0.0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(np.multiply(g, g, out=square[:g.size].reshape(g.shape))
+                       .sum())
     norm = total ** 0.5
-    if max_norm <= 0 or norm <= max_norm:
-        return dict(grads), norm
-    scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}, norm
+    if max_norm > 0 and not norm <= max_norm:  # a NaN norm clips, too
+        scale = max_norm / norm
+        for g in grads.values():
+            np.multiply(g, scale, out=g)
+    return dict(grads), norm
 
 
 def adagrad_step(

@@ -11,10 +11,13 @@ and embedding gradients to rounding (their sums over the batch's documents
 are taken in one product instead of one per document).
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synsum import autodiff as ad
 from synsum import decoder
@@ -27,6 +30,7 @@ from synsum.encoder import encode
 from synsum.gate import document_vector
 from synsum.model import ModelConfig, ModelParams
 from oracles import same_bits, sum_all
+from test_lstm_cell import composed_scan
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
 ABLATIONS = [
@@ -230,10 +234,10 @@ def test_summed_loss_of_a_three_document_batch_grad_check():
 
 def test_toy_four_document_batch_tape_size():
     """Pins the nodes of a toy 4-document batch (18, 14, 18 and 14 source
-    tokens, 4 decoder steps each): 93 on its encoder tape, 3 of them
-    ``split_rows`` (the gated states and the two joined final states), and
-    48 on each decoder tape. One tape per example records 136 + 128 + 136 +
-    128 = 528; the target was at most 400."""
+    tokens, 4 decoder steps each): 55 on its encoder tape, 2 of them
+    ``lstm_scan`` (one per direction), 3 ``split_rows`` (the gated states
+    and the two joined final states), and 48 on each decoder tape. One tape
+    per example records 100 + 92 + 100 + 92 = 384."""
     docs = syn.generate_documents(seed=7, size=4)
     vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
     batch = [encode_example(d, vocab) for d in docs]
@@ -243,13 +247,14 @@ def test_toy_four_document_batch_tape_size():
         encoded = encode_documents(batch, params)
     nodes = [len(encoder_tape.nodes)]
     splits = sum(node.op == "split_rows" for node in encoder_tape.nodes)
+    scans = sum(node.op == "lstm_scan" for node in encoder_tape.nodes)
     for example, parts in zip(batch, encoded):
         with Tape() as tape:
             tr.sequence_loss(example, params, 1.0, parts)
         nodes.append(len(tape.nodes))
     assert [ex.n for ex in batch] == [18, 14, 18, 14]
-    assert nodes == [93, 48, 48, 48, 48]
-    assert splits == 3
+    assert nodes == [55, 48, 48, 48, 48]
+    assert splits == 3 and scans == 2
 
 
 def test_decoder_tapes_are_freed_one_by_one():
@@ -295,48 +300,99 @@ def test_decoder_tapes_are_freed_one_by_one():
 # the primitives the batch adds
 
 
-def test_lstm_cell_carried_rows_grad_check():
-    rng = np.random.default_rng(3)
-    d = 3
-    params = dict(
-        x_proj=Tensor(rng.normal(size=(5, 4 * d)), requires_grad=True),
-        h=Tensor(rng.uniform(-1, 1, (3, d)), requires_grad=True),
-        c=Tensor(rng.normal(size=(3, d)), requires_grad=True),
+def scan_inputs(rng, n_rows, d, scale=1.0):
+    return dict(
+        x_proj=Tensor(rng.normal(0, scale, (n_rows, 4 * d)), requires_grad=True),
         W_h=Tensor(rng.uniform(-0.5, 0.5, (d, 4 * d)), requires_grad=True),
-        b=Tensor(rng.normal(size=4 * d), requires_grad=True),
+        b=Tensor(rng.normal(0, scale, 4 * d), requires_grad=True),
     )
-    probe_h, probe_c = rng.uniform(-1, 1, (2, 3, d))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("reached", [
+    ("states", "h", "c"), ("states",), ("h",), ("c",), ("h", "c"),
+], ids=["all", "states", "h", "c", "finals"])
+def test_lstm_scan_ragged_grad_check(reached, reverse):
+    """Documents of 4, 2, 2 and 1 rows: two end early, two tie. Each of the
+    three outputs is reached in some cases and left unreached in others."""
+    lengths = (4, 2, 2, 1)
+    d = 3
+    rng = np.random.default_rng(3)
+    params = scan_inputs(rng, sum(lengths), d)
+    probes = dict(states=rng.uniform(-1, 1, (sum(lengths), d)),
+                  h=rng.uniform(-1, 1, (4, d)), c=rng.uniform(-1, 1, (4, d)))
 
     def f(p):
-        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"],
-                            row=[4, 1])
-        return ad.add(sum_all(ad.mul(h, probe_h)),
-                      sum_all(ad.mul(c, probe_c)))
+        states, h, c = ad.lstm_scan(p["x_proj"], p["W_h"], p["b"], lengths,
+                                    reverse)
+        outputs = dict(states=states, h=h, c=c)
+        return functools.reduce(ad.add, [
+            sum_all(ad.mul(outputs[name], probes[name])) for name in reached
+        ])
 
-    report = ad.grad_check(f, params, eps=1e-5, tol=1e-6)
+    # the first rows' gradients shrink to about 1e-6 through the steps, where
+    # a central difference's rounding (about 1e-11) is 1e-6 of them
+    report = ad.grad_check(f, params, eps=1e-5, tol=1e-5)
     assert report.ok, str(report)
 
 
-def test_lstm_cell_rows_are_bitwise_one_row_cells_and_carry_the_rest():
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
+        lambda ns: tuple(sorted(ns, reverse=True))),
+    d=st.sampled_from([1, 3, 16]),
+    reverse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lstm_scan_documents_are_bitwise_their_solo_scans(lengths, d, reverse,
+                                                          seed):
+    """Every document's state rows and final states in a ragged, longest
+    first batch are bitwise those of scanning it alone and of the composed
+    scan of ``test_lstm_cell.py``."""
+    rng = np.random.default_rng(seed)
+    d_emb = 4
+    x = rng.normal(0, 2, (sum(lengths), d_emb))
+    cell = dict(W_x=Tensor(rng.uniform(-1, 1, (d_emb, 4 * d))),
+                W_h=Tensor(rng.uniform(-1, 1, (d, 4 * d))),
+                b=Tensor(rng.normal(size=4 * d)))
+
+    def scan(rows, doc_lengths):
+        return ad.lstm_scan(ad.matmul(Tensor(rows), cell["W_x"]), cell["W_h"],
+                            cell["b"], doc_lengths, reverse)
+
+    states, h, c = scan(x, lengths)
+    start = 0
+    for k, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        start += n
+        solo_states, solo_h, solo_c = scan(x[rows], (n,))
+        assert same_bits(states.data[rows], solo_states.data)
+        assert same_bits(h.data[k:k + 1], solo_h.data)
+        assert same_bits(c.data[k:k + 1], solo_c.data)
+        ref_states, ref_h, ref_c = composed_scan(Tensor(x[rows]), cell, d,
+                                                 reverse)
+        assert same_bits(states.data[rows],
+                         np.concatenate([s.data for s in ref_states]))
+        assert same_bits(h.data[k:k + 1], ref_h.data)
+        assert same_bits(c.data[k:k + 1], ref_c.data)
+
+
+def test_lstm_scan_is_one_node_and_checks_lengths():
+    """One tape node for any batch; lengths that are not longest first,
+    that do not sum to the rows (too many or too few) or that hold an empty
+    document are a ``ShapeError``, as is a state width the weights do not
+    have."""
     rng = np.random.default_rng(5)
-    d = 16
-    x_proj = Tensor(rng.normal(0, 4, (6, 4 * d)))
-    h = Tensor(rng.uniform(-1, 1, (4, d)))
-    c = Tensor(rng.normal(0, 4, (4, d)))
-    W_h, b = Tensor(rng.uniform(-0.5, 0.5, (d, 4 * d))), Tensor(rng.normal(size=4 * d))
-    rows = [5, 0, 3]
-    h_out, c_out = ad.lstm_cell(x_proj, h, c, W_h, b, row=rows)
-    for k, row in enumerate(rows):
-        h_one, c_one = ad.lstm_cell(x_proj, Tensor(h.data[k:k + 1]),
-                                    Tensor(c.data[k:k + 1]), W_h, b, row=[row])
-        assert same_bits(h_out.data[k:k + 1], h_one.data)
-        assert same_bits(c_out.data[k:k + 1], c_one.data)
-    assert same_bits(h_out.data[3], h.data[3])
-    assert same_bits(c_out.data[3], c.data[3])
+    p = scan_inputs(rng, 5, d=2)
+    with Tape() as tape:
+        outputs = ad.lstm_scan(p["x_proj"], p["W_h"], p["b"], (3, 1, 1))
+    assert [node.op for node in tape.nodes] == ["lstm_scan"]
+    assert [t.shape for t in outputs] == [(5, 2), (3, 2), (3, 2)]
+    for lengths in [(2, 3), (1, 3, 1), (3, 1), (3, 3), (), (5, 0)]:
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_scan(p["x_proj"], p["W_h"], p["b"], lengths)
     with pytest.raises(ad.ShapeError):
-        ad.lstm_cell(x_proj, h, c, W_h, b, row=[0, 1, 2, 3, 4])
-    with pytest.raises(IndexError):
-        ad.lstm_cell(x_proj, h, c, W_h, b, row=[0, 6])
+        ad.lstm_scan(p["x_proj"], p["W_h"].data[:, :6], p["b"], (5,))
 
 
 def test_split_rows_grad_check_and_one_block_records_nothing():

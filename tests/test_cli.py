@@ -400,6 +400,21 @@ def test_eval_empty_candidate_flagged(tmp_path, capsys):
     assert report["degenerate_rows"] == [1]
 
 
+def test_eval_malformed_reference_record_names_file_and_line(trained_dir,
+                                                            tmp_path, capsys):
+    corpus, _ = trained_dir
+    candidates = tmp_path / "cands.txt"
+    candidates.write_text("".join(
+        " ".join(doc.reference) + "\n" for doc in load_corpus(corpus)))
+    references = tmp_path / "refs.jsonl"
+    lines = corpus.read_text().splitlines(keepends=True)
+    references.write_text(lines[0] + "[]\n" + "".join(lines[2:]))
+    assert main(["eval", "--candidates", str(candidates),
+                 "--references", str(references)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {references}: line 2: a record must be a JSON object\n")
+
+
 @pytest.mark.parametrize("bad", ["candidates", "references"])
 def test_eval_non_utf8_byte_names_file_and_line(trained_dir, tmp_path, capsys,
                                                 bad):
@@ -491,7 +506,7 @@ def test_decode_failure_leaves_no_output_or_manifest(trained_dir, tmp_path,
     code = main(decode_args(bad, out_dir, out, "--dump-gates",
                             str(work / "gates.jsonl")))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: line 4")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 4: ")
     assert list(work.iterdir()) == []
 
 
@@ -526,12 +541,12 @@ def test_train_and_decode_reject_tokens_that_break_files(
     assert main(["train", "--corpus", str(bad), "--out-dir",
                  str(tmp_path / "run"), *TRAIN_FLAGS]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: {where} token")
+    assert err.startswith(f"error: {bad}: line {line}: {where} token")
     assert not (tmp_path / "run" / "vocab.txt").exists()
 
     assert main(decode_args(bad, out_dir, tmp_path / "s.txt")) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: {where} token")
+    assert err.startswith(f"error: {bad}: line {line}: {where} token")
     assert "Traceback" not in err
     assert not (tmp_path / "s.txt").exists()
 
@@ -548,8 +563,8 @@ def test_train_rejects_a_corpus_field_of_the_wrong_type(tmp_path, capsys):
     assert main(["train", "--corpus", str(corpus), "--out-dir",
                  str(tmp_path / "run"), *TRAIN_FLAGS]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 5, sentence 0: field 'heads' must be "
-                          "a list of integers")
+    assert err.startswith(f"error: {corpus}: line 5, sentence 0: field "
+                          "'heads' must be a list of integers")
     assert not (tmp_path / "run").exists()
 
 

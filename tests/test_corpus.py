@@ -67,6 +67,16 @@ def test_load_corpus_preserves_order(tmp_path):
     assert docs[1].source_tokens == ["dogs", "bark"]
 
 
+def test_load_corpus_invalid_json_names_file_and_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [VALID_RECORD])
+    with open(path, "a") as fh:
+        fh.write('{"reference": \n')
+    with pytest.raises(cp.CorpusFormatError,
+                       match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
+        list(load_corpus(path))
+
+
 def test_load_corpus_names_file_and_line_of_a_non_utf8_byte(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_lines(path, [VALID_RECORD])
@@ -87,7 +97,8 @@ def test_load_corpus_rejects_cycle_with_line_number(tmp_path):
     }
     path = tmp_path / "corpus.jsonl"
     write_lines(path, [VALID_RECORD, bad])
-    with pytest.raises(cp.CorpusFormatError, match="line 2"):
+    with pytest.raises(cp.CorpusFormatError,
+                       match=f"^{re.escape(str(path))}: line 2: "):
         list(load_corpus(path))
 
 
@@ -154,7 +165,8 @@ def _with(sentence=None, **record):
 def test_load_corpus_rejects_a_field_of_the_wrong_type(tmp_path, bad, where):
     path = tmp_path / "corpus.jsonl"
     write_lines(path, [VALID_RECORD, bad])
-    with pytest.raises(cp.CorpusFormatError, match=f"^line 2(: |, ){where}"):
+    with pytest.raises(cp.CorpusFormatError,
+                       match=f"^{re.escape(str(path))}: line 2(: |, ){where}"):
         list(load_corpus(path))
 
 
@@ -164,7 +176,8 @@ def test_load_corpus_names_a_missing_field(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_lines(path, [bad])
     with pytest.raises(cp.CorpusFormatError,
-                       match="^line 1, sentence 0: missing field 'heads'"):
+                       match=f"^{re.escape(str(path))}: line 1, sentence 0: "
+                       "missing field 'heads'"):
         list(load_corpus(path))
 
 
@@ -460,7 +473,8 @@ def test_load_corpus_rejects_tokens_that_break_files(tmp_path, token, where):
     path = tmp_path / "corpus.jsonl"
     write_lines(path, [VALID_RECORD, bad])
     with pytest.raises(cp.CorpusFormatError,
-                       match=f"line 2: {where} token .* empty or contains"):
+                       match=f"^{re.escape(str(path))}: line 2: {where} token "
+                       ".* empty or contains"):
         list(load_corpus(path))
 
 

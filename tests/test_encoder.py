@@ -98,13 +98,19 @@ def test_backward_scan_equals_forward_scan_on_reversed_input(tiny_params):
     x = Tensor(rng.normal(size=(5, tiny_params.config.d_emb)))
     x_rev = Tensor(x.data[::-1].copy())
     cell = tiny_params.lstm_fw
-    d_h = tiny_params.config.d_h
-    bw_states, _, _ = enc.lstm_scan(x, cell, d_h, reverse=True)
-    fw_states, _, _ = enc.lstm_scan(x_rev, cell, d_h)
+
+    def scan(rows, reverse):
+        return ad.lstm_scan(ad.matmul(rows, cell["W_x"]), cell["W_h"],
+                            cell["b"], (5,), reverse)
+
+    bw_states, bw_h, bw_c = scan(x, reverse=True)
+    fw_states, fw_h, fw_c = scan(x_rev, reverse=False)
     for i in range(5):
         np.testing.assert_array_equal(
-            bw_states[i].data, fw_states[4 - i].data
+            bw_states.data[i], fw_states.data[4 - i]
         )
+    np.testing.assert_array_equal(bw_h.data, fw_h.data)
+    np.testing.assert_array_equal(bw_c.data, fw_c.data)
 
 
 def test_bilstm_gradients_match_finite_differences():

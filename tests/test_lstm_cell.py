@@ -1,11 +1,15 @@
-"""The fused ``lstm_cell`` primitive against the composition it replaced.
+"""The fused ``lstm_cell`` and ``lstm_scan`` primitives against the
+composition they replaced.
 
 ``composed_cell``, ``composed_scan`` and ``composed_bilstm`` are the LSTM
 cell, scan and BiLSTM as they were written from single primitives before the
 cell was fused (18 tape nodes a step). They stay here as the oracle: the
-fused forward must be bitwise equal to them, and its gradients must match
-to rounding (the backward sums a scan's input-projection gradients in one
-matrix product instead of step by step, so only their order differs).
+decoder's ``lstm_cell`` and the encoder's ``lstm_scan`` (one node per
+direction, one document here; ragged batches are checked in
+``test_batched_encoder.py``) must be bitwise equal to them forward, and
+their gradients must match to rounding (the backward sums a scan's
+input-projection gradients in one matrix product instead of step by step,
+so only their order differs).
 """
 
 import numpy as np
@@ -34,10 +38,8 @@ def composed_gates(z, c, d):
     return h_new, c_new
 
 
-def composed_cell(x_proj, h, c, W_h, b, row=None):
+def composed_cell(x_proj, h, c, W_h, b):
     """Drop-in for ``ad.lstm_cell`` built from single primitives."""
-    if row is not None:
-        x_proj = ad.gather_rows(x_proj, [row])
     z = ad.add_rowvec(ad.add(x_proj, ad.matmul(h, W_h)), b)
     return composed_gates(z, c, h.shape[1])
 
@@ -111,16 +113,23 @@ def corpus(seed, size, vocab_size=None):
 
 
 @pytest.mark.parametrize("reached", ["both", "h", "c"])
-@pytest.mark.parametrize("row", [None, 2])
-def test_lstm_cell_gradients_match_finite_differences(reached, row):
+@pytest.mark.parametrize("rows", [None, 2])
+def test_lstm_cell_gradients_match_finite_differences(reached, rows):
+    """``rows`` None is ``random_cell``'s one-row cell; 2 steps two rows
+    at once, as beam search steps its hypotheses."""
     rng = np.random.default_rng(4)
-    params = random_cell(rng, d=3, rows=1 if row is None else 4)
-    probe_h = rng.uniform(-1, 1, (1, 3))
-    probe_c = rng.uniform(-1, 1, (1, 3))
+    params = random_cell(rng, d=3)
+    if rows is not None:
+        params.update(
+            x_proj=Tensor(rng.normal(size=(rows, 12)), requires_grad=True),
+            h=Tensor(rng.uniform(-1, 1, (rows, 3)), requires_grad=True),
+            c=Tensor(rng.normal(size=(rows, 3)), requires_grad=True),
+        )
+    probe_h = rng.uniform(-1, 1, (rows or 1, 3))
+    probe_c = rng.uniform(-1, 1, (rows or 1, 3))
 
     def f(p):
-        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"],
-                            row=None if row is None else [row])
+        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
         terms = []
         if reached in ("both", "h"):
             terms.append(sum_all(ad.mul(h, probe_h)))
@@ -152,12 +161,15 @@ def test_lstm_cell_is_one_tape_node():
 
 
 def test_lstm_cell_rejects_bad_shapes():
+    """Two rows of projections for one row of state, and one row of
+    projections for two rows of state (the cell carries no rows)."""
     rng = np.random.default_rng(0)
     p = random_cell(rng, d=3, rows=2)
     with pytest.raises(ad.ShapeError):
         ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
-    with pytest.raises(IndexError):
-        ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"], row=[2])
+    two_states = rng.normal(size=(2, 2, 3))
+    with pytest.raises(ad.ShapeError):
+        ad.lstm_cell(p["x_proj"].data[:1], *two_states, p["W_h"], p["b"])
 
 
 @pytest.mark.parametrize("d", [1, 3, 6, 16, 32])
@@ -185,11 +197,13 @@ def test_lstm_scan_bitwise_equals_composition(widths, reverse, n):
                          d_attn=4, **widths)
     params = ModelParams(config, seed=n)
     x = Tensor(np.random.default_rng(n).normal(size=(n, config.d_emb)))
-    states, h, c = encoder.lstm_scan(x, params.lstm_fw, config.d_h, reverse)
-    states_ref, h_ref, c_ref = composed_scan(x, params.lstm_fw, config.d_h,
-                                             reverse)
-    for got, expected in zip(states, states_ref, strict=True):
-        assert same_bits(got.data, expected.data)
+    cell = params.lstm_fw
+    states, h, c = ad.lstm_scan(ad.matmul(x, cell["W_x"]), cell["W_h"],
+                                cell["b"], (n,), reverse)
+    states_ref, h_ref, c_ref = composed_scan(x, cell, config.d_h, reverse)
+    assert states.shape == (n, config.d_h)
+    for i, expected in enumerate(states_ref):
+        assert same_bits(states.data[i:i + 1], expected.data)
     assert same_bits(h.data, h_ref.data) and same_bits(c.data, c_ref.data)
 
 
@@ -253,8 +267,9 @@ def test_toy_width_sequence_loss_tape_size():
     """Pins the tape of one example at toy widths (22-id vocabulary, 18
     source tokens, 4 decoder steps). The fused cell took it from 1,006 nodes
     to 320, one output head over all the steps' rows to 196, one
-    coverage-attention node per step to 148 and one p_gen node to 139; a
-    change that re-inflates the tape should fail here first."""
+    coverage-attention node per step to 148, one p_gen node to 139 and one
+    scan node per encoder direction from 136 to 100; a change that
+    re-inflates the tape should fail here first."""
     vocab, examples = corpus(seed=7, size=2)
     example = examples[0]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
@@ -263,6 +278,7 @@ def test_toy_width_sequence_loss_tape_size():
         sequence_loss(example, params, 1.0)
     ops = [node.op for node in tape.nodes]
     assert (vocab.size, example.n, len(example.target_ids)) == (22, 18, 5)
-    assert ops.count("lstm_cell") == 2 * example.n + len(example.target_ids) - 1
+    assert ops.count("lstm_cell") == len(example.target_ids) - 1
+    assert ops.count("lstm_scan") == 2
     assert "slice_cols" not in ops
-    assert len(ops) == 136
+    assert len(ops) == 100

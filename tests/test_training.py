@@ -175,6 +175,28 @@ def test_gradient_clipping_bounds_global_norm():
     np.testing.assert_array_equal(same["a"], grads["a"])
 
 
+@pytest.mark.parametrize("max_norm", [0.0, 1.0, 1e9])
+def test_clip_gradients_in_place_is_bitwise_the_expression_form(max_norm):
+    """Scaled in place, the same arrays come back; the norm and every entry
+    are bitwise those of ``(g * g).sum()`` summed in order and ``g * scale``
+    (a 0-d and an odd-sized gradient included)."""
+    rng = np.random.default_rng(12)
+    shapes = {"W": (37, 29), "b": (29,), "E": (301, 7), "s": ()}
+    grads = {n: rng.normal(scale=3.0, size=s) for n, s in shapes.items()}
+    given = {n: g.copy() for n, g in grads.items()}
+    clipped, norm = clip_gradients(grads, max_norm)
+    total = 0.0
+    for g in given.values():
+        total += float((g * g).sum())
+    want_norm = total ** 0.5
+    assert struct.pack("<d", norm) == struct.pack("<d", want_norm)
+    scale = max_norm / want_norm if 0 < max_norm < want_norm else None
+    for n, g in given.items():
+        assert clipped[n] is grads[n]
+        want = g if scale is None else g * scale
+        assert clipped[n].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
