@@ -16,22 +16,32 @@ gradient of the node that produced it, and flushes every term still pending
 (the leaves: parameters) when it ends. A flush is one matrix product over
 the stacked rows, ``concat(a).T @ concat(g)``, and one ``np.add.at`` over
 the stacked indices, so a decoder weight used at every step costs one
-product per example instead of one per step. Reverse topological order
-means every term is filed before its flush. Only the order in which
-gradient terms are summed changes; forward values do not.
+product per example instead of one per step. A flush into a gradient that
+already exists (a later document's terms) adds its product a column block
+at a time, never forming a temporary the size of the weight. Reverse
+topological order means every term is filed before its flush. Only the
+order in which gradient terms are summed changes; forward values do not.
+A backward hands a gradient array it made to the tensor it is for, which
+keeps it as its ``grad``; a view, or an array another tensor receives too,
+is copied first, so no two tensors' gradients share memory.
 
 A primitive may have several outputs: ``lstm_cell`` records one node for
 the new hidden and cell state together, ``lstm_scan`` one node for a scan's
 states and final states, ``split_rows`` one node for all the blocks it cuts
-a tensor into. Its backward receives one gradient per output, ``None`` for
+a tensor into, ``by_document`` one node for every document's rows of a
+lockstep scan. Its backward receives one gradient per output, ``None`` for
 an output that nothing downstream reached, and is skipped only when no
 output was reached.
 
 Tapes can be chained. ``backward()`` without a loss starts from the
 gradients already on the tape's tensors, so a tape whose outputs a later
-tape read carries on that tape's backward pass: training records the
-encoder of a minibatch on one tape, each document's decoder on one more,
-and backpropagates the encoder tape last.
+tape read carries on that tape's backward pass. Training records the
+encoder of a minibatch and its decoder recurrence, all documents in
+lockstep, on one tape, and each document's output head and loss on one
+more, which is backpropagated and freed before the next document's is
+built; it leaves its gradients on the document's rows of the recurrence
+(``by_document``'s outputs). The batch tape is backpropagated last: head
+tapes, then the recurrence, then the encoder.
 
 Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
 ``sum_rows``, ``pick_rows``, ``pointer_mix``, ``coverage_attention``,
@@ -40,6 +50,12 @@ one-row or vector form gives it, and the segment primitives
 (``segment_softmax``, ``segment_pool``, ``lstm_scan``) give each segment of
 rows the value it has alone, so stacking the rows of several decoder steps,
 beam hypotheses or documents into one call never changes a forward value.
+``coverage_attention`` with ``spans`` is both: each row attends over its
+own document's segment of the stacked encoder rows, on ragged (flat)
+coverage. Each row's softmax sums exactly its own positions, never padded
+(``np.sum`` blocks its pairwise sum by the row length, and a +0.0 pad turns
+a -0.0 sum into +0.0); its context, a left fold, may run on past them over
+-0.0 terms, which leave every sum as it is.
 The compositions a fused primitive is checked against use some primitives that
 nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``
 and more); those live with the tests, in ``tests/oracles.py``.
@@ -94,6 +110,7 @@ __all__ = [
     "pick_rows",
     "pointer_mix",
     "coverage_attention",
+    "by_document",
     "generation_gate",
     "clip",
     "lstm_cell",
@@ -261,11 +278,14 @@ class _PendingGrad:
 
     def flush(self, t: Tensor) -> None:
         if self.lhs:
-            grad = _stack(self.lhs).T @ _stack(self.grads)  # a fresh array
+            a, g = _stack(self.lhs), _stack(self.grads)
             if t.grad is None:
-                t.grad = grad
+                t.grad = a.T @ g  # a fresh array
             else:
-                t.grad += grad
+                # a block at a time: no temporary the size of the gradient
+                for lo in range(0, g.shape[1], _FLUSH_COLS):
+                    hi = lo + _FLUSH_COLS
+                    t.grad[:, lo:hi] += a.T @ g[:, lo:hi]
         if self.rows:
             if t.grad is None:
                 t.grad = np.zeros(t.shape)
@@ -301,6 +321,16 @@ def _record(op: str, out: Tensor | tuple[Tensor, ...],
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``t.grad``. A first gradient is stored as it is, so
+    the caller hands over a temporary that nothing else holds; a view, or an
+    array another tensor also receives, goes through ``_accumulate_copy``."""
+    if t.grad is None:
+        t.grad = grad if type(grad) is np.ndarray else np.asarray(grad, np.float64)
+    else:
+        t.grad += grad
+
+
+def _accumulate_copy(t: Tensor, grad: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(grad, dtype=np.float64, copy=True)
     else:
@@ -350,6 +380,10 @@ _REDUCE_MAX_TERMS = 32_768
 # and 75-120 ms at 512-2,500 (strided updates of short rows). One-row
 # products stay unblocked: blocking them was slower.
 _BLOCK_COLS = 4096
+# Column-block width in which a flush adds its product into a gradient that
+# already exists: at dec/out_W's 96 rows a block is 393 KB, where the whole
+# product at V = 20,000 is 15 MB.
+_FLUSH_COLS = 512
 
 
 def matmul(a, b) -> Tensor:
@@ -435,9 +469,9 @@ def add(a, b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g))
+            _accumulate_copy(a, _reduce_to(a.shape, g))
         if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, g))
+            _accumulate_copy(b, _reduce_to(b.shape, g))
 
     _record("add", out, backward)
     return out
@@ -461,9 +495,9 @@ def mul(a, b) -> Tensor:
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     # piecewise form never exponentiates a positive argument, so no overflow:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, where
-    # exp(-|x|) is each branch's exponential
+    # exp(-|x|) is each branch's exponential; one division serves both
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 def sigmoid(x) -> Tensor:
@@ -656,7 +690,7 @@ def sum_rows(x) -> Tensor:
     out = Tensor(x.data.sum(axis=-1), x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, -1), x.shape))
+        _accumulate_copy(x, np.broadcast_to(np.expand_dims(g, -1), x.shape))
 
     _record("sum_rows", out, backward)
     return out
@@ -673,7 +707,7 @@ def fold_sum(x) -> Tensor:
     out = Tensor(np.add.accumulate(x.data)[-1], x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(g, x.shape))
+        _accumulate_copy(x, np.broadcast_to(g, x.shape))
 
     _record("fold_sum", out, backward)
     return out
@@ -694,7 +728,7 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                _accumulate(p, g[tuple(idx)])
+                _accumulate_copy(p, g[tuple(idx)])
             lo = hi
 
     _record("concat", out, backward)
@@ -706,7 +740,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     out = Tensor(x.data.reshape(shape), x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(x.shape))
+        _accumulate_copy(x, g.reshape(x.shape))
 
     _record("reshape", out, backward)
     return out
@@ -800,7 +834,7 @@ def add_rowvec(m, v) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if m.requires_grad:
-            _accumulate(m, g)
+            _accumulate_copy(m, g)
         if v.requires_grad:
             _accumulate(v, g.sum(axis=0))
 
@@ -887,7 +921,7 @@ def pointer_mix(vocab_dist, copy_attention, p_gen, ids, size: int) -> Tensor:
 
 
 def coverage_attention(
-    hidden, dec_W, enc_proj, b, coverage, cov_w, v, enc_states
+    hidden, dec_W, enc_proj, b, coverage, cov_w, v, enc_states, spans=None
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Additive attention with a coverage feature for R decoder rows.
 
@@ -909,6 +943,18 @@ def coverage_attention(
     value. The backward is analytic; with one row it sums every gradient
     term in the order the composition's nodes did, so a one-row step's
     gradients are bitwise the composition's too.
+
+    ``spans`` gives each row a source of its own, for rows of several
+    documents whose encoder rows are stacked in ``enc_proj`` and
+    ``enc_states``: row r attends over their rows ``spans[r] = (start,
+    stop)``, n_r of them. ``coverage``, and the attention, coverage and
+    scores returned, are then flat, row r's n_r entries after row r - 1's.
+    Every row is bitwise its value in the call with its document alone
+    (``spans`` None): features and scores are elementwise or one fold per
+    entry, each softmax sums the rows of one length together, each over
+    exactly its own positions (``np.sum`` blocks its pairwise sum by the row
+    length), and the contexts are one left fold, a shorter row's padded
+    with -0.0 terms.
     """
     hidden, dec_W, enc_proj, b, coverage, v, enc_states = (
         _as_tensor(t)
@@ -917,8 +963,17 @@ def coverage_attention(
     cov_w = None if cov_w is None else _as_tensor(cov_w)
     rows = hidden.shape[0] if hidden.data.ndim == 2 else -1
     n, width = enc_proj.shape if enc_proj.data.ndim == 2 else (-1, -1)
+    cov_shape = (rows, n)
+    if spans is not None:
+        bounds = np.asarray(spans, dtype=np.intp)
+        cov_shape = None
+        if rows > 0 and bounds.shape == (rows, 2):
+            lengths = bounds[:, 1] - bounds[:, 0]
+            if (lengths >= 1).all() and (bounds[:, 0] >= 0).all() and (
+                    bounds[:, 1] <= n).all():
+                cov_shape = (int(lengths.sum()),)
     if (rows < 0 or n < 1 or dec_W.shape != (hidden.shape[1], width)
-            or b.shape != (width,) or coverage.shape != (rows, n)
+            or b.shape != (width,) or coverage.shape != cov_shape
             or (cov_w is not None and cov_w.shape != (width,))
             or v.shape != (width, 1) or enc_states.data.ndim != 2
             or enc_states.shape[0] != n):
@@ -928,18 +983,22 @@ def coverage_attention(
             f"coverage {coverage.shape}, cov_w "
             f"{None if cov_w is None else cov_w.shape}, v {v.shape}, "
             f"enc_states {enc_states.shape}"
+            + ("" if spans is None else f", spans {list(spans)}")
         )
     inputs = (hidden, dec_W, enc_proj, b, coverage, v, enc_states)
     if cov_w is not None:
         inputs += (cov_w,)
-    features = (enc_proj.data[None]
-                + _matmul_data(hidden.data, dec_W.data)[:, None]) + b.data
+    grad = any(t.requires_grad for t in inputs)
+    if spans is not None:
+        return _span_attention(hidden, dec_W, enc_proj, b, coverage, cov_w, v,
+                               enc_states, bounds[:, 0], lengths, grad)
+    features = enc_proj.data[None] + _matmul_data(hidden.data, dec_W.data)[:, None]
+    features += b.data
     if cov_w is not None:
-        features = features + coverage.data[:, :, None] * cov_w.data
-    tanh_f = np.tanh(features).reshape(rows * n, width)
+        features += coverage.data[:, :, None] * cov_w.data
+    tanh_f = np.tanh(features, out=features).reshape(rows * n, width)
     scores = _matmul_data(tanh_f, v.data).reshape(rows, n)
     att = _softmax_data(scores)
-    grad = any(t.requires_grad for t in inputs)
     outs = (Tensor(att, grad), Tensor(_matmul_data(att, enc_states.data), grad),
             Tensor(coverage.data + att, grad), Tensor(scores, grad))
 
@@ -955,7 +1014,7 @@ def coverage_attention(
                 terms.grads.append(g_ctx)
         if g_cov is not None:
             if coverage.requires_grad:
-                _accumulate(coverage, g_cov)
+                _accumulate_copy(coverage, g_cov)
             g_a = g_cov if g_a is None else g_cov + g_a
         if g_a is None:
             ds = g_scores
@@ -993,6 +1052,209 @@ def coverage_attention(
 
     _record("coverage_attention", outs, backward)
     return outs
+
+
+def _span_attention(hidden, dec_W, enc_proj, b, coverage, cov_w, v,
+                    enc_states, starts, lengths, grad):
+    """``coverage_attention`` of rows with sources of their own: row r over
+    rows ``starts[r]`` to ``starts[r] + lengths[r]`` of ``enc_proj`` and
+    ``enc_states``, on flat coverage."""
+    rows, total = len(lengths), int(lengths.sum())
+    offsets = np.zeros(rows + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    row_of = np.repeat(np.arange(rows), lengths)        # per flat entry
+    pos = np.arange(total) + (starts - offsets[:-1])[row_of]  # its source row
+    tanh_f = enc_proj.data[pos]                         # (total, a)
+    tanh_f += _matmul_data(hidden.data, dec_W.data)[row_of]
+    tanh_f += b.data
+    if cov_w is not None:
+        tanh_f += coverage.data[:, None] * cov_w.data
+    np.tanh(tanh_f, out=tanh_f)
+    scores = _matmul_data(tanh_f, v.data).reshape(total)
+    # softmax: the max and the exponentials entry by entry, each row's sum
+    # over a (rows of that length, length) block, as _softmax_data sums
+    z = np.exp(scores - np.maximum.reduceat(scores, offsets[:-1])[row_of])
+    sums = np.empty(rows)
+    for n in sorted(set(lengths.tolist())):
+        group = np.flatnonzero(lengths == n)
+        sums[group] = z[offsets[group, None] + np.arange(n)].sum(axis=-1)
+    att = z / sums[row_of]
+    # context[r] is the left fold of att[r, i] * enc_states[pos] over i;
+    # a row shorter than the longest folds in -0.0 terms, which add nothing
+    grid = np.arange(lengths.max())
+    inside = grid < lengths[:, None]                    # (rows, longest)
+    weights = np.zeros(inside.shape)
+    weights[inside] = att
+    at = starts[:, None] + np.minimum(grid, lengths[:, None] - 1)
+    terms = np.empty((len(grid), rows, enc_states.shape[1]))
+    np.multiply(weights.T[:, :, None], enc_states.data[at.T], out=terms)
+    terms[~inside.T] = -0.0
+    context = _fold(terms)
+    outs = (Tensor(att, grad), Tensor(context, grad),
+            Tensor(coverage.data + att, grad), Tensor(scores, grad))
+
+    def backward(g_att, g_ctx, g_cov, g_scores) -> None:
+        g_a = g_att
+        if g_ctx is not None:
+            term = np.einsum("ij,ij->i", g_ctx[row_of], enc_states.data[pos])
+            g_a = term if g_a is None else g_a + term
+            if enc_states.requires_grad:
+                spread = np.zeros((rows, enc_states.shape[0]))
+                spread[row_of, pos] = att
+                terms = _pending_for(enc_states)
+                terms.lhs.append(spread)
+                terms.grads.append(g_ctx)
+        if g_cov is not None:
+            if coverage.requires_grad:
+                _accumulate_copy(coverage, g_cov)
+            g_a = g_cov if g_a is None else g_cov + g_a
+        if g_a is None:
+            ds = g_scores
+        else:
+            inner = np.add.reduceat(g_a * att, offsets[:-1])
+            ds = att * (g_a - inner[row_of])
+            if g_scores is not None:
+                ds = ds + g_scores
+        ds = ds.reshape(total, 1)
+        if v.requires_grad:
+            terms = _pending_for(v)
+            terms.lhs.append(tanh_f)
+            terms.grads.append(ds)
+        g_f = (ds @ v.data.T) * (1.0 - tanh_f * tanh_f)  # (total, a)
+        if cov_w is not None:
+            if coverage.requires_grad:
+                _accumulate(coverage, g_f @ cov_w.data)
+            if cov_w.requires_grad:
+                _accumulate(cov_w, g_f.T @ coverage.data)
+        if b.requires_grad:
+            _accumulate(b, g_f.sum(axis=0))
+        if enc_proj.requires_grad:
+            if enc_proj.grad is None:
+                enc_proj.grad = np.zeros(enc_proj.shape)
+            np.add.at(enc_proj.grad, pos, g_f)
+        if hidden.requires_grad or dec_W.requires_grad:
+            g_dec = np.add.reduceat(g_f, offsets[:-1], axis=0)
+            if hidden.requires_grad:
+                _accumulate(hidden, g_dec @ dec_W.data.T)
+            if dec_W.requires_grad:
+                terms = _pending_for(dec_W)
+                terms.lhs.append(hidden.data)
+                terms.grads.append(g_dec)
+
+    _record("coverage_attention", outs, backward)
+    return outs
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """The left fold over axis 0 of C-ordered ``terms``, term 0 first: the
+    sum ``_matmul_data`` forms for each output entry."""
+    if terms[0].size == 1:
+        return np.add.accumulate(terms.reshape(len(terms)))[-1:].reshape(
+            terms.shape[1:])
+    return np.add.reduce(terms, axis=0, initial=-0.0)
+
+
+def by_document(steps: Sequence[Sequence[Tensor]],
+                lengths: Sequence[int]) -> list[tuple[Tensor, ...]]:
+    """The outputs of a lockstep scan over documents, regrouped by document
+    in one node.
+
+    ``steps[t]`` holds the same quantities at every step t, for the first
+    live_t documents (every document at step 0; live_t never grows): a
+    matrix one row per document, a flat vector one segment per document,
+    ``lengths[k]`` entries for document k (the layout of
+    ``coverage_attention`` with ``spans``). Returns, for each document k,
+    its blocks of every quantity stacked in step order, one (T_k, width)
+    matrix per quantity, where T_k counts the steps that hold it. The
+    backward hands each block's gradient back to its step."""
+    bounds = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=bounds[1:])
+    documents_of = {int(b): k for k, b in enumerate(bounds) if k}
+
+    def live(t: Tensor) -> int:
+        if t.data.ndim == 2:
+            return t.shape[0]
+        return documents_of.get(t.size, -1) if t.data.ndim == 1 else -1
+
+    def layout(step: Sequence[Tensor]) -> list:
+        # each quantity's width, or None for a flat vector
+        return [t.shape[1] if t.data.ndim == 2 else None for t in step]
+
+    quantities = len(steps[0]) if steps else 0
+    widths = layout(steps[0]) if steps else []
+    live_counts = []
+    for step in steps:
+        counts = {live(t) for t in step}
+        if len(counts) != 1 or layout(step) != widths:
+            break
+        live_counts.append(counts.pop())
+    if (not quantities or not len(lengths) or min(lengths) < 1
+            or len(live_counts) != len(steps)
+            or live_counts[0] != len(lengths)):
+        raise ShapeError(f"by_document: steps do not hold the first documents "
+                         f"of lengths {list(lengths)}")
+    live_at = np.array(live_counts)
+    if live_at.min() < 1 or (live_at[1:] > live_at[:-1]).any():
+        raise ShapeError(f"by_document: documents per step "
+                         f"{live_counts} must never grow")
+    # every (step, document) block in document order, as positions among
+    # the steps' stacked rows (matrices) or entries (flat vectors); one
+    # document's blocks are in that order already
+    steps_of = [int(np.count_nonzero(live_at > k)) for k in range(len(lengths))]
+    row_index = entry_index = None
+    if len(lengths) > 1:
+        first_row = np.cumsum(live_at) - live_at
+        first_entry = np.cumsum(bounds[live_at]) - bounds[live_at]
+        row_index = np.concatenate([first_row[:t] + k
+                                    for k, t in enumerate(steps_of)])
+        entry_index = np.concatenate([
+            (first_entry[:t, None] + bounds[k] + np.arange(lengths[k])).ravel()
+            for k, t in enumerate(steps_of)])
+    # per quantity: whether it is flat, its index and each document's shape
+    plans = []
+    for width in widths:
+        if width is not None:
+            plans.append((False, row_index, [(t, width) for t in steps_of]))
+        else:
+            plans.append((True, entry_index,
+                          [(t, n) for t, n in zip(steps_of, lengths)]))
+    grad = any(t.requires_grad for step in steps for t in step)
+    outs = []
+    for q, (_, index, shapes) in enumerate(plans):
+        gathered = np.concatenate([step[q].data for step in steps])
+        if index is not None:
+            gathered = gathered[index]
+        gathered, lo = gathered.reshape(-1), 0
+        blocks = []
+        for t, n in shapes:
+            blocks.append(Tensor(gathered[lo:lo + t * n].reshape(t, n), grad))
+            lo += t * n
+        outs.append(blocks)
+    outs = tuple(o[k] for k in range(len(lengths)) for o in outs)
+
+    def backward(*grads: np.ndarray | None) -> None:
+        for q, (flat, index, shapes) in enumerate(plans):
+            parts = grads[q::quantities]
+            if all(g is None for g in parts):
+                continue
+            # a matrix's blocks stack as rows, a flat vector's as entries
+            g_rows = np.concatenate([
+                np.zeros((t, n)) if g is None else g
+                for g, (t, n) in zip(parts, shapes)], axis=None if flat else 0)
+            stacked = g_rows
+            if index is not None:
+                stacked = np.empty_like(g_rows)
+                stacked[index] = g_rows
+            lo = 0
+            for step in steps:
+                t = step[q]
+                if t.requires_grad:
+                    _accumulate(t, stacked[lo:lo + len(t.data)].reshape(t.shape))
+                lo += len(t.data)
+
+    _record("by_document", outs, backward)
+    return [outs[k * quantities:(k + 1) * quantities]
+            for k in range(len(lengths))]
 
 
 def generation_gate(context, hidden, x, ctx_w, state_w, x_w, b) -> Tensor:
@@ -1167,7 +1429,10 @@ def lstm_scan(
         # that has ended keeps its final states' gradients for its last step
         dh_next, dc_next = (np.zeros((len(n), d)) if g is None else g.copy()
                             for g in (dh_final, dc_final))
-        dx = np.zeros(x_proj.shape) if x_proj.grad is None else x_proj.grad
+        # every row is stepped once: its dz, and the h it read, go to one
+        # row of dz_all and h_all, and the weights' gradients are one product
+        dz_all = np.empty(x_proj.shape)
+        h_all = np.empty(states.shape)
         for t in range(len(steps) - 1, -1, -1):
             rows, h_in, c_in, gates, tc = steps[t]
             live = len(rows)
@@ -1175,15 +1440,16 @@ def lstm_scan(
                   else d_states[rows] + dh_next[:live])
             dz, dc_next[:live] = _cell_backward(dh, dc_next[:live], gates, tc,
                                                 c_in)
-            if W_h.requires_grad:
-                _accumulate(W_h, h_in.T @ dz)
-            if b.requires_grad:
-                _accumulate(b, dz.sum(axis=0))
-            dx[rows] += dz
+            dz_all[rows] = dz
+            h_all[rows] = h_in
             if t:
                 dh_next[:live] = dz @ W_h.data.T
+        if W_h.requires_grad:
+            _accumulate(W_h, h_all.T @ dz_all)
+        if b.requires_grad:
+            _accumulate(b, dz_all.sum(axis=0))
         if x_proj.requires_grad:
-            x_proj.grad = dx
+            _accumulate(x_proj, dz_all)
 
     _record("lstm_scan", outs, backward)
     return outs

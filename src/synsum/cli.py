@@ -301,13 +301,15 @@ def cmd_decode(args) -> int:
     mapping = map_checkpoint(args.checkpoint)
     ckpt = load_checkpoint(mapping)
     checkpoint_hash = bytes_hash(mapping)
-    vocab_hash = file_hash(args.vocab)
+    # one read of the vocabulary as well: it is hashed and parsed
+    vocab_bytes = Path(args.vocab).read_bytes()
+    vocab_hash = bytes_hash(vocab_bytes)
     if vocab_hash != ckpt.vocab_hash:
         raise CliError(
             f"vocabulary hash mismatch: checkpoint expects {ckpt.vocab_hash}, "
             f"file {args.vocab} has {vocab_hash}"
         )
-    vocab = Vocabulary.load(args.vocab)
+    vocab = Vocabulary.load(args.vocab, vocab_bytes)
     config = ckpt.config
     if args.no_coverage:
         config.use_coverage = False

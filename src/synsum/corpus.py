@@ -20,6 +20,7 @@ id, all other unknown reference tokens fall back to UNK.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections import Counter
@@ -65,18 +66,27 @@ class CorpusFormatError(ValueError):
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def read_lines(path: str | Path,
+               data: bytes | None = None) -> Iterator[tuple[int, str]]:
     """The lines of a UTF-8 text file with their 1-based numbers, split and
     newline-translated as ``open(path, encoding="utf-8")`` does. A file that
     is not UTF-8 is a ``CorpusFormatError`` naming the file, the first line
-    that is not and its first bad byte."""
+    that is not and its first bad byte. ``data``, when given, is the file's
+    content, already read: it is split in the file's place, and ``path``
+    only names the file."""
+    def text(errors: str = "strict"):
+        if data is None:
+            return open(path, encoding="utf-8", errors=errors)
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                errors=errors)
+
     try:
-        with open(path, encoding="utf-8") as fh:
+        with text() as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError:
         # read again to find the line: the decoder reports only an offset
         # into the chunk it was decoding
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with text("surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
                 bad = _ESCAPED_BYTE.search(line)
                 if bad:
@@ -157,9 +167,12 @@ class Vocabulary:
                 fh.write(token + "\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
+    def load(cls, path: str | Path, data: bytes | None = None) -> "Vocabulary":
+        """The vocabulary file at ``path``, or parsed from ``data``, its
+        bytes already read (so that a caller hashes exactly what it parses).
+        """
         id_to_token = list(RESERVED_TOKENS)
-        for _, line in read_lines(path):
+        for _, line in read_lines(path, data):
             id_to_token.append(line.rstrip("\n"))
         token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
         return cls(token_to_id=token_to_id, id_to_token=id_to_token)

@@ -15,18 +15,25 @@ distributions; attending where coverage is already high is penalized by
 ``coverage_loss``.
 
 A decoder state (``StepState``) holds R rows: one per live hypothesis in
-beam search, one for a document decoded greedily or teacher-forced. A step
-has two halves, each over all R rows at once. The recurrence
-(``recurrence_step``: embedding, LSTM cell, and ``ad.coverage_attention``,
-one tape node for the attention, its context and the coverage update)
-carries the state from step to step, five tape nodes a step. The output
-head (``output_head``: the vocabulary projection of ``[hidden; context]``,
-its softmax, p_gen, the copy scatter and the mixture) takes any number of
-rows, and nothing in the recurrence reads it. ``decode_step`` runs both
-halves; under teacher forcing (``teacher_force``) the recurrence steps one
-row and the head runs once over the rows of all T steps, so the vocabulary
-projection is one (T x k) by (k x V) product. Every row is bitwise the
-value of that row's step run alone.
+beam search, one for a document decoded greedily, one per document of a
+minibatch under teacher forcing. A step has two halves, each over all R
+rows at once. The recurrence (``recurrence_step``: embedding, LSTM cell,
+and ``ad.coverage_attention``, one tape node for the attention, its context
+and the coverage update) carries the state from step to step, five tape
+nodes a step. The output head (``output_head``: the vocabulary projection
+of ``[hidden; context]``, its softmax, p_gen, the copy scatter and the
+mixture) takes any number of one document's rows, and nothing in the
+recurrence reads it. ``decode_step`` runs both halves.
+
+Teacher forcing (``teacher_force``) runs the recurrence of a minibatch in
+lockstep: the documents, longest target first, are the rows of one state
+over their stacked encoder states, each row attending over its own
+document's (``DecodeContext.spans``), and a document whose target has
+ended drops out of the state. One ``ad.by_document`` node regroups the
+steps' rows by document, and each document's head then runs once over
+the rows of all its T steps, so its vocabulary projection is one (T x k)
+by (k x V) product. One document alone is a batch of one. Every row is
+bitwise the value of that row's step run alone.
 
 At inference a content-selector mask can restrict the copy distribution to
 source tokens scoring at least a threshold, row by row; the attention used
@@ -76,6 +83,7 @@ __all__ = [
     "recurrence_step",
     "output_head",
     "decode_step",
+    "ForcedRows",
     "teacher_force",
     "coverage_loss",
     "make_step_fn",
@@ -111,17 +119,34 @@ class StepState:
 
 @dataclass
 class DecodeContext:
-    """Per-document quantities shared by every decode step."""
+    """What every decode step of one document, or of a lockstep batch of
+    documents, reads."""
 
     enc_states: Tensor          # (n, d) gated encoder states
     enc_attn_proj: Tensor       # (n, d_attn) precomputed attention projection
-    source_ext_ids: np.ndarray  # (n,) extended ids of the source tokens
-    n_oov: int
+    source_ext_ids: np.ndarray | None  # (n,) extended ids of the source
+    n_oov: int                  # tokens, and the document's OOV count; a
+                                # batch's heads take them per document
     attn_v: Tensor              # (d_attn, 1) attention scoring vector
+    # state row r's source rows (start, stop) of a batch's stacked states;
+    # None: every row attends over all of them
+    spans: list[tuple[int, int]] | None = None
 
     @property
     def n(self) -> int:
         return self.enc_states.shape[0]
+
+
+@dataclass
+class ForcedRows:
+    """One document's rows of the teacher-forced recurrence, one per step:
+    what its output head and loss read."""
+
+    x: Tensor                   # (T, d_emb + d) LSTM inputs
+    hidden: Tensor              # (T, d_dec)
+    context: Tensor             # (T, d)
+    attention: Tensor           # (T, n)
+    coverage: Tensor            # (T, n) coverage before each step
 
 
 @dataclass
@@ -157,14 +182,23 @@ def length_penalty(length: int, alpha: float) -> float:
 
 
 def prepare_decoder(
-    enc_states: Tensor, example: EncodedExample, params: ModelParams
+    enc_states: Tensor,
+    example: EncodedExample | None,
+    params: ModelParams,
+    spans: list[tuple[int, int]] | None = None,
 ) -> DecodeContext:
+    """The decode context of one example, or (``example`` None) of a
+    lockstep batch whose documents' states are stacked in ``enc_states``,
+    state row r's at ``spans[r]``; the attention projection is one product
+    over the stacked rows either way."""
     return DecodeContext(
         enc_states=enc_states,
         enc_attn_proj=ad.matmul(enc_states, params.attn["enc_W"]),
-        source_ext_ids=np.asarray(example.source_ext_ids, dtype=np.intp),
-        n_oov=len(example.oov_tokens),
+        source_ext_ids=(None if example is None else
+                        np.asarray(example.source_ext_ids, dtype=np.intp)),
+        n_oov=0 if example is None else len(example.oov_tokens),
         attn_v=ad.reshape(params.attn["v"], (params.config.d_attn, 1)),
+        spans=spans,
     )
 
 
@@ -208,16 +242,25 @@ def encode_document(
     return enc, gated, prepare_decoder(gated.gated, example, params)
 
 
-def initial_state(enc: EncodedDocument, params: ModelParams) -> StepState:
-    """Project the document's final encoder states, both directions joined
-    in one row each (``encoder.bilstm``), into the decoder."""
+def initial_state(
+    enc: EncodedDocument,
+    params: ModelParams,
+    spans: list[tuple[int, int]] | None = None,
+) -> StepState:
+    """Project final encoder states, both directions joined in one row each
+    (``encoder.bilstm``), into the decoder: one state row per row of
+    ``enc.final_states``, with zero coverage over ``enc.n`` positions. That
+    is one document's row, or with ``spans`` the rows of a lockstep batch
+    (``enc`` then holds its documents' stacked final states and rows), whose
+    coverage is flat, row r's ``spans[r]`` positions after row r - 1's."""
     hidden, cell = enc.final_states
     init = params.dec_init
     return StepState(
         hidden=ad.add_rowvec(ad.matmul(hidden, init["h_W"]), init["h_b"]),
         cell=ad.add_rowvec(ad.matmul(cell, init["c_W"]), init["c_b"]),
-        coverage=Tensor(np.zeros((1, enc.n))),
-        prev_context=Tensor(np.zeros((1, params.config.enc_dim))),
+        coverage=Tensor(np.zeros((1, enc.n) if spans is None else enc.n)),
+        prev_context=Tensor(np.zeros((hidden.shape[0],
+                                      params.config.enc_dim))),
     )
 
 
@@ -234,7 +277,9 @@ def recurrence_step(
     ``y_prev`` holds each row's previous token. Returns (LSTM input rows
     ``[embedding; previous context]``, attention rows (R, n), copy-attention
     rows (R, n), next state). The copy rows are the attention rows unless
-    ``mask`` changes them.
+    ``mask`` changes them. Under ``ctx.spans`` row r attends over its own
+    document's states, ``ctx.spans[r]``, and attention and coverage are
+    flat (``ad.coverage_attention``).
     """
     config = params.config
     rows = state.hidden.shape[0]
@@ -251,7 +296,7 @@ def recurrence_step(
     attention, context, coverage, scores = ad.coverage_attention(
         hidden, attn["dec_W"], ctx.enc_attn_proj, attn["b"], state.coverage,
         attn["cov_w"] if config.use_coverage else None, ctx.attn_v,
-        ctx.enc_states,
+        ctx.enc_states, None if ctx.spans is None else ctx.spans[:rows],
     )
     copy_attention = (attention if mask is None
                       else _masked_copy_attention(attention, scores, mask))
@@ -297,15 +342,19 @@ def output_head(
     context: Tensor,
     x: Tensor,
     copy_attention: Tensor,
-    ctx: DecodeContext,
+    source_ext_ids: Sequence[int],
+    n_oov: int,
     params: ModelParams,
 ) -> tuple[Tensor, Tensor]:
-    """The output half of the decoder over R steps' rows at once.
+    """The output half of the decoder over R steps' rows of one document
+    at once.
 
     ``hidden`` (R, d_dec), ``context`` (R, d), ``x`` (R, d_emb + d) and
-    ``copy_attention`` (R, n) hold one row per step. Returns the final
-    distributions over the extended vocabulary (R, vocab_size + n_oov) and
-    p_gen (R, 1). Every row is bitwise what the head gives that step alone.
+    ``copy_attention`` (R, n) hold one row per step; the document's n
+    source tokens have the extended ids ``source_ext_ids``. Returns the
+    final distributions over the extended vocabulary (R, vocab_size +
+    n_oov) and p_gen (R, 1). Every row is bitwise what the head gives that
+    step alone.
     """
     out = params.out_proj
     vocab_logits = ad.add_rowvec(
@@ -315,9 +364,8 @@ def output_head(
     pg = params.pgen
     p_gen = ad.generation_gate(context, hidden, x, pg["ctx_w"], pg["state_w"],
                                pg["x_w"], pg["b"])
-    final = ad.pointer_mix(vocab_dist, copy_attention, p_gen,
-                           ctx.source_ext_ids,
-                           params.config.vocab_size + ctx.n_oov)
+    final = ad.pointer_mix(vocab_dist, copy_attention, p_gen, source_ext_ids,
+                           params.config.vocab_size + n_oov)
     return final, p_gen
 
 
@@ -340,7 +388,8 @@ def decode_step(
         state, [y_prev] if one else y_prev, ctx, params, mask
     )
     final, p_gen = output_head(new_state.hidden, new_state.prev_context, x,
-                               copy_attention, ctx, params)
+                               copy_attention, ctx.source_ext_ids, ctx.n_oov,
+                               params)
     if one:
         return (ad.reshape(final, (final.shape[1],)),
                 ad.reshape(attention, (ctx.n,)), ad.reshape(p_gen, ()),
@@ -349,33 +398,64 @@ def decode_step(
 
 
 def teacher_force(
-    state: StepState,
-    inputs: Sequence[int],
-    ctx: DecodeContext,
+    examples: Sequence[EncodedExample],
+    encoded: Sequence[tuple[EncodedDocument, GatedDocument]],
     params: ModelParams,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Decode ``inputs`` under teacher forcing from a one-row state, the
-    output head run once.
+) -> list[ForcedRows]:
+    """The teacher-forced decoder recurrence of every example, in lockstep.
 
-    Nothing in the recurrence reads the head, so the steps' rows are
-    stacked and the head projects, normalizes and mixes all of them in one
-    call. Returns, one row per step: the final distributions (T, vocab_size
-    + n_oov), the attention (T, n) and the coverage before each step (T, n).
+    ``encoded`` holds each example's part of ``encode_documents``. The
+    examples become the rows of one state, longest target first (ties in
+    input order), over their gated states stacked in that order; step t
+    makes one ``recurrence_step`` over the rows of the examples whose
+    target is still longer than t, fed their gold tokens, and an example
+    whose target has ended drops out of the state. Every row is bitwise its
+    example's recurrence alone (``ad.coverage_attention`` with spans; one
+    example needs none). One ``ad.by_document`` node regroups the steps'
+    rows, and each example's come back, in input order, as the rows its
+    output head and loss read.
     """
-    hiddens, contexts, xs, attention_rows, coverages = [], [], [], [], []
-    for y_prev in inputs:
-        coverages.append(state.coverage)
-        x, attention_row, _, state = recurrence_step(state, [y_prev], ctx,
-                                                     params)
-        hiddens.append(state.hidden)
-        contexts.append(state.prev_context)
-        xs.append(x)
-        attention_rows.append(attention_row)
-    attention = ad.concat(attention_rows, axis=0)
-    final, _ = output_head(ad.concat(hiddens, axis=0),
-                           ad.concat(contexts, axis=0), ad.concat(xs, axis=0),
-                           attention, ctx, params)
-    return final, attention, ad.concat(coverages, axis=0)
+    order = sorted(range(len(examples)),
+                   key=lambda k: -len(examples[k].target_ids))
+    # in-vocabulary ids feed the embedding
+    inputs = [examples[k].target_ids[:-1] for k in order]
+    if not inputs or not inputs[-1]:
+        raise ValueError("example has an empty target")
+    docs = [encoded[k][0] for k in order]
+
+    def stack(parts: list[Tensor]) -> Tensor:
+        return parts[0] if len(parts) == 1 else ad.concat(parts)
+
+    lengths = [doc.n for doc in docs]
+    spans = None
+    if len(docs) > 1:
+        bounds = np.cumsum([0] + lengths).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+    ctx = prepare_decoder(stack([encoded[k][1].gated for k in order]), None,
+                          params, spans)
+    stacked = EncodedDocument(None, sum(lengths), tuple(
+        stack([doc.final_states[i] for doc in docs]) for i in (0, 1)))
+    state = initial_state(stacked, params, spans)
+    steps = []
+    for t in range(len(inputs[0])):
+        live = sum(len(ids) > t for ids in inputs)
+        if live < len(state.hidden.data):
+            # the ended documents are the last rows, and their coverage last
+            kept = (live, live, sum(lengths[:live]), live)
+            state = StepState(*(
+                ad.split_rows(tensor, (keep, len(tensor.data) - keep))[0]
+                for tensor, keep in zip((state.hidden, state.cell,
+                                         state.coverage, state.prev_context),
+                                        kept)))
+        coverage = state.coverage
+        x, attention, _, state = recurrence_step(
+            state, [ids[t] for ids in inputs[:live]], ctx, params)
+        steps.append((x, state.hidden, state.prev_context, attention,
+                      coverage))
+    rows: list = [None] * len(examples)
+    for k, parts in zip(order, ad.by_document(steps, lengths)):
+        rows[k] = ForcedRows(*parts)
+    return rows
 
 
 def coverage_loss(attention: Tensor, coverage: Tensor) -> Tensor:

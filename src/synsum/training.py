@@ -7,11 +7,15 @@ gold summary under teacher forcing plus a weighted coverage penalty:
 
 with the predicted probability floored at 1e-12 before the log. Batch
 gradients average the per-example gradients. A minibatch encodes all its
-documents in one forward over their stacked rows, on one tape, and
-decodes each on a tape of its own, which is backpropagated and freed
-before the next document is decoded (``batch_gradients``); the encoder
-tape's backward pass runs last, from the gradients the decoder tapes left
-on its outputs. Every document's loss is bitwise its loss alone.
+documents in one forward over their stacked rows and runs their
+teacher-forced decoder recurrence in lockstep (``decoder.teacher_force``),
+both on one tape. Each document's output head and loss then get a tape of
+their own, which is backpropagated and freed before the next document's
+head is built (``batch_gradients``): at a realistic vocabulary the head is
+most of the memory. The batch tape's backward pass runs last, from the
+gradients the head tapes left on the documents' rows of the recurrence,
+and carries them through the recurrence into the encoder. Every
+document's loss is bitwise its loss alone.
 
 Adagrad follows the accumulator form: acc += g^2, theta -= lr * g /
 sqrt(acc), with every accumulator initialized to a positive constant so no
@@ -51,17 +55,15 @@ from .corpus import EncodedExample
 # perfbench/tracing.py wraps training.decode_step and training.encode_document
 from .decoder import (
     PROB_FLOOR,
+    ForcedRows,
     coverage_loss,
     decode_step,
     encode_document,
     encode_documents,
-    initial_state,
-    prepare_decoder,
+    output_head,
     teacher_force,
 )
-from .encoder import EncodedDocument
 from .fileio import atomic_write
-from .gate import GatedDocument
 from .model import ModelConfig, ModelParams
 
 __all__ = [
@@ -94,6 +96,12 @@ _HEADER_KEYS = {
     "config": dict, "config_digest": str, "step": int, "vocab_hash": str,
     "params": list, "accumulators": list, "extras": list,
 }
+
+
+# values per block of an Adagrad update: two scratch arrays of 512 KB, where
+# scratch the size of the largest parameter (dec/out_W, 15 MB at V = 20,000)
+# raised the peak resident memory of a training step
+_ADAGRAD_BLOCK = 65_536
 
 
 @dataclass
@@ -170,23 +178,24 @@ def sequence_loss(
     example: EncodedExample,
     params: ModelParams,
     coverage_weight: float,
-    encoded: tuple[EncodedDocument, GatedDocument] | None = None,
+    encoded: ForcedRows | None = None,
 ) -> tuple[Tensor, LossStats]:
-    """Teacher-forced loss of one example under the current parameters.
+    """Teacher-forced loss of one example under the current parameters: its
+    output head over the rows of its recurrence, then the loss.
 
-    ``encoded`` is the example's part of ``encode_documents`` over its batch;
-    without it the example is encoded here, on the same tape."""
+    ``encoded`` is the example's rows of ``teacher_force`` over its batch;
+    without it the example is encoded and its recurrence run here, as a
+    batch of one, on the same tape."""
     if len(example.target_ids) < 2:
         raise ValueError("example has an empty target")
-    enc, gated = encoded or encode_documents([example], params)[0]
-    ctx = prepare_decoder(gated.gated, example, params)
-    final, attention, coverage = teacher_force(
-        initial_state(enc, params),
-        example.target_ids[:-1],   # in-vocabulary ids feed the embedding
-        ctx, params,
-    )
+    rows = encoded or teacher_force(
+        [example], encode_documents([example], params), params)[0]
+    final, _ = output_head(rows.hidden, rows.context, rows.x, rows.attention,
+                           example.source_ext_ids, len(example.oov_tokens),
+                           params)
     golds = example.target_ext_ids[1:]    # extended ids are what we must emit
-    return loss_from_rows(final, golds, attention, coverage, coverage_weight)
+    return loss_from_rows(final, golds, rows.attention, rows.coverage,
+                          coverage_weight)
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -204,30 +213,32 @@ def batch_gradients(
 ) -> list[LossStats]:
     """Add the gradient of the batch's mean loss into the parameters' grads.
 
-    The encoder and gate run once over every document of the batch, on one
-    tape. Then each document, in order, gets its own tape for the decoder
-    and the loss, which is backpropagated and freed before the next one
-    starts; it leaves its gradients on its part of the encoder's outputs.
-    Only then does the encoder tape run its backward pass from those. Each
-    document's loss is bitwise that of ``sequence_loss`` alone.
+    The encoder, the gate and the teacher-forced decoder recurrence run once
+    over every document of the batch, on one tape (the recurrence in
+    lockstep, ``decoder.teacher_force``). Then each document, in order, gets
+    its own tape for its output head and loss, which is backpropagated and
+    freed before the next one starts; it leaves its gradients on its rows
+    of the recurrence. Only then does the batch tape run its backward pass
+    from those. Each document's loss is bitwise that of ``sequence_loss``
+    alone.
 
     Raises ``NonFiniteLossError`` at the first document whose loss is not
     finite; the grads are then partial.
     """
     def document_backward(position: int) -> LossStats:
-        # the tape is freed on return, before the next document's forward
+        # the tape is freed on return, before the next document's head
         with Tape() as tape:
             loss, stats = sequence_loss(batch[position], params,
-                                        coverage_weight, encoded[position])
+                                        coverage_weight, rows[position])
             if not np.isfinite(loss.data):
                 raise NonFiniteLossError(position)
             tape.backward(ad.mul(loss, 1.0 / len(batch)))
         return stats
 
-    with Tape() as encoder_tape:
-        encoded = encode_documents(batch, params)
+    with Tape() as batch_tape:
+        rows = teacher_force(batch, encode_documents(batch, params), params)
     stats = [document_backward(position) for position in range(len(batch))]
-    encoder_tape.backward()
+    batch_tape.backward()
     return stats
 
 
@@ -271,11 +282,13 @@ def adagrad_step(
     """acc += g^2; theta -= lr * g / sqrt(acc). Accumulators start at
     ``init_acc``, created on first touch. Aborts on non-finite gradients.
 
-    Updates in place through two scratch arrays the size of the largest
-    parameter, in the expression's operation order, so parameters and
-    accumulators get bitwise the expression's values."""
-    largest = max((t.size for t in params.values()), default=0)
-    scratch = (np.empty(largest), np.empty(largest))
+    Updates in place, ``_ADAGRAD_BLOCK`` values at a time (or the largest
+    parameter's, if fewer) through two scratch arrays of that size, in the
+    expression's operation order, so parameters and accumulators get
+    bitwise the expression's values."""
+    block = min(_ADAGRAD_BLOCK,
+                max((t.size for t in params.values()), default=0))
+    scratch = (np.empty(block), np.empty(block))
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -293,10 +306,15 @@ def adagrad_step(
         if acc is None:
             acc = np.full(tensor.shape, init_acc)
             state[name] = acc
-        square, step = (s[:g.size].reshape(g.shape) for s in scratch)
-        acc += np.multiply(g, g, out=square)
-        np.multiply(lr, g, out=step)
-        tensor.data -= np.divide(step, np.sqrt(acc, out=square), out=step)
+        g, acc, theta = (a.reshape(-1) for a in (g, acc, tensor.data))
+        for lo in range(0, g.size, block):
+            hi = lo + block
+            g_block, acc_block = g[lo:hi], acc[lo:hi]
+            square, step = (s[:len(g_block)] for s in scratch)
+            acc_block += np.multiply(g_block, g_block, out=square)
+            np.multiply(lr, g_block, out=step)
+            theta[lo:hi] -= np.divide(step, np.sqrt(acc_block, out=square),
+                                      out=step)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from synsum.autodiff import (
     ShapeError,
     Tensor,
     _accumulate,
+    _accumulate_copy,
     _as_tensor,
     _binary_shapes,
     _record,
@@ -42,7 +43,7 @@ def sub(a, b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g))
+            _accumulate_copy(a, _reduce_to(a.shape, g))
         if b.requires_grad:
             _accumulate(b, _reduce_to(b.shape, -g))
 
@@ -55,7 +56,7 @@ def sum_all(x) -> Tensor:
     out = Tensor(x.data.sum(), x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(g, x.shape))
+        _accumulate_copy(x, np.broadcast_to(g, x.shape))
 
     _record("sum_all", out, backward)
     return out
@@ -74,7 +75,7 @@ def stack(parts: Sequence) -> Tensor:
     def backward(g: np.ndarray) -> None:
         for p, g_part in zip(parts, g):
             if p.requires_grad:
-                _accumulate(p, g_part)
+                _accumulate_copy(p, g_part)
 
     _record("stack", out, backward)
     return out
@@ -87,7 +88,7 @@ def transpose(x) -> Tensor:
     out = Tensor(x.data.T, x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
+        _accumulate_copy(x, g.T)
 
     _record("transpose", out, backward)
     return out
@@ -156,7 +157,7 @@ def scatter_sum_vec(values, indices, size: int) -> Tensor:
     out = Tensor(out_data, values.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(values, g[idx])
+        _accumulate_copy(values, g[idx])
 
     _record("scatter_sum_vec", out, backward)
     return out

@@ -5,10 +5,10 @@ replaced.
 the encoder was batched: one tape per example, which encodes and decodes it
 alone and is backpropagated before the next example starts. It stays here
 as the oracle. ``training.batch_gradients`` must give every document
-bitwise the same loss, every decoder parameter bitwise the same gradient
-(its decoder tapes are node for node the oracle's), and the encoder, gate
-and embedding gradients to rounding (their sums over the batch's documents
-are taken in one product instead of one per document).
+bitwise the same loss, and every gradient to rounding: the encoder, gate
+and embedding gradients sum over the batch's documents in one product
+instead of one per document, and so do the decoder recurrence's, which
+steps the documents in lockstep.
 """
 
 import functools
@@ -62,6 +62,13 @@ def mixed_corpus(vocab_size=None):
     return vocab, examples
 
 
+# gradient -> the gradient whose scale measures its rounding
+RESIDUE_SCALES = {"gate/score_b": "gate/score_W",
+                  "dec/attn/b": "dec/attn/enc_W",
+                  "dec/attn/dec_W": "dec/attn/enc_W",
+                  "dec/attn/cov_w": "dec/attn/enc_W"}
+
+
 def per_example_gradients(batch, params, coverage_weight):
     """The oracle: the training step as one tape per example."""
     stats = []
@@ -110,14 +117,14 @@ def test_batches_match_the_per_example_oracle(vocab_size, overrides):
                 (s.nll, s.coverage) for s in stats_ref]
             assert grads.keys() == grads_ref.keys()
             for name, g_ref in grads_ref.items():
-                if name.startswith("dec/"):
-                    assert same_bits(grads[name], g_ref), name
-                    continue
                 # gate/score_b's gradient is a residue of cancellation,
                 # about 1e-3 of gate/score_W's at these parameters: the
-                # rounding of its terms is measured on score_W's scale
-                scale_name = ("gate/score_W" if name == "gate/score_b"
-                              else name)
+                # rounding of its terms is measured on score_W's scale.
+                # dec/attn/b, dec_W and cov_w sum the attention features'
+                # gradients over source positions, where the softmax nearly
+                # cancels them, so theirs is measured on dec/attn/enc_W's,
+                # which takes those terms one position at a time
+                scale_name = RESIDUE_SCALES.get(name, name)
                 scale = np.abs(grads_ref[scale_name]).max()
                 assert np.abs(grads[name] - g_ref).max() <= 1e-12 * scale, name
 
@@ -131,8 +138,10 @@ def test_batched_losses_are_bitwise_the_unbatched_ones(vocab_size):
     for batch_size in (2, 3, 5, 7):
         for lo in range(0, len(examples), batch_size):
             batch = examples[lo:lo + batch_size]
-            for k, parts in enumerate(encode_documents(batch, params)):
-                loss, _ = tr.sequence_loss(batch[k], params, 1.0, parts)
+            rows = decoder.teacher_force(batch, encode_documents(batch, params),
+                                         params)
+            for k, forced in enumerate(rows):
+                loss, _ = tr.sequence_loss(batch[k], params, 1.0, forced)
                 assert same_bits(loss.data, alone[lo + k])
 
 
@@ -217,12 +226,15 @@ def test_summed_loss_of_a_three_document_batch_grad_check():
         layer["bias"].data[...] = 0.2  # keep relu pre-activations off the kink
     batch = [examples[0], examples[2], examples[6]]
     assert len({ex.n for ex in batch}) == 3
+    # the head's weights see each document on its own tape, as before
     checked = {name: t for name, t in params.named_tensors().items()
-               if not name.startswith("dec/")}
+               if not name.startswith(("dec/out_", "dec/pgen/"))}
 
     def f(p):
-        losses = [tr.sequence_loss(ex, params, 1.0, parts)[0]
-                  for ex, parts in zip(batch, encode_documents(batch, params))]
+        rows = decoder.teacher_force(batch, encode_documents(batch, params),
+                                     params)
+        losses = [tr.sequence_loss(ex, params, 1.0, forced)[0]
+                  for ex, forced in zip(batch, rows)]
         return ad.add(ad.add(losses[0], losses[1]), losses[2])
 
     # the summed loss is about 13, and one ulp of it over a 1e-5 step is
@@ -234,27 +246,36 @@ def test_summed_loss_of_a_three_document_batch_grad_check():
 
 def test_toy_four_document_batch_tape_size():
     """Pins the nodes of a toy 4-document batch (18, 14, 18 and 14 source
-    tokens, 4 decoder steps each): 55 on its encoder tape, 2 of them
-    ``lstm_scan`` (one per direction), 3 ``split_rows`` (the gated states
-    and the two joined final states), and 48 on each decoder tape. One tape
-    per example records 100 + 92 + 100 + 92 = 384."""
+    tokens, 4 decoder steps each). Its batch tape records 55 encoder nodes,
+    2 of them ``lstm_scan`` (one per direction) and 3 ``split_rows`` (the
+    gated states and the two joined final states), then 30 for the decoder
+    recurrence of the four in lockstep: 3 ``concat`` stacking them, the
+    attention projection, 4 for the initial state, 5 a step and one
+    ``by_document``. Each document's head and loss record 17 on a tape of
+    their own: 98 decoder nodes in all, where one decoder tape per document
+    recorded 4 x 48 = 192."""
     docs = syn.generate_documents(seed=7, size=4)
     vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
     batch = [encode_example(d, vocab) for d in docs]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
                          seed=0)
-    with Tape() as encoder_tape:
+    with Tape() as batch_tape:
         encoded = encode_documents(batch, params)
-    nodes = [len(encoder_tape.nodes)]
-    splits = sum(node.op == "split_rows" for node in encoder_tape.nodes)
-    scans = sum(node.op == "lstm_scan" for node in encoder_tape.nodes)
-    for example, parts in zip(batch, encoded):
+        encoder_nodes = len(batch_tape.nodes)
+        rows = decoder.teacher_force(batch, encoded, params)
+    recurrence = batch_tape.nodes[encoder_nodes:]
+    nodes = [encoder_nodes, len(recurrence)]
+    for example, forced in zip(batch, rows):
         with Tape() as tape:
-            tr.sequence_loss(example, params, 1.0, parts)
+            tr.sequence_loss(example, params, 1.0, forced)
         nodes.append(len(tape.nodes))
+    ops = [node.op for node in batch_tape.nodes]
     assert [ex.n for ex in batch] == [18, 14, 18, 14]
-    assert nodes == [55, 48, 48, 48, 48]
-    assert splits == 3 and scans == 2
+    assert nodes == [55, 30, 17, 17, 17, 17]
+    assert sum(nodes[1:]) == 98
+    assert ops.count("split_rows") == 3 and ops.count("lstm_scan") == 2
+    assert [node.op for node in recurrence].count("coverage_attention") == 4
+    assert recurrence[-1].op == "by_document"
 
 
 def test_decoder_tapes_are_freed_one_by_one():

@@ -270,6 +270,28 @@ def test_vocabulary_load_names_file_and_line_of_a_non_utf8_byte(tmp_path):
         Vocabulary.load(path)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b" ", b"\n", b"\r",
+                                      b"\r\n", b"\xff", b"\xc3", b"\x00"]),
+                     max_size=40).map(b"".join))
+def test_vocabulary_parsed_from_its_bytes_is_the_file_loaded(tmp_path_factory,
+                                                             data):
+    """What ``synsum decode`` hashes and parses, the bytes read once, gives
+    the vocabulary of loading the file, or the same named error: newlines
+    translated, non-UTF-8 bytes reported with file and line."""
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    path.write_bytes(data)
+
+    def load(*args):
+        try:
+            vocab = Vocabulary.load(*args)
+        except cp.CorpusFormatError as exc:
+            return str(exc)
+        return vocab.id_to_token, vocab.token_to_id
+
+    assert load(path, data) == load(path)
+
+
 def test_read_lines_splits_and_numbers_lines_as_text_mode_does(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_bytes("a b\r\nc\rd\n\u00e9\n".encode())

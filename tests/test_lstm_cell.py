@@ -267,9 +267,10 @@ def test_toy_width_sequence_loss_tape_size():
     """Pins the tape of one example at toy widths (22-id vocabulary, 18
     source tokens, 4 decoder steps). The fused cell took it from 1,006 nodes
     to 320, one output head over all the steps' rows to 196, one
-    coverage-attention node per step to 148, one p_gen node to 139 and one
-    scan node per encoder direction from 136 to 100; a change that
-    re-inflates the tape should fail here first."""
+    coverage-attention node per step to 148, one p_gen node to 139, one
+    scan node per encoder direction from 136 to 100 and one node regrouping
+    the teacher-forced steps' rows, in place of five concatenations, to 96;
+    a change that re-inflates the tape should fail here first."""
     vocab, examples = corpus(seed=7, size=2)
     example = examples[0]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
@@ -281,4 +282,4 @@ def test_toy_width_sequence_loss_tape_size():
     assert ops.count("lstm_cell") == len(example.target_ids) - 1
     assert ops.count("lstm_scan") == 2
     assert "slice_cols" not in ops
-    assert len(ops) == 100
+    assert len(ops) == 96

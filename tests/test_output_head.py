@@ -21,6 +21,7 @@ from synsum.decoder import (
     decode_step,
     encode_document,
     initial_state,
+    output_head,
     teacher_force,
 )
 from synsum.model import ModelConfig, ModelParams
@@ -129,6 +130,16 @@ def case_model(name):
     return ModelParams(config, seed=5), examples
 
 
+def forced_head(example, params):
+    """One example's lockstep teacher forcing, then its output head: the
+    final distributions, attention and coverage rows, one row per step."""
+    enc, gated, ctx = encode_document(example, params)
+    (rows,) = teacher_force([example], [(enc, gated)], params)
+    final, _ = output_head(rows.hidden, rows.context, rows.x, rows.attention,
+                           ctx.source_ext_ids, ctx.n_oov, params)
+    return final, rows.attention, rows.coverage
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_teacher_forced_rows_bitwise_equal_per_step_oracle(name):
     params, examples = case_model(name)
@@ -139,8 +150,7 @@ def test_teacher_forced_rows_bitwise_equal_per_step_oracle(name):
     for example in examples:
         enc, _, ctx = encode_document(example, params)
         inputs = example.target_ids[:-1]
-        final, attention, coverage = teacher_force(
-            initial_state(enc, params), inputs, ctx, params)
+        final, attention, coverage = forced_head(example, params)
         assert final.shape == (len(inputs),
                                params.config.vocab_size + ctx.n_oov)
         state = step_state = initial_state(enc, params)
@@ -373,10 +383,8 @@ def test_multi_row_matmul_matches_triple_loop_oracle(rows, inner, width):
 def test_teacher_forced_head_records_one_mixture_node():
     params, examples = case_model("toy-oov")
     example = examples[0]
-    enc, _, ctx = encode_document(example, params)
     with Tape() as tape:
-        teacher_force(initial_state(enc, params), example.target_ids[:-1],
-                      ctx, params)
+        forced_head(example, params)
     ops = [node.op for node in tape.nodes]
     assert ops.count("pointer_mix") == 1
     assert ops.count("softmax") == 1  # attention is in coverage_attention
