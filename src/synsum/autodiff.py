@@ -26,12 +26,12 @@ keeps it as its ``grad``; a view, or an array another tensor receives too,
 is copied first, so no two tensors' gradients share memory.
 
 A primitive may have several outputs: ``lstm_cell`` records one node for
-the new hidden and cell state together, ``lstm_scan`` one node for a scan's
-states and final states, ``split_rows`` one node for all the blocks it cuts
-a tensor into, ``by_document`` one node for every document's rows of a
-lockstep scan. Its backward receives one gradient per output, ``None`` for
-an output that nothing downstream reached, and is skipped only when no
-output was reached.
+the new hidden and cell state together, ``bilstm_scan`` one node for both
+directions' states and final states, ``split_rows`` one node for all the
+blocks it cuts a tensor into, ``by_document`` one node for every document's
+rows of a lockstep scan. Its backward receives one gradient per output,
+``None`` for an output that nothing downstream reached, and is skipped only
+when no output was reached.
 
 Tapes can be chained. ``backward()`` without a loss starts from the
 gradients already on the tape's tensors, so a tape whose outputs a later
@@ -47,18 +47,33 @@ Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
 ``sum_rows``, ``pick_rows``, ``pointer_mix``, ``coverage_attention``,
 ``generation_gate``, ``lstm_cell``) give each row bitwise the value the
 one-row or vector form gives it, and the segment primitives
-(``segment_softmax``, ``segment_pool``, ``lstm_scan``) give each segment of
-rows the value it has alone, so stacking the rows of several decoder steps,
-beam hypotheses or documents into one call never changes a forward value.
+(``segment_softmax``, ``segment_pool``, ``bilstm_scan``) give each segment
+of rows the value it has alone, so stacking the rows of several decoder
+steps, beam hypotheses or documents into one call never changes a forward
+value.
 ``coverage_attention`` with ``spans`` is both: each row attends over its
 own document's segment of the stacked encoder rows, on ragged (flat)
 coverage. Each row's softmax sums exactly its own positions, never padded
 (``np.sum`` blocks its pairwise sum by the row length, and a +0.0 pad turns
 a -0.0 sum into +0.0); its context, a left fold, may run on past them over
 -0.0 terms, which leave every sum as it is.
+
+The encoder is two such nodes. ``bilstm_scan`` steps both directions of a
+BiLSTM together over a batch of documents, longest first: their input
+projections are gathered once into a time-major (T, 2, B, 4d) buffer, so
+step t's documents are a leading slice, ``h @ W_h`` of both directions is
+one fold (each direction's bitwise its own product), the cell arithmetic
+runs once on (2, live, ·) arrays, and the states are scattered back to the
+row layout once; backpropagation through time runs in the same time-major
+layout. ``gcn_layer`` is one typed-edge graph convolution layer: per edge
+class it multiplies only the class's distinct source rows, sums their
+messages into zeros with ``np.add.at`` in edge order, skips a class with no
+edges, adds the classes in order, then the bias, then the rectifier.
+
 The compositions a fused primitive is checked against use some primitives that
-nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``
-and more); those live with the tests, in ``tests/oracles.py``.
+nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``,
+``relu``, ``scatter_rows_sum``, the per-direction ``lstm_scan`` and more);
+those live with the tests, in ``tests/oracles.py``.
 
 The forward matrix product is one left fold per output entry: its k
 products summed in ascending order from product 0, bitwise the triple loop
@@ -69,8 +84,9 @@ leaves to the hardware). By output size, ``_matmul_data`` folds with
 head's (rows x V) product).
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
-or a scalar on one side, nothing else. ``relu`` uses subgradient 0 at 0;
-``minimum``/``maximum`` give the tie subgradient to their first argument.
+or a scalar on one side, nothing else. ``gcn_layer``'s rectifier uses
+subgradient 0 at 0; ``minimum``/``maximum`` give the tie subgradient to
+their first argument.
 """
 
 from __future__ import annotations
@@ -92,7 +108,6 @@ __all__ = [
     "mul",
     "sigmoid",
     "tanh",
-    "relu",
     "minimum",
     "maximum",
     "softmax",
@@ -105,7 +120,7 @@ __all__ = [
     "reshape",
     "gather_rows",
     "split_rows",
-    "scatter_rows_sum",
+    "gcn_layer",
     "add_rowvec",
     "pick_rows",
     "pointer_mix",
@@ -114,7 +129,7 @@ __all__ = [
     "generation_gate",
     "clip",
     "lstm_cell",
-    "lstm_scan",
+    "bilstm_scan",
     "zero_grads",
     "grad_check",
 ]
@@ -449,6 +464,28 @@ def _matmul_data(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     return out_data
 
 
+def _matmul_stack(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """``av[i] @ bv[i]`` for each i of a leading axis, each bitwise
+    ``_matmul_data(av[i], bv[i])``: every branch of that is the left fold
+    over k of each entry's products, which this forms for all of them at
+    once, a chunk of (k, i, rows, cols) terms and one reduce at a time.
+    Needs k >= 1 and two or more output entries in all."""
+    stack, rows, inner = av.shape
+    cols = bv.shape[2]
+    step = max(1, _REDUCE_MAX_TERMS // (stack * rows * cols))
+    terms = np.empty((min(step, inner), stack, rows, cols))
+    a_k = av.transpose(2, 0, 1)[:, :, :, None]
+    b_k = bv.transpose(1, 0, 2)[:, :, None, :]
+    out_data = None
+    for lo in range(0, inner, step):
+        chunk = terms[:min(step, inner - lo)]  # term lo + k is chunk[k]
+        np.multiply(a_k[lo:lo + step], b_k[lo:lo + step], out=chunk)
+        if out_data is not None:
+            np.add(out_data, chunk[0], out=chunk[0])
+        out_data = np.add.reduce(chunk, axis=0, initial=-0.0)
+    return out_data
+
+
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     # exact-shape or scalar broadcast only; anything else is a silent-bug trap
     if a.shape != b.shape and a.shape != () and b.shape != ():
@@ -521,18 +558,6 @@ def tanh(x) -> Tensor:
         _accumulate(x, g * (1.0 - y * y))
 
     _record("tanh", out, backward)
-    return out
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
-    mask = x.data > 0  # subgradient 0 at exactly 0
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
-
-    _record("relu", out, backward)
     return out
 
 
@@ -803,25 +828,77 @@ def split_rows(x, lengths: Sequence[int]) -> tuple[Tensor, ...]:
     return outs
 
 
-def scatter_rows_sum(x, src_idx, dst_idx, n_out: int) -> Tensor:
-    """out[dst_idx[k]] += x[src_idx[k]] for every k; out has ``n_out`` rows."""
-    x = _as_tensor(x)
-    src = np.asarray(src_idx, dtype=np.intp)
-    dst = np.asarray(dst_idx, dtype=np.intp)
-    if src.shape != dst.shape:
+def gcn_layer(h, edges, weights, bias) -> Tensor:
+    """One typed-edge graph convolution over the rows of ``h``, one node:
+
+        out[i] = relu( sum over classes c, over the edges k of class c with
+                       dst_c[k] = i, of  h[src_c[k]] @ W_c   + bias )
+
+    ``edges`` holds each class's ``(src, dst)`` index arrays and ``weights``
+    its matrix, in the same order. A class multiplies only its distinct
+    source rows; every row of a product is the fold of the one-row product,
+    so which rows are multiplied together never changes a value. Each class
+    sums its messages into zeros with ``np.add.at``, in edge order; a class
+    with no edges is skipped; the classes are added in order, then the bias,
+    then the rectifier (subgradient 0 at 0). These are the IEEE operations
+    of the composition from ``matmul``, ``scatter_rows_sum``, ``add``,
+    ``add_rowvec`` and ``relu`` nodes. The backward files each weight's
+    term as ``matmul`` does, ``(h, dx)`` over all rows, and hands ``h`` its
+    terms one class at a time, last class first, as that composition's
+    backward does, so the gradients are bitwise its gradients too."""
+    h, bias = _as_tensor(h), _as_tensor(bias)
+    weights = [_as_tensor(w) for w in weights]
+    n, width = h.shape if h.data.ndim == 2 else (-1, -1)
+    out_width = bias.shape[0] if bias.data.ndim == 1 else -1
+    if (n < 0 or out_width < 0 or len(edges) != len(weights)
+            or any(w.shape != (width, out_width) for w in weights)):
         raise ShapeError(
-            f"scatter_rows_sum: index lengths differ {src.shape} vs {dst.shape}"
-        )
-    out_data = np.zeros((n_out, x.shape[1]))
-    np.add.at(out_data, dst, x.data[src])
-    out = Tensor(out_data, x.requires_grad)
+            f"gcn_layer: h {h.shape}, weights {[w.shape for w in weights]} "
+            f"and bias {bias.shape} for {len(edges)} edge classes do not fit")
+    classes = []
+    for (src, dst), w in zip(edges, weights):
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ShapeError(f"gcn_layer: edge sources {src.shape} and "
+                             f"destinations {dst.shape} differ")
+        if src.size and (min(src.min(), dst.min()) < 0
+                         or max(src.max(), dst.max()) >= n):
+            raise ShapeError(f"gcn_layer: an edge lies outside [0, {n})")
+        if src.size:
+            classes.append((src, dst, w))
+    if not classes:
+        raise ShapeError("gcn_layer: no edge to convolve over")
+    agg = None
+    for src, dst, w in classes:
+        sources, inverse = np.unique(src, return_inverse=True)
+        summed = np.zeros((n, out_width))
+        np.add.at(summed, dst, _matmul_data(h.data[sources], w.data)[inverse])
+        if agg is None:
+            agg = summed
+        else:
+            agg += summed
+    agg += bias.data
+    mask = agg > 0
+    grad = h.requires_grad or bias.requires_grad or any(
+        w.requires_grad for w in weights)
+    out = Tensor(np.maximum(agg, 0.0), grad)
 
     def backward(g: np.ndarray) -> None:
-        dx = np.zeros(x.shape)
-        np.add.at(dx, src, g[dst])
-        _accumulate(x, dx)
+        g = g * mask
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
+        for src, dst, w in reversed(classes):
+            dx = np.zeros((n, out_width))
+            np.add.at(dx, src, g[dst])
+            if h.requires_grad:
+                _accumulate(h, dx @ w.data.T)
+            if w.requires_grad:
+                terms = _pending_for(w)
+                terms.lhs.append(h.data)
+                terms.grads.append(dx)
 
-    _record("scatter_rows_sum", out, backward)
+    _record("gcn_layer", out, backward)
     return out
 
 
@@ -1314,11 +1391,16 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
 def _cell_forward(xs, h_prev, c_prev, W_h, b):
     """One cell step of R rows on arrays: (h', c', gates, tanh(c'))."""
-    d = h_prev.shape[1]
-    z = (xs + _matmul_data(h_prev, W_h)) + b[None, :]
+    return _cell_gates((xs + _matmul_data(h_prev, W_h)) + b[None, :], c_prev)
+
+
+def _cell_gates(z, c_prev):
+    """The cell arithmetic from its pre-activations ``z`` (..., 4d) on:
+    (h', c', gates, tanh(c')), elementwise over any leading axes."""
+    d = c_prev.shape[-1]
     gates = _sigmoid_data(z)
-    gates[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
-    i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    gates[..., 2 * d:3 * d] = np.tanh(z[..., 2 * d:3 * d])
+    i, f, g, o = (gates[..., k * d:(k + 1) * d] for k in range(4))
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, gates, tc
@@ -1326,17 +1408,18 @@ def _cell_forward(xs, h_prev, c_prev, W_h, b):
 
 def _cell_backward(dh, dc, gates, tc, c_prev):
     """``dz`` and the input cell state's gradient of one cell step, from its
-    outputs' gradients (``None`` for one that nothing reached)."""
-    d = tc.shape[1]
-    i, f, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    outputs' gradients (``None`` for one that nothing reached), elementwise
+    over any leading axes."""
+    d = tc.shape[-1]
+    i, f, g, o = (gates[..., k * d:(k + 1) * d] for k in range(4))
     if dh is not None:
         dc_h = dh * o * (1.0 - tc * tc)
         dc = dc_h if dc is None else dc + dc_h
     dz = np.empty_like(gates)
-    dz[:, :d] = dc * g * i * (1.0 - i)
-    dz[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
-    dz[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
-    dz[:, 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
+    dz[..., :d] = dc * g * i * (1.0 - i)
+    dz[..., d:2 * d] = dc * c_prev * f * (1.0 - f)
+    dz[..., 2 * d:3 * d] = dc * i * (1.0 - g * g)
+    dz[..., 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
     return dz, dc * f
 
 
@@ -1385,73 +1468,112 @@ def lstm_cell(x_proj, h, c, W_h, b) -> tuple[Tensor, Tensor]:
     return h_out, c_out
 
 
-def lstm_scan(
-    x_proj, W_h, b, lengths: Sequence[int], reverse: bool = False
+def bilstm_scan(
+    x_fw, x_bw, W_fw, b_fw, W_bw, b_bw, lengths: Sequence[int]
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """One LSTM direction over documents of ``lengths`` rows each, longest
-    first, stacked in ``x_proj`` (each token's ``x @ W_x``): one node, whose
-    backward runs backpropagation through time. From zero states, step t
-    runs ``lstm_cell``'s arithmetic over the documents still running, each
-    on its row at position t (from the end for ``reverse``), so every value
-    is the one of scanning the document alone. Returns the hidden state of
-    every row of ``x_proj`` and each document's final hidden and cell
-    states, (B, d) each."""
-    x_proj, W_h, b = (_as_tensor(t) for t in (x_proj, W_h, b))
+    """Both directions of a BiLSTM over documents of ``lengths`` rows each,
+    longest first, stacked in ``x_fw`` and ``x_bw`` (each token's ``x @
+    W_x`` of the forward and the backward direction): one node, whose
+    backward runs backpropagation through time.
+
+    From zero states, step t runs ``lstm_cell``'s arithmetic over the
+    documents still running, each on its row at position t (from the end
+    for the backward direction), both directions at once. The input
+    projections are gathered once into a time-major (T, 2, B, 4d) buffer,
+    and states are kept in one of (T + 1, 2, B, d), so step t's rows are
+    the leading ``live`` of axis 2. ``h @ W_h`` of both directions is one
+    fold (``_matmul_stack``), bitwise each direction's ``_matmul_data``, so
+    every value is the one of scanning each document alone in each
+    direction. Returns the states of every row of ``x_fw``, (N, 2d), and
+    each document's final hidden and cell states, (B, 2d) each: the forward
+    direction's columns first."""
+    x_fw, x_bw, W_fw, b_fw, W_bw, b_bw = (
+        _as_tensor(t) for t in (x_fw, x_bw, W_fw, b_fw, W_bw, b_bw))
     lengths = tuple(lengths)
-    d = W_h.shape[0] if W_h.data.ndim == 2 else -1
-    if (W_h.shape != (d, 4 * d) or b.shape != (4 * d,) or not lengths
-            or x_proj.shape != (sum(lengths), 4 * d) or min(lengths) < 1
-            or any(m < k for m, k in zip(lengths, lengths[1:]))):
+    d = W_fw.shape[0] if W_fw.data.ndim == 2 else -1
+    total = sum(lengths)
+    if (d < 1 or not lengths or min(lengths) < 1
+            or any(m < k for m, k in zip(lengths, lengths[1:]))
+            or W_fw.shape != (d, 4 * d) or W_bw.shape != (d, 4 * d)
+            or b_fw.shape != (4 * d,) or b_bw.shape != (4 * d,)
+            or x_fw.shape != (total, 4 * d) or x_bw.shape != (total, 4 * d)):
         raise ShapeError(
-            f"lstm_scan: shapes x_proj {x_proj.shape}, W_h {W_h.shape}, b "
-            f"{b.shape} and lengths {lengths} (longest first, summing to the "
-            f"rows) do not fit")
+            f"bilstm_scan: shapes x {x_fw.shape} and {x_bw.shape}, W_h "
+            f"{W_fw.shape} and {W_bw.shape}, b {b_fw.shape} and {b_bw.shape} "
+            f"and lengths {lengths} (longest first, none empty, summing to "
+            f"the rows) do not fit")
     n = np.asarray(lengths)
-    move = -1 if reverse else 1
-    first = np.cumsum(n) - (1 if reverse else n)  # each document's step-0 row
-    states, cells = np.empty((len(x_proj.data), d)), np.empty((len(x_proj.data), d))
-    h = c = np.zeros((len(n), d))
-    steps = []  # per step: its rows, the h and c it reads, gates, tanh(c')
-    for t in range(lengths[0]):
-        rows = first[:np.count_nonzero(n > t)] + move * t
-        h, c = h[:len(rows)], c[:len(rows)]
-        h_new, c_new, gates, tc = _cell_forward(x_proj.data[rows], h, c,
-                                                W_h.data, b.data)
-        steps.append((rows, h, c, gates, tc))
-        states[rows], cells[rows], h, c = h_new, c_new, h_new, c_new
-    last = first + move * (n - 1)
-    grad = x_proj.requires_grad or W_h.requires_grad or b.requires_grad
-    outs = (Tensor(states, grad), Tensor(states[last], grad),
-            Tensor(cells[last], grad))
+    steps, docs = lengths[0], len(n)
+    t = np.arange(steps)[:, None]
+    valid = t < n                                        # (T, B)
+    live = np.count_nonzero(valid, axis=1)               # documents a step
+    # the row each direction reads at (step, document), for the valid pairs
+    first = np.cumsum(n) - n
+    rows_fw = (first + t)[valid]
+    rows_bw = (first + n - 1 - t)[valid]
+    xs = np.zeros((steps, 2, docs, 4 * d))
+    xs[:, 0][valid] = x_fw.data[rows_fw]
+    xs[:, 1][valid] = x_bw.data[rows_bw]
+    W = np.stack([W_fw.data, W_bw.data])
+    b = np.stack([b_fw.data, b_bw.data])[:, None, :]
+    hs = np.zeros((steps + 1, 2, docs, d))  # hs[t]: the states step t reads
+    cs = np.zeros((steps + 1, 2, docs, d))
+    cache = []  # per step: gates, tanh(c')
+    for k in range(steps):
+        m = live[k]
+        h, c, gates, tc = _cell_gates(
+            (xs[k, :, :m] + _matmul_stack(hs[k, :, :m], W)) + b, cs[k, :, :m])
+        hs[k + 1, :, :m], cs[k + 1, :, :m] = h, c
+        cache.append((gates, tc))
+    states = np.empty((total, 2 * d))
+    states[rows_fw, :d] = hs[1:, 0][valid]
+    states[rows_bw, d:] = hs[1:, 1][valid]
+    every = np.arange(docs)
+    grad = any(x.requires_grad for x in (x_fw, x_bw, W_fw, b_fw, W_bw, b_bw))
+    outs = (Tensor(states, grad),
+            Tensor(hs[n, :, every].reshape(docs, 2 * d), grad),
+            Tensor(cs[n, :, every].reshape(docs, 2 * d), grad))
 
     def backward(d_states, dh_final, dc_final) -> None:
         # the recurrent gradients into each document's states; a document
         # that has ended keeps its final states' gradients for its last step
-        dh_next, dc_next = (np.zeros((len(n), d)) if g is None else g.copy()
-                            for g in (dh_final, dc_final))
-        # every row is stepped once: its dz, and the h it read, go to one
-        # row of dz_all and h_all, and the weights' gradients are one product
-        dz_all = np.empty(x_proj.shape)
-        h_all = np.empty(states.shape)
-        for t in range(len(steps) - 1, -1, -1):
-            rows, h_in, c_in, gates, tc = steps[t]
-            live = len(rows)
-            dh = (dh_next[:live] if d_states is None
-                  else d_states[rows] + dh_next[:live])
-            dz, dc_next[:live] = _cell_backward(dh, dc_next[:live], gates, tc,
-                                                c_in)
-            dz_all[rows] = dz
-            h_all[rows] = h_in
-            if t:
-                dh_next[:live] = dz @ W_h.data.T
-        if W_h.requires_grad:
-            _accumulate(W_h, h_all.T @ dz_all)
-        if b.requires_grad:
-            _accumulate(b, dz_all.sum(axis=0))
-        if x_proj.requires_grad:
-            _accumulate(x_proj, dz_all)
+        dh_next, dc_next = (
+            np.zeros((2, docs, d)) if g is None
+            else g.reshape(docs, 2, d).transpose(1, 0, 2).copy()
+            for g in (dh_final, dc_final))
+        ds = None
+        if d_states is not None:
+            ds = np.zeros((steps, 2, docs, d))
+            ds[:, 0][valid] = d_states[rows_fw, :d]
+            ds[:, 1][valid] = d_states[rows_bw, d:]
+        dzs = np.empty((steps, 2, docs, 4 * d))
+        for k in range(steps - 1, -1, -1):
+            m = live[k]
+            dh = dh_next[:, :m] if ds is None else ds[k, :, :m] + dh_next[:, :m]
+            gates, tc = cache[k]
+            dz, dc_next[:, :m] = _cell_backward(dh, dc_next[:, :m], gates, tc,
+                                                cs[k, :, :m])
+            dzs[k, :, :m] = dz
+            if k:
+                dh_next[0, :m] = dz[0] @ W_fw.data.T
+                dh_next[1, :m] = dz[1] @ W_bw.data.T
+        # each direction's rows in row order, the backward direction's first
+        # as in the per-direction scans' backward: the dz of every row, and
+        # the h it read, so the weights' gradients are one product each
+        for j, rows, x, W_h, b_j in ((1, rows_bw, x_bw, W_bw, b_bw),
+                                     (0, rows_fw, x_fw, W_fw, b_fw)):
+            dz_all = np.empty(x.shape)
+            dz_all[rows] = dzs[:, j][valid]
+            if W_h.requires_grad:
+                h_all = np.empty((total, d))
+                h_all[rows] = hs[:-1, j][valid]
+                _accumulate(W_h, h_all.T @ dz_all)
+            if b_j.requires_grad:
+                _accumulate(b_j, dz_all.sum(axis=0))
+            if x.requires_grad:
+                _accumulate(x, dz_all)
 
-    _record("lstm_scan", outs, backward)
+    _record("bilstm_scan", outs, backward)
     return outs
 
 

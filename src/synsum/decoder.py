@@ -27,9 +27,10 @@ recurrence reads it. ``decode_step`` runs both halves.
 
 Teacher forcing (``teacher_force``) runs the recurrence of a minibatch in
 lockstep: the documents, longest target first, are the rows of one state
-over their stacked encoder states, each row attending over its own
-document's (``DecodeContext.spans``), and a document whose target has
-ended drops out of the state. One ``ad.by_document`` node regroups the
+over the batch's encoder states, read whole (``encode_batch``) and
+gathered into that order when it is not the encoder's; each row attends
+over its own document's (``DecodeContext.spans``), and a document whose
+target has ended drops out of the state. One ``ad.by_document`` node regroups the
 steps' rows by document, and each document's head then runs once over
 the rows of all its T steps, so its vocabulary projection is one (T x k)
 by (k x V) product. One document alone is a batch of one. Every row is
@@ -66,7 +67,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import EncodedExample, START_ID, STOP_ID, UNK_ID
-from .encoder import EncodedDocument, encode
+from .encoder import EncodedBatch, EncodedDocument, encode
 from .gate import GatedDocument, apply_gate
 from .model import ModelParams
 
@@ -76,6 +77,7 @@ __all__ = [
     "ContentMask",
     "ContentSelector",
     "Hypothesis",
+    "encode_batch",
     "encode_documents",
     "encode_document",
     "prepare_decoder",
@@ -202,30 +204,37 @@ def prepare_decoder(
     )
 
 
+def encode_batch(
+    examples: Sequence[EncodedExample], params: ModelParams
+) -> tuple[EncodedBatch, GatedDocument]:
+    """Encoder and gate of a batch, whole: one forward over the documents'
+    rows, stacked longest first (``encoder.encode``)."""
+    batch = encode(examples, params)
+    return batch, apply_gate(batch.fused, params, batch.lengths)
+
+
 def encode_documents(
     examples: Sequence[EncodedExample], params: ModelParams
 ) -> list[tuple[EncodedDocument, GatedDocument]]:
     """Encoder and gate of every document of a batch, in input order: one
-    forward over the documents' stacked rows, then the one cut into
-    documents. Only what a gradient flows through, the gated and the final
-    states, is split on the tape; a document's fused states, attention and
-    gate values view the batch's rows without gradient (their readers, the
-    content selector and ``--dump-gates``, read only ``data``)."""
-    batch = encode(examples, params)
-    gated = apply_gate(batch.fused, params, batch.lengths)
-    hidden, cell = (ad.split_rows(t, (1,) * len(examples))
-                    for t in batch.final_states)
+    forward over the documents' stacked rows (``encode_batch``), then the
+    one cut into documents, for decoding. A document's rows view the
+    batch's arrays, off the tape; a batch of one is its document, whose
+    tensors stay on the tape."""
+    batch, gated = encode_batch(examples, params)
+    if len(examples) == 1:
+        return [(EncodedDocument(batch.fused, batch.lengths[0],
+                                 batch.final_states), gated)]
     bounds = np.cumsum((0,) + batch.lengths)
     pairs: list = [None] * len(examples)
-    for k, doc_gated in enumerate(ad.split_rows(gated.gated, batch.lengths)):
+    for k, i in enumerate(batch.order):
         rows = slice(bounds[k], bounds[k + 1])
-        fused, attention, gate = (
+        fused, attention, gate, doc_gated = (
             None if t is None else Tensor(t.data[rows])
-            for t in (batch.fused, gated.attention, gated.gate))
-        pairs[batch.order[k]] = (
-            EncodedDocument(fused, batch.lengths[k], (hidden[k], cell[k])),
-            GatedDocument(attention, gate, doc_gated),
-        )
+            for t in (batch.fused, gated.attention, gated.gate, gated.gated))
+        finals = tuple(Tensor(t.data[k:k + 1]) for t in batch.final_states)
+        pairs[i] = (EncodedDocument(fused, batch.lengths[k], finals),
+                    GatedDocument(attention, gate, doc_gated))
     return pairs
 
 
@@ -399,43 +408,47 @@ def decode_step(
 
 def teacher_force(
     examples: Sequence[EncodedExample],
-    encoded: Sequence[tuple[EncodedDocument, GatedDocument]],
+    encoded: tuple[EncodedBatch, GatedDocument],
     params: ModelParams,
 ) -> list[ForcedRows]:
     """The teacher-forced decoder recurrence of every example, in lockstep.
 
-    ``encoded`` holds each example's part of ``encode_documents``. The
-    examples become the rows of one state, longest target first (ties in
-    input order), over their gated states stacked in that order; step t
-    makes one ``recurrence_step`` over the rows of the examples whose
-    target is still longer than t, fed their gold tokens, and an example
-    whose target has ended drops out of the state. Every row is bitwise its
-    example's recurrence alone (``ad.coverage_attention`` with spans; one
-    example needs none). One ``ad.by_document`` node regroups the steps'
-    rows, and each example's come back, in input order, as the rows its
-    output head and loss read.
+    ``encoded`` is the examples' ``encode_batch``. The examples become the
+    rows of one state, longest target first (ties in input order), over
+    their gated and final states, which are gathered into that order when
+    it is not the encoder's; each row attends over its own document's
+    states (``ad.coverage_attention`` with spans; one example needs none).
+    Step t makes one ``recurrence_step`` over the rows of the examples
+    whose target is still longer than t, fed their gold tokens, and an
+    example whose target has ended drops out of the state. Every row is
+    bitwise its example's recurrence alone, and the gradients are summed
+    over the rows in that order. One ``ad.by_document`` node regroups the
+    steps' rows, and each example's come back, in input order, as the rows
+    its output head and loss read.
     """
+    batch, gated = encoded
     order = sorted(range(len(examples)),
                    key=lambda k: -len(examples[k].target_ids))
     # in-vocabulary ids feed the embedding
     inputs = [examples[k].target_ids[:-1] for k in order]
     if not inputs or not inputs[-1]:
         raise ValueError("example has an empty target")
-    docs = [encoded[k][0] for k in order]
-
-    def stack(parts: list[Tensor]) -> Tensor:
-        return parts[0] if len(parts) == 1 else ad.concat(parts)
-
-    lengths = [doc.n for doc in docs]
+    # each state row's document among the encoder's stacked ones
+    stacked = np.argsort(batch.order)[order].tolist()
+    lengths = [batch.lengths[k] for k in stacked]
+    enc_states, finals = gated.gated, batch.final_states
+    if stacked != list(range(len(stacked))):
+        starts = np.cumsum((0,) + batch.lengths)
+        enc_states = ad.gather_rows(enc_states, np.concatenate(
+            [np.arange(starts[k], starts[k + 1]) for k in stacked]))
+        finals = tuple(ad.gather_rows(t, stacked) for t in finals)
     spans = None
-    if len(docs) > 1:
+    if len(stacked) > 1:
         bounds = np.cumsum([0] + lengths).tolist()
         spans = list(zip(bounds, bounds[1:]))
-    ctx = prepare_decoder(stack([encoded[k][1].gated for k in order]), None,
-                          params, spans)
-    stacked = EncodedDocument(None, sum(lengths), tuple(
-        stack([doc.final_states[i] for doc in docs]) for i in (0, 1)))
-    state = initial_state(stacked, params, spans)
+    ctx = prepare_decoder(enc_states, None, params, spans)
+    state = initial_state(EncodedDocument(None, sum(lengths), finals), params,
+                          spans)
     steps = []
     for t in range(len(inputs[0])):
         live = sum(len(ids) > t for ids in inputs)

@@ -11,7 +11,8 @@ The gate takes the token states of a batch of documents stacked as rows,
 ``lengths`` rows per document. The token-wise products run over all rows at
 once; the pooling softmax, the pooled sum and the document-vector term are
 taken per document, so every document's values are bitwise those of gating
-it alone. ``decoder.encode_documents`` cuts the result into documents.
+it alone. Training reads the result whole, and decoding cuts it into
+documents (``decoder.encode_documents``).
 """
 
 from __future__ import annotations

@@ -58,8 +58,8 @@ from .decoder import (
     ForcedRows,
     coverage_loss,
     decode_step,
+    encode_batch,
     encode_document,
-    encode_documents,
     output_head,
     teacher_force,
 )
@@ -189,7 +189,7 @@ def sequence_loss(
     if len(example.target_ids) < 2:
         raise ValueError("example has an empty target")
     rows = encoded or teacher_force(
-        [example], encode_documents([example], params), params)[0]
+        [example], encode_batch([example], params), params)[0]
     final, _ = output_head(rows.hidden, rows.context, rows.x, rows.attention,
                            example.source_ext_ids, len(example.oov_tokens),
                            params)
@@ -236,7 +236,7 @@ def batch_gradients(
         return stats
 
     with Tape() as batch_tape:
-        rows = teacher_force(batch, encode_documents(batch, params), params)
+        rows = teacher_force(batch, encode_batch(batch, params), params)
     stats = [document_backward(position) for position in range(len(batch))]
     batch_tape.backward()
     return stats

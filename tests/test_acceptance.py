@@ -35,7 +35,7 @@ from synsum.decoder import (
     length_penalty,
     make_step_fn,
 )
-from synsum.encoder import gcn_layer, gcn_stack, union_edge_index
+from synsum.encoder import gcn_stack, union_edge_index
 from synsum.graph import build_document_graph
 from synsum.metrics import evaluate_pairs, rouge
 from synsum.model import ModelConfig, ModelParams
@@ -46,7 +46,7 @@ from synsum.training import (
     sequence_loss,
     train,
 )
-from oracles import Rows, batched, edge_tuples
+from oracles import Rows, batched, edge_tuples, gcn_layer
 
 
 def report(criterion: str, detail: str) -> None:

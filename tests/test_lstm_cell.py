@@ -1,11 +1,12 @@
-"""The fused ``lstm_cell`` and ``lstm_scan`` primitives against the
+"""The fused ``lstm_cell`` and the oracle ``lstm_scan`` against the
 composition they replaced.
 
 ``composed_cell``, ``composed_scan`` and ``composed_bilstm`` are the LSTM
 cell, scan and BiLSTM as they were written from single primitives before the
 cell was fused (18 tape nodes a step). They stay here as the oracle: the
-decoder's ``lstm_cell`` and the encoder's ``lstm_scan`` (one node per
-direction, one document here; ragged batches are checked in
+decoder's ``lstm_cell``, the encoder's ``ad.bilstm_scan`` (one node for both
+directions, one document here) and the per-direction ``lstm_scan`` of
+``oracles.py`` (its ragged batches, and ``bilstm_scan``'s, are checked in
 ``test_batched_encoder.py``) must be bitwise equal to them forward, and
 their gradients must match to rounding (the backward sums a scan's
 input-projection gradients in one matrix product instead of step by step,
@@ -23,7 +24,7 @@ from synsum.corpus import Vocabulary, build_vocabulary, encode_example
 from synsum.decoder import decode_step, encode_document, initial_state
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
-from oracles import same_bits, slice_cols, sum_all
+from oracles import lstm_scan, same_bits, slice_cols, sum_all
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
 
@@ -198,8 +199,8 @@ def test_lstm_scan_bitwise_equals_composition(widths, reverse, n):
     params = ModelParams(config, seed=n)
     x = Tensor(np.random.default_rng(n).normal(size=(n, config.d_emb)))
     cell = params.lstm_fw
-    states, h, c = ad.lstm_scan(ad.matmul(x, cell["W_x"]), cell["W_h"],
-                                cell["b"], (n,), reverse)
+    states, h, c = lstm_scan(ad.matmul(x, cell["W_x"]), cell["W_h"],
+                             cell["b"], (n,), reverse)
     states_ref, h_ref, c_ref = composed_scan(x, cell, config.d_h, reverse)
     assert states.shape == (n, config.d_h)
     for i, expected in enumerate(states_ref):
@@ -268,9 +269,11 @@ def test_toy_width_sequence_loss_tape_size():
     source tokens, 4 decoder steps). The fused cell took it from 1,006 nodes
     to 320, one output head over all the steps' rows to 196, one
     coverage-attention node per step to 148, one p_gen node to 139, one
-    scan node per encoder direction from 136 to 100 and one node regrouping
-    the teacher-forced steps' rows, in place of five concatenations, to 96;
-    a change that re-inflates the tape should fail here first."""
+    scan node per encoder direction from 136 to 100, one node regrouping
+    the teacher-forced steps' rows, in place of five concatenations, to 96,
+    and one scan node for both directions (in place of two and three
+    concatenations) and one node per graph convolution layer (in place of
+    13) to 68; a change that re-inflates the tape should fail here first."""
     vocab, examples = corpus(seed=7, size=2)
     example = examples[0]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
@@ -280,6 +283,7 @@ def test_toy_width_sequence_loss_tape_size():
     ops = [node.op for node in tape.nodes]
     assert (vocab.size, example.n, len(example.target_ids)) == (22, 18, 5)
     assert ops.count("lstm_cell") == len(example.target_ids) - 1
-    assert ops.count("lstm_scan") == 2
+    assert ops.count("bilstm_scan") == 1
+    assert ops.count("gcn_layer") == params.config.gcn_layers
     assert "slice_cols" not in ops
-    assert len(ops) == 96
+    assert len(ops) == 68

@@ -19,6 +19,7 @@ from synsum.decoder import (
     ContentMask,
     StepState,
     decode_step,
+    encode_batch,
     encode_document,
     initial_state,
     output_head,
@@ -133,10 +134,10 @@ def case_model(name):
 def forced_head(example, params):
     """One example's lockstep teacher forcing, then its output head: the
     final distributions, attention and coverage rows, one row per step."""
-    enc, gated, ctx = encode_document(example, params)
-    (rows,) = teacher_force([example], [(enc, gated)], params)
+    (rows,) = teacher_force([example], encode_batch([example], params), params)
     final, _ = output_head(rows.hidden, rows.context, rows.x, rows.attention,
-                           ctx.source_ext_ids, ctx.n_oov, params)
+                           example.source_ext_ids, len(example.oov_tokens),
+                           params)
     return final, rows.attention, rows.coverage
 
 
