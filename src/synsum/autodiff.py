@@ -91,6 +91,7 @@ their first argument.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -108,28 +109,18 @@ __all__ = [
     "mul",
     "sigmoid",
     "tanh",
-    "minimum",
-    "maximum",
     "softmax",
     "segment_softmax",
     "segment_pool",
-    "log",
-    "sum_rows",
-    "fold_sum",
     "concat",
     "reshape",
     "gather_rows",
-    "split_rows",
     "gcn_layer",
     "add_rowvec",
-    "pick_rows",
-    "pointer_mix",
-    "coverage_attention",
-    "by_document",
-    "generation_gate",
     "clip",
-    "lstm_cell",
     "bilstm_scan",
+    "decoder_scan",
+    "pointer_head",
     "zero_grads",
     "grad_check",
 ]
@@ -561,38 +552,6 @@ def tanh(x) -> Tensor:
     return out
 
 
-def minimum(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b, "minimum")
-    out = Tensor(np.minimum(a.data, b.data), a.requires_grad or b.requires_grad)
-    take_a = a.data <= b.data  # ties go to the first argument
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g * take_a))
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, g * ~take_a))
-
-    _record("minimum", out, backward)
-    return out
-
-
-def maximum(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b, "maximum")
-    out = Tensor(np.maximum(a.data, b.data), a.requires_grad or b.requires_grad)
-    take_a = a.data >= b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(a.shape, g * take_a))
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(b.shape, g * ~take_a))
-
-    _record("maximum", out, backward)
-    return out
-
-
 def _softmax_data(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """Softmax of a vector or of each row of a matrix, over the positions
     ``keep`` selects (all of them when it is None); each row is bitwise the
@@ -694,50 +653,6 @@ def segment_pool(weights, x, lengths: Sequence[int]) -> Tensor:
     return out
 
 
-def log(x) -> Tensor:
-    """Natural logarithm; the caller guarantees positive inputs."""
-    x = _as_tensor(x)
-    out = Tensor(np.log(x.data), x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g / x.data)
-
-    _record("log", out, backward)
-    return out
-
-
-def sum_rows(x) -> Tensor:
-    """Sum of each row of a matrix, bitwise ``x[r].sum()`` for row r; a
-    vector is one row and sums to a scalar."""
-    x = _as_tensor(x)
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"sum_rows expects a vector or matrix, got {x.shape}")
-    out = Tensor(x.data.sum(axis=-1), x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_copy(x, np.broadcast_to(np.expand_dims(g, -1), x.shape))
-
-    _record("sum_rows", out, backward)
-    return out
-
-
-def fold_sum(x) -> Tensor:
-    """Sum of a vector as a strict left fold, ``((x0 + x1) + x2) + ...``:
-    the value of adding the entries one ``add`` at a time. ``np.sum`` sums
-    pairwise instead, which differs in the last bits from eight entries on.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 1 or x.data.size == 0:
-        raise ShapeError(f"fold_sum expects a nonempty vector, got shape {x.shape}")
-    out = Tensor(np.add.accumulate(x.data)[-1], x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_copy(x, np.broadcast_to(g, x.shape))
-
-    _record("fold_sum", out, backward)
-    return out
-
-
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
@@ -804,28 +719,6 @@ def _segments(lengths: Sequence[int], total: int,
             f"{op}: segment lengths {list(lengths)} do not split {total} rows"
         )
     return list(zip(bounds, bounds[1:]))
-
-
-def split_rows(x, lengths: Sequence[int]) -> tuple[Tensor, ...]:
-    """Consecutive blocks of the leading axis, ``lengths[k]`` rows in block
-    k, as one node with one output per block. A single block is ``x``
-    itself, and records nothing."""
-    x = _as_tensor(x)
-    bounds = _segments(lengths, len(x.data) if x.data.ndim else -1,
-                       "split_rows")
-    if len(bounds) == 1:
-        return (x,)
-    outs = tuple(Tensor(x.data[lo:hi], x.requires_grad) for lo, hi in bounds)
-
-    def backward(*grads: np.ndarray | None) -> None:
-        if x.grad is None:
-            x.grad = np.zeros(x.shape)
-        for (lo, hi), g in zip(bounds, grads):
-            if g is not None:
-                x.grad[lo:hi] += g
-
-    _record("split_rows", outs, backward)
-    return outs
 
 
 def gcn_layer(h, edges, weights, bias) -> Tensor:
@@ -919,463 +812,6 @@ def add_rowvec(m, v) -> Tensor:
     return out
 
 
-def pick_rows(x, columns) -> Tensor:
-    """One element of each row of a matrix: ``out[r] = x[r, columns[r]]``."""
-    x = _as_tensor(x)
-    cols = np.asarray(columns, dtype=np.intp)
-    if x.data.ndim != 2 or cols.shape != (x.shape[0],):
-        raise ShapeError(
-            f"pick_rows: matrix {x.shape} vs column indices {cols.shape}"
-        )
-    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
-        raise IndexError(f"pick_rows: column out of range for {x.shape[1]} columns")
-    rows = np.arange(x.shape[0])
-    out = Tensor(x.data[rows, cols], x.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        dx = np.zeros(x.shape)
-        dx[rows, cols] = g
-        _accumulate(x, dx)
-
-    _record("pick_rows", out, backward)
-    return out
-
-
-def pointer_mix(vocab_dist, copy_attention, p_gen, ids, size: int) -> Tensor:
-    """Pointer-generator mixture, one output row per input row:
-
-        out[r] = p_gen[r] * gen[r] + (1 - p_gen[r]) * copy[r]
-
-    ``gen[r]`` is ``vocab_dist[r]`` (R x V) padded with zeros to ``size``
-    columns, ``copy[r][ids[i]]`` sums ``copy_attention[r, i]`` (R x n) over
-    source positions i in ascending order, and ``p_gen`` is an (R, 1)
-    column. Per row these are the IEEE operations of the composition
-    ``concat``/``scatter_sum_vec``/``mul``/``sub``/``mul``/``add`` on
-    vectors, so the values are bitwise equal to it.
-    """
-    vocab_dist, copy_attention, p_gen = (
-        _as_tensor(t) for t in (vocab_dist, copy_attention, p_gen)
-    )
-    idx = np.asarray(ids, dtype=np.intp)
-    gen = vocab_dist.data
-    if (gen.ndim != 2 or p_gen.shape != (gen.shape[0], 1)
-            or copy_attention.shape != (gen.shape[0], idx.size)
-            or idx.shape != (idx.size,) or size < gen.shape[1]):
-        raise ShapeError(
-            f"pointer_mix: vocab_dist {gen.shape}, copy_attention "
-            f"{copy_attention.shape}, p_gen {p_gen.shape}, ids {idx.shape}, "
-            f"size {size}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise IndexError(f"pointer_mix: id out of range for size {size}")
-    rows, vocab = gen.shape
-    p = p_gen.data
-    q = 1.0 - p
-    copy = np.zeros((rows, size))
-    np.add.at(copy, (np.arange(rows)[:, None], idx[None, :]),
-              copy_attention.data)
-    out_data = np.zeros((rows, size))
-    np.multiply(gen, p, out=out_data[:, :vocab])
-    copy *= q
-    out_data += copy
-    out = Tensor(out_data, vocab_dist.requires_grad
-                 or copy_attention.requires_grad or p_gen.requires_grad)
-
-    def backward(g: np.ndarray) -> None:
-        g_gen = g[:, :vocab]
-        g_copy = g[:, idx]  # d out / d copy_attention[r, i] reads column ids[i]
-        if vocab_dist.requires_grad:
-            _accumulate(vocab_dist, g_gen * p)
-        if copy_attention.requires_grad:
-            _accumulate(copy_attention, g_copy * q)
-        if p_gen.requires_grad:
-            dp = (np.einsum("ij,ij->i", g_gen, gen)
-                  - np.einsum("ij,ij->i", g_copy, copy_attention.data))
-            _accumulate(p_gen, dp[:, None])
-
-    _record("pointer_mix", out, backward)
-    return out
-
-
-def coverage_attention(
-    hidden, dec_W, enc_proj, b, coverage, cov_w, v, enc_states, spans=None
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Additive attention with a coverage feature for R decoder rows.
-
-    ``hidden`` (R, d_dec) and ``coverage`` (R, n) hold one row per decoder
-    state; ``dec_W`` (d_dec, a), ``enc_proj`` (n, a), ``b`` (a,), ``cov_w``
-    (a,) or None (no coverage feature), the column ``v`` (a, 1) and
-    ``enc_states`` (n, d) are shared. For row r and source position i:
-
-        features = ((enc_proj[i] + hidden[r] @ dec_W) + b) + coverage[r, i] * cov_w
-        scores[r, i] = tanh(features) @ v
-        attention[r] = softmax(scores[r])
-        context[r] = attention[r] @ enc_states
-        next_coverage[r] = coverage[r] + attention[r]
-
-    Returns (attention, context, next_coverage, scores). These are the IEEE
-    operations, in order, of the composition from ``matmul``,
-    ``add_rowvec``, ``outer``, ``add``, ``tanh``, ``softmax`` and
-    ``reshape`` nodes on one row, so each row is bitwise that composition's
-    value. The backward is analytic; with one row it sums every gradient
-    term in the order the composition's nodes did, so a one-row step's
-    gradients are bitwise the composition's too.
-
-    ``spans`` gives each row a source of its own, for rows of several
-    documents whose encoder rows are stacked in ``enc_proj`` and
-    ``enc_states``: row r attends over their rows ``spans[r] = (start,
-    stop)``, n_r of them. ``coverage``, and the attention, coverage and
-    scores returned, are then flat, row r's n_r entries after row r - 1's.
-    Every row is bitwise its value in the call with its document alone
-    (``spans`` None): features and scores are elementwise or one fold per
-    entry, each softmax sums the rows of one length together, each over
-    exactly its own positions (``np.sum`` blocks its pairwise sum by the row
-    length), and the contexts are one left fold, a shorter row's padded
-    with -0.0 terms.
-    """
-    hidden, dec_W, enc_proj, b, coverage, v, enc_states = (
-        _as_tensor(t)
-        for t in (hidden, dec_W, enc_proj, b, coverage, v, enc_states)
-    )
-    cov_w = None if cov_w is None else _as_tensor(cov_w)
-    rows = hidden.shape[0] if hidden.data.ndim == 2 else -1
-    n, width = enc_proj.shape if enc_proj.data.ndim == 2 else (-1, -1)
-    cov_shape = (rows, n)
-    if spans is not None:
-        bounds = np.asarray(spans, dtype=np.intp)
-        cov_shape = None
-        if rows > 0 and bounds.shape == (rows, 2):
-            lengths = bounds[:, 1] - bounds[:, 0]
-            if (lengths >= 1).all() and (bounds[:, 0] >= 0).all() and (
-                    bounds[:, 1] <= n).all():
-                cov_shape = (int(lengths.sum()),)
-    if (rows < 0 or n < 1 or dec_W.shape != (hidden.shape[1], width)
-            or b.shape != (width,) or coverage.shape != cov_shape
-            or (cov_w is not None and cov_w.shape != (width,))
-            or v.shape != (width, 1) or enc_states.data.ndim != 2
-            or enc_states.shape[0] != n):
-        raise ShapeError(
-            f"coverage_attention: incompatible shapes hidden {hidden.shape}, "
-            f"dec_W {dec_W.shape}, enc_proj {enc_proj.shape}, b {b.shape}, "
-            f"coverage {coverage.shape}, cov_w "
-            f"{None if cov_w is None else cov_w.shape}, v {v.shape}, "
-            f"enc_states {enc_states.shape}"
-            + ("" if spans is None else f", spans {list(spans)}")
-        )
-    inputs = (hidden, dec_W, enc_proj, b, coverage, v, enc_states)
-    if cov_w is not None:
-        inputs += (cov_w,)
-    grad = any(t.requires_grad for t in inputs)
-    if spans is not None:
-        return _span_attention(hidden, dec_W, enc_proj, b, coverage, cov_w, v,
-                               enc_states, bounds[:, 0], lengths, grad)
-    features = enc_proj.data[None] + _matmul_data(hidden.data, dec_W.data)[:, None]
-    features += b.data
-    if cov_w is not None:
-        features += coverage.data[:, :, None] * cov_w.data
-    tanh_f = np.tanh(features, out=features).reshape(rows * n, width)
-    scores = _matmul_data(tanh_f, v.data).reshape(rows, n)
-    att = _softmax_data(scores)
-    outs = (Tensor(att, grad), Tensor(_matmul_data(att, enc_states.data), grad),
-            Tensor(coverage.data + att, grad), Tensor(scores, grad))
-
-    def backward(g_att, g_ctx, g_cov, g_scores) -> None:
-        # attention's gradient: its own, the context's, then the coverage's
-        g_a = g_att
-        if g_ctx is not None:
-            term = g_ctx @ enc_states.data.T
-            g_a = term if g_a is None else g_a + term
-            if enc_states.requires_grad:
-                terms = _pending_for(enc_states)
-                terms.lhs.append(att)
-                terms.grads.append(g_ctx)
-        if g_cov is not None:
-            if coverage.requires_grad:
-                _accumulate_copy(coverage, g_cov)
-            g_a = g_cov if g_a is None else g_cov + g_a
-        if g_a is None:
-            ds = g_scores
-        else:
-            # one row takes the vector dot of the one-row softmax
-            inner = (np.dot(g_a[0], att[0]) if rows == 1
-                     else np.einsum("ij,ij->i", g_a, att)[:, None])
-            ds = att * (g_a - inner)
-            if g_scores is not None:
-                ds = ds + g_scores
-        ds = ds.reshape(rows * n, 1)
-        if v.requires_grad:
-            terms = _pending_for(v)
-            terms.lhs.append(tanh_f)
-            terms.grads.append(ds)
-        g_f = (ds @ v.data.T) * (1.0 - tanh_f * tanh_f)  # (R * n, a)
-        if cov_w is not None:
-            if coverage.requires_grad:
-                _accumulate(coverage, (g_f @ cov_w.data).reshape(rows, n))
-            if cov_w.requires_grad:
-                _accumulate(cov_w, g_f.T @ coverage.data.reshape(rows * n))
-        if b.requires_grad:
-            _accumulate(b, g_f.sum(axis=0))
-        g_f = g_f.reshape(rows, n, width)
-        if enc_proj.requires_grad:
-            _accumulate(enc_proj, g_f.sum(axis=0))
-        if hidden.requires_grad or dec_W.requires_grad:
-            g_dec = g_f.sum(axis=1)
-            if hidden.requires_grad:
-                _accumulate(hidden, g_dec @ dec_W.data.T)
-            if dec_W.requires_grad:
-                terms = _pending_for(dec_W)
-                terms.lhs.append(hidden.data)
-                terms.grads.append(g_dec)
-
-    _record("coverage_attention", outs, backward)
-    return outs
-
-
-def _span_attention(hidden, dec_W, enc_proj, b, coverage, cov_w, v,
-                    enc_states, starts, lengths, grad):
-    """``coverage_attention`` of rows with sources of their own: row r over
-    rows ``starts[r]`` to ``starts[r] + lengths[r]`` of ``enc_proj`` and
-    ``enc_states``, on flat coverage."""
-    rows, total = len(lengths), int(lengths.sum())
-    offsets = np.zeros(rows + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    row_of = np.repeat(np.arange(rows), lengths)        # per flat entry
-    pos = np.arange(total) + (starts - offsets[:-1])[row_of]  # its source row
-    tanh_f = enc_proj.data[pos]                         # (total, a)
-    tanh_f += _matmul_data(hidden.data, dec_W.data)[row_of]
-    tanh_f += b.data
-    if cov_w is not None:
-        tanh_f += coverage.data[:, None] * cov_w.data
-    np.tanh(tanh_f, out=tanh_f)
-    scores = _matmul_data(tanh_f, v.data).reshape(total)
-    # softmax: the max and the exponentials entry by entry, each row's sum
-    # over a (rows of that length, length) block, as _softmax_data sums
-    z = np.exp(scores - np.maximum.reduceat(scores, offsets[:-1])[row_of])
-    sums = np.empty(rows)
-    for n in sorted(set(lengths.tolist())):
-        group = np.flatnonzero(lengths == n)
-        sums[group] = z[offsets[group, None] + np.arange(n)].sum(axis=-1)
-    att = z / sums[row_of]
-    # context[r] is the left fold of att[r, i] * enc_states[pos] over i;
-    # a row shorter than the longest folds in -0.0 terms, which add nothing
-    grid = np.arange(lengths.max())
-    inside = grid < lengths[:, None]                    # (rows, longest)
-    weights = np.zeros(inside.shape)
-    weights[inside] = att
-    at = starts[:, None] + np.minimum(grid, lengths[:, None] - 1)
-    terms = np.empty((len(grid), rows, enc_states.shape[1]))
-    np.multiply(weights.T[:, :, None], enc_states.data[at.T], out=terms)
-    terms[~inside.T] = -0.0
-    context = _fold(terms)
-    outs = (Tensor(att, grad), Tensor(context, grad),
-            Tensor(coverage.data + att, grad), Tensor(scores, grad))
-
-    def backward(g_att, g_ctx, g_cov, g_scores) -> None:
-        g_a = g_att
-        if g_ctx is not None:
-            term = np.einsum("ij,ij->i", g_ctx[row_of], enc_states.data[pos])
-            g_a = term if g_a is None else g_a + term
-            if enc_states.requires_grad:
-                spread = np.zeros((rows, enc_states.shape[0]))
-                spread[row_of, pos] = att
-                terms = _pending_for(enc_states)
-                terms.lhs.append(spread)
-                terms.grads.append(g_ctx)
-        if g_cov is not None:
-            if coverage.requires_grad:
-                _accumulate_copy(coverage, g_cov)
-            g_a = g_cov if g_a is None else g_cov + g_a
-        if g_a is None:
-            ds = g_scores
-        else:
-            inner = np.add.reduceat(g_a * att, offsets[:-1])
-            ds = att * (g_a - inner[row_of])
-            if g_scores is not None:
-                ds = ds + g_scores
-        ds = ds.reshape(total, 1)
-        if v.requires_grad:
-            terms = _pending_for(v)
-            terms.lhs.append(tanh_f)
-            terms.grads.append(ds)
-        g_f = (ds @ v.data.T) * (1.0 - tanh_f * tanh_f)  # (total, a)
-        if cov_w is not None:
-            if coverage.requires_grad:
-                _accumulate(coverage, g_f @ cov_w.data)
-            if cov_w.requires_grad:
-                _accumulate(cov_w, g_f.T @ coverage.data)
-        if b.requires_grad:
-            _accumulate(b, g_f.sum(axis=0))
-        if enc_proj.requires_grad:
-            if enc_proj.grad is None:
-                enc_proj.grad = np.zeros(enc_proj.shape)
-            np.add.at(enc_proj.grad, pos, g_f)
-        if hidden.requires_grad or dec_W.requires_grad:
-            g_dec = np.add.reduceat(g_f, offsets[:-1], axis=0)
-            if hidden.requires_grad:
-                _accumulate(hidden, g_dec @ dec_W.data.T)
-            if dec_W.requires_grad:
-                terms = _pending_for(dec_W)
-                terms.lhs.append(hidden.data)
-                terms.grads.append(g_dec)
-
-    _record("coverage_attention", outs, backward)
-    return outs
-
-
-def _fold(terms: np.ndarray) -> np.ndarray:
-    """The left fold over axis 0 of C-ordered ``terms``, term 0 first: the
-    sum ``_matmul_data`` forms for each output entry."""
-    if terms[0].size == 1:
-        return np.add.accumulate(terms.reshape(len(terms)))[-1:].reshape(
-            terms.shape[1:])
-    return np.add.reduce(terms, axis=0, initial=-0.0)
-
-
-def by_document(steps: Sequence[Sequence[Tensor]],
-                lengths: Sequence[int]) -> list[tuple[Tensor, ...]]:
-    """The outputs of a lockstep scan over documents, regrouped by document
-    in one node.
-
-    ``steps[t]`` holds the same quantities at every step t, for the first
-    live_t documents (every document at step 0; live_t never grows): a
-    matrix one row per document, a flat vector one segment per document,
-    ``lengths[k]`` entries for document k (the layout of
-    ``coverage_attention`` with ``spans``). Returns, for each document k,
-    its blocks of every quantity stacked in step order, one (T_k, width)
-    matrix per quantity, where T_k counts the steps that hold it. The
-    backward hands each block's gradient back to its step."""
-    bounds = np.zeros(len(lengths) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=bounds[1:])
-    documents_of = {int(b): k for k, b in enumerate(bounds) if k}
-
-    def live(t: Tensor) -> int:
-        if t.data.ndim == 2:
-            return t.shape[0]
-        return documents_of.get(t.size, -1) if t.data.ndim == 1 else -1
-
-    def layout(step: Sequence[Tensor]) -> list:
-        # each quantity's width, or None for a flat vector
-        return [t.shape[1] if t.data.ndim == 2 else None for t in step]
-
-    quantities = len(steps[0]) if steps else 0
-    widths = layout(steps[0]) if steps else []
-    live_counts = []
-    for step in steps:
-        counts = {live(t) for t in step}
-        if len(counts) != 1 or layout(step) != widths:
-            break
-        live_counts.append(counts.pop())
-    if (not quantities or not len(lengths) or min(lengths) < 1
-            or len(live_counts) != len(steps)
-            or live_counts[0] != len(lengths)):
-        raise ShapeError(f"by_document: steps do not hold the first documents "
-                         f"of lengths {list(lengths)}")
-    live_at = np.array(live_counts)
-    if live_at.min() < 1 or (live_at[1:] > live_at[:-1]).any():
-        raise ShapeError(f"by_document: documents per step "
-                         f"{live_counts} must never grow")
-    # every (step, document) block in document order, as positions among
-    # the steps' stacked rows (matrices) or entries (flat vectors); one
-    # document's blocks are in that order already
-    steps_of = [int(np.count_nonzero(live_at > k)) for k in range(len(lengths))]
-    row_index = entry_index = None
-    if len(lengths) > 1:
-        first_row = np.cumsum(live_at) - live_at
-        first_entry = np.cumsum(bounds[live_at]) - bounds[live_at]
-        row_index = np.concatenate([first_row[:t] + k
-                                    for k, t in enumerate(steps_of)])
-        entry_index = np.concatenate([
-            (first_entry[:t, None] + bounds[k] + np.arange(lengths[k])).ravel()
-            for k, t in enumerate(steps_of)])
-    # per quantity: whether it is flat, its index and each document's shape
-    plans = []
-    for width in widths:
-        if width is not None:
-            plans.append((False, row_index, [(t, width) for t in steps_of]))
-        else:
-            plans.append((True, entry_index,
-                          [(t, n) for t, n in zip(steps_of, lengths)]))
-    grad = any(t.requires_grad for step in steps for t in step)
-    outs = []
-    for q, (_, index, shapes) in enumerate(plans):
-        gathered = np.concatenate([step[q].data for step in steps])
-        if index is not None:
-            gathered = gathered[index]
-        gathered, lo = gathered.reshape(-1), 0
-        blocks = []
-        for t, n in shapes:
-            blocks.append(Tensor(gathered[lo:lo + t * n].reshape(t, n), grad))
-            lo += t * n
-        outs.append(blocks)
-    outs = tuple(o[k] for k in range(len(lengths)) for o in outs)
-
-    def backward(*grads: np.ndarray | None) -> None:
-        for q, (flat, index, shapes) in enumerate(plans):
-            parts = grads[q::quantities]
-            if all(g is None for g in parts):
-                continue
-            # a matrix's blocks stack as rows, a flat vector's as entries
-            g_rows = np.concatenate([
-                np.zeros((t, n)) if g is None else g
-                for g, (t, n) in zip(parts, shapes)], axis=None if flat else 0)
-            stacked = g_rows
-            if index is not None:
-                stacked = np.empty_like(g_rows)
-                stacked[index] = g_rows
-            lo = 0
-            for step in steps:
-                t = step[q]
-                if t.requires_grad:
-                    _accumulate(t, stacked[lo:lo + len(t.data)].reshape(t.shape))
-                lo += len(t.data)
-
-    _record("by_document", outs, backward)
-    return [outs[k * quantities:(k + 1) * quantities]
-            for k in range(len(lengths))]
-
-
-def generation_gate(context, hidden, x, ctx_w, state_w, x_w, b) -> Tensor:
-    """The pointer-generator's p_gen for R rows, an (R, 1) column:
-
-        sigmoid((context @ ctx_w + hidden @ state_w) + (x @ x_w + b))
-
-    with ``context``, ``hidden`` and ``x`` (R, k) rows, their weight
-    vectors (k,) and a scalar ``b``. These are the IEEE operations, in
-    order, of the composition from column ``matmul``, ``add`` and
-    ``sigmoid`` nodes, so the values are bitwise equal to it, and the
-    analytic backward computes each gradient with the composition's
-    expressions, one term per tensor, so the gradients are bitwise too.
-    """
-    rows = [_as_tensor(t) for t in (context, hidden, x)]
-    weights = [_as_tensor(t) for t in (ctx_w, state_w, x_w)]
-    b = _as_tensor(b)
-    count = rows[0].shape[0] if rows[0].data.ndim == 2 else -1
-    if b.shape != () or any(
-            r.data.ndim != 2 or w.data.ndim != 1 or r.shape != (count, w.size)
-            for r, w in zip(rows, weights)):
-        raise ShapeError(
-            "generation_gate: rows "
-            f"{[r.shape for r in rows]}, weights {[w.shape for w in weights]},"
-            f" b {b.shape}"
-        )
-    dots = [_matmul_data(r.data, w.data[:, None]) for r, w in zip(rows, weights)]
-    y = _sigmoid_data((dots[0] + dots[1]) + (dots[2] + b.data))
-    out = Tensor(y, any(t.requires_grad for t in (*rows, *weights, b)))
-
-    def backward(g: np.ndarray) -> None:
-        g_sum = g * y * (1.0 - y)
-        for r, w in zip(rows, weights):
-            if r.requires_grad:
-                _accumulate(r, g_sum @ w.data[None, :])
-            if w.requires_grad:
-                _accumulate(w, (r.data.T @ g_sum).reshape(w.shape))
-        if b.requires_grad:
-            _accumulate(b, g_sum.sum())
-
-    _record("generation_gate", out, backward)
-    return out
-
-
 def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only where unclipped."""
     x = _as_tensor(x)
@@ -1421,51 +857,6 @@ def _cell_backward(dh, dc, gates, tc, c_prev):
     dz[..., 2 * d:3 * d] = dc * i * (1.0 - g * g)
     dz[..., 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
     return dz, dc * f
-
-
-def lstm_cell(x_proj, h, c, W_h, b) -> tuple[Tensor, Tensor]:
-    """One LSTM step of R rows, from their input projections ``x_proj``
-    (``x @ W_x``) and states ``h`` and ``c``; returns (h', c'). With gates
-    laid out (input, forget, candidate, output), each ``d`` wide:
-
-        z = (x_proj + h @ W_h) + b
-        i, f, o = sigmoid(z) on their columns;  g = tanh(z) on its columns
-        c' = f * c + i * g
-        h' = o * tanh(c')
-
-    These are the IEEE operations, in order, of the same cell composed from
-    ``matmul``/``add``/``slice_cols``/``sigmoid``/``tanh``/``mul`` nodes, so
-    every row is bitwise equal to it; the backward is analytic instead.
-    """
-    x_proj, h, c, W_h, b = (_as_tensor(t) for t in (x_proj, h, c, W_h, b))
-    h_prev, c_prev = h.data, c.data
-    d = h_prev.shape[1] if h_prev.ndim == 2 else -1
-    if (c_prev.shape != h_prev.shape or x_proj.shape != (len(h_prev), 4 * d)
-            or W_h.shape != (d, 4 * d) or b.shape != (4 * d,)):
-        raise ShapeError(
-            f"lstm_cell: incompatible shapes x_proj {x_proj.shape}, h {h.shape}, "
-            f"c {c.shape}, W_h {W_h.shape}, b {b.shape}"
-        )
-    h_data, c_data, gates, tc = _cell_forward(x_proj.data, h_prev, c_prev,
-                                              W_h.data, b.data)
-    h_out = Tensor(h_data, any(t.requires_grad for t in (x_proj, h, c, W_h, b)))
-    c_out = Tensor(c_data, h_out.requires_grad)
-
-    def backward(dh: np.ndarray | None, dc: np.ndarray | None) -> None:
-        dz, dc_prev = _cell_backward(dh, dc, gates, tc, c_prev)
-        if x_proj.requires_grad:
-            _accumulate(x_proj, dz)
-        if h.requires_grad:
-            _accumulate(h, dz @ W_h.data.T)
-        if c.requires_grad:
-            _accumulate(c, dc_prev)
-        if W_h.requires_grad:
-            _accumulate(W_h, h_prev.T @ dz)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0))
-
-    _record("lstm_cell", (h_out, c_out), backward)
-    return h_out, c_out
 
 
 def bilstm_scan(
@@ -1575,6 +966,565 @@ def bilstm_scan(
 
     _record("bilstm_scan", outs, backward)
     return outs
+
+
+# ---------------------------------------------------------------------------
+# the decoder
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """The left fold over axis 0 of C-ordered ``terms``, term 0 first: the
+    sum ``_matmul_data`` forms for each output entry."""
+    if terms[0].size == 1:
+        return np.add.accumulate(terms.reshape(len(terms)))[-1:].reshape(
+            terms.shape[1:])
+    return np.add.reduce(terms, axis=0, initial=-0.0)
+
+
+class _SpanLayout:
+    """Where L decoder rows with sources of their own read the stacked
+    encoder rows: row r over rows ``bounds[r] = (start, stop)``, on flat
+    coverage, row r's entries after row r - 1's."""
+
+    __slots__ = ("rows", "total", "offsets", "row_of", "pos", "groups",
+                 "inside", "outside", "sources")
+
+    def __init__(self, bounds: np.ndarray, enc_states: np.ndarray):
+        starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+        self.rows, self.total = len(lengths), int(lengths.sum())
+        self.offsets = np.zeros(self.rows + 1, dtype=np.intp)
+        np.cumsum(lengths, out=self.offsets[1:])
+        self.row_of = np.repeat(np.arange(self.rows), lengths)  # per entry
+        self.pos = (np.arange(self.total)                       # its source row
+                    + (starts - self.offsets[:-1])[self.row_of])
+        # a softmax sums the rows of one length as one block
+        self.groups = []
+        for n in sorted(set(lengths.tolist())):
+            group = np.flatnonzero(lengths == n)
+            self.groups.append((group, self.offsets[group, None] + np.arange(n)))
+        # the context is one left fold over the longest row's positions, a
+        # shorter row's padded with -0.0 terms, which add nothing
+        grid = np.arange(lengths.max())
+        self.inside = grid < lengths[:, None]                  # (rows, longest)
+        self.outside = ~self.inside.T
+        at = starts[:, None] + np.minimum(grid, lengths[:, None] - 1)
+        self.sources = enc_states[at.T]                        # (longest, rows, d)
+
+
+def _attend(h_proj, cov, enc_proj, b, cov_w, v, enc_states, layout):
+    """Coverage attention of one decoder step's rows on arrays, from their
+    ``h @ dec_W``: (attention, context, scores, tanh of the features).
+    ``layout`` None: every row over all of ``enc_proj``'s rows, on (rows, n)
+    coverage."""
+    if layout is None:
+        rows, n = cov.shape
+        features = enc_proj[None] + h_proj[:, None]
+        features += b
+        if cov_w is not None:
+            features += cov[:, :, None] * cov_w
+        tanh_f = np.tanh(features, out=features).reshape(rows * n, -1)
+        scores = _matmul_data(tanh_f, v).reshape(rows, n)
+        att = _softmax_data(scores)
+        return att, _matmul_data(att, enc_states), scores, tanh_f
+    row_of = layout.row_of
+    tanh_f = enc_proj[layout.pos]
+    tanh_f += h_proj[row_of]
+    tanh_f += b
+    if cov_w is not None:
+        tanh_f += cov[:, None] * cov_w
+    np.tanh(tanh_f, out=tanh_f)
+    scores = _matmul_data(tanh_f, v).reshape(layout.total)
+    # the max and the exponentials entry by entry, each row's sum over a
+    # (rows of that length, length) block, as _softmax_data sums
+    z = np.exp(scores - np.maximum.reduceat(scores, layout.offsets[:-1])[row_of])
+    sums = np.empty(layout.rows)
+    for group, index in layout.groups:
+        sums[group] = z[index].sum(axis=-1)
+    att = z / sums[row_of]
+    weights = np.zeros(layout.inside.shape)
+    weights[layout.inside] = att
+    terms = np.empty(layout.sources.shape)
+    np.multiply(weights.T[:, :, None], layout.sources, out=terms)
+    terms[layout.outside] = -0.0
+    return att, _fold(terms), scores, tanh_f
+
+
+def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """``a + b``, where ``None`` is a gradient nothing reached."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _carried(base, carry, shape) -> np.ndarray | None:
+    """``base`` (or zeros of ``shape``) plus ``carry`` over its first rows:
+    a step output's gradient, and what the next step, over the rows still
+    live, hands back to it."""
+    if carry is None:
+        return base
+    if len(carry) == shape[0]:
+        return carry if base is None else base + carry
+    base = np.zeros(shape) if base is None else base.copy()
+    base[:len(carry)] += carry
+    return base
+
+
+def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
+                 b, dec_W, enc_proj, attn_b, cov_w, v, enc_states, spans=None):
+    """T steps of the decoder recurrence over R state rows, one node.
+
+    ``steps[t]`` holds the embedding ids that step t reads, one per row
+    still live: the first ``len(steps[t])`` rows, a count that never grows
+    (the first is R). From the state ``hidden``, ``cell`` (R, d_dec),
+    ``context`` (R, d) and ``coverage``, each step runs, for its rows:
+
+        x = [embedding[id]; previous context]
+        hidden, cell = LSTM cell of x @ W_x, with W_h and b
+        attention, context = coverage attention of hidden (dec_W, enc_proj,
+            attn_b, cov_w or None for no coverage feature, the column v,
+            enc_states), and coverage += attention
+
+    ``spans`` None: every row attends over all n rows of ``enc_proj`` and
+    ``enc_states``, on (R, n) coverage, and the rows form one sequence.
+    Otherwise row r attends over rows ``spans[r] = (start, stop)``, on flat
+    coverage (row r's entries after row r - 1's), and each row is a
+    sequence of its own. Each step runs the IEEE operations of the
+    composition from ``gather_rows``, ``concat``, ``matmul``, ``lstm_cell``
+    and ``coverage_attention`` nodes in ``tests/oracles.py``, so every value
+    is bitwise that composition's, and each row's the value of scanning it
+    alone.
+
+    Returns (sequences, last). Each sequence is (x, hidden, context,
+    attention, coverage before the step): its rows at every step it is live
+    in, in step order (rows in row order within a step), attention and
+    coverage (rows, n_r) matrices. ``last`` is (cell, coverage after,
+    scores) of the last step's rows.
+
+    The backward is one pass of backpropagation through time. It sums every
+    gradient term in the order that composition's backward does: the
+    per-step weight and bias terms one step at a time from the last, and
+    the terms that composition files against ``W_x``, ``dec_W``, ``v``,
+    ``enc_states`` and ``embedding`` as one term each, stacked from the
+    last step, which ``Tape.backward`` flushes as it flushed theirs."""
+    (embedding, hidden, cell, context, coverage, W_x, W_h, b, dec_W, enc_proj,
+     attn_b, v, enc_states) = (_as_tensor(t) for t in (
+        embedding, hidden, cell, context, coverage, W_x, W_h, b, dec_W,
+        enc_proj, attn_b, v, enc_states))
+    cov_w = None if cov_w is None else _as_tensor(cov_w)
+    ids = [np.asarray(step, dtype=np.intp) for step in steps]
+    live = [len(step) for step in ids]
+    if (not ids or any(step.ndim != 1 for step in ids) or min(live) < 1
+            or any(later > now for now, later in zip(live, live[1:]))):
+        raise ShapeError(f"decoder_scan: steps of {live} rows; each step "
+                         f"needs 1 to as many rows as the step before")
+    vocab, d_emb = embedding.shape if embedding.data.ndim == 2 else (0, -1)
+    if min(map(min, ids)) < 0 or max(map(max, ids)) >= vocab:
+        raise ShapeError(f"decoder_scan: an input id lies outside the "
+                         f"{vocab} rows of the embedding")
+    rows = live[0]
+    d_dec = W_h.shape[0] if W_h.data.ndim == 2 else -1
+    n, width = enc_proj.shape if enc_proj.data.ndim == 2 else (0, -1)
+    d = enc_states.shape[1] if enc_states.data.ndim == 2 else -1
+    bounds = None
+    cov_shape = (rows, n)
+    if spans is not None:
+        bounds = np.asarray(spans, dtype=np.intp)
+        if (bounds.shape != (rows, 2) or (bounds[:, 0] < 0).any()
+                or (bounds[:, 1] > n).any()
+                or (bounds[:, 1] <= bounds[:, 0]).any()):
+            raise ShapeError(f"decoder_scan: spans {list(spans)} are not "
+                             f"{rows} nonempty (start, stop) rows of {n}")
+        cov_shape = (int((bounds[:, 1] - bounds[:, 0]).sum()),)
+    if (n < 1 or d_dec < 1 or d < 1 or hidden.shape != (rows, d_dec)
+            or cell.shape != (rows, d_dec) or context.shape != (rows, d)
+            or coverage.shape != cov_shape
+            or W_x.shape != (d_emb + d, 4 * d_dec)
+            or W_h.shape != (d_dec, 4 * d_dec) or b.shape != (4 * d_dec,)
+            or dec_W.shape != (d_dec, width) or attn_b.shape != (width,)
+            or (cov_w is not None and cov_w.shape != (width,))
+            or v.shape != (width, 1) or enc_states.shape != (n, d)):
+        raise ShapeError(
+            f"decoder_scan: widths do not fit: embedding {embedding.shape}, "
+            f"hidden {hidden.shape}, cell {cell.shape}, context "
+            f"{context.shape}, coverage {coverage.shape}, W_x {W_x.shape}, "
+            f"W_h {W_h.shape}, b {b.shape}, dec_W {dec_W.shape}, enc_proj "
+            f"{enc_proj.shape}, attn_b {attn_b.shape}, cov_w "
+            f"{None if cov_w is None else cov_w.shape}, v {v.shape}, "
+            f"enc_states {enc_states.shape}")
+    inputs = (embedding, hidden, cell, context, coverage, W_x, W_h, b, dec_W,
+              enc_proj, attn_b, v, enc_states)
+    if cov_w is not None:
+        inputs += (cov_w,)
+    grad = any(t.requires_grad for t in inputs)
+    attend = (enc_proj.data, attn_b.data,
+              None if cov_w is None else cov_w.data, v.data, enc_states.data)
+    # h @ dec_W (a step's attention) and h @ W_h (the next step's cell) are
+    # one product: each entry is its own fold, whatever the other columns
+    both = (np.concatenate([dec_W.data, W_h.data], axis=1)
+            if len(ids) > 1 else None)
+    layouts: dict[int, _SpanLayout] = {}
+    h, c, ctx, cov = hidden.data, cell.data, context.data, coverage.data
+    h_w = _matmul_data(h, W_h.data)
+    cache = []  # per step: x, h and c read, gates, tanh(c'), h, context,
+    #             coverage read, attention, tanh(features), layout
+    for t, (step, count) in enumerate(zip(ids, live)):
+        layout = None
+        if bounds is not None:
+            layout = layouts.get(count)
+            if layout is None:
+                layout = layouts[count] = _SpanLayout(bounds[:count],
+                                                      enc_states.data)
+            cov = cov[:layout.total]
+        else:
+            cov = cov[:count]
+        x = np.concatenate([embedding.data[step], ctx[:count]], axis=1)
+        h_prev, c_prev = h[:count], c[:count]
+        h, c, gates, tc = _cell_gates(
+            (_matmul_data(x, W_x.data) + h_w[:count]) + b.data[None, :], c_prev)
+        proj = _matmul_data(h, both if t + 1 < len(ids) else dec_W.data)
+        h_w = proj[:, width:]
+        att, ctx, scores, tanh_f = _attend(proj[:, :width], cov, *attend,
+                                           layout)
+        cache.append((x, h_prev, c_prev, gates, tc, h, ctx, cov, att, tanh_f,
+                      layout))
+        cov = cov + att
+    # every step's rows stacked in step order, then regrouped by sequence
+    quantities = [np.concatenate([entry[k] for entry in cache])
+                  if len(cache) > 1 else cache[0][k] for k in (0, 5, 6, 8, 7)]
+    first_row = list(itertools.accumulate(live, initial=0))
+    if bounds is None:
+        index = None
+        sequences = [[(sum(live), q.shape[1]) for q in quantities]]
+    else:
+        lengths = bounds[:, 1] - bounds[:, 0]
+        flat = np.zeros(rows + 1, dtype=np.intp)
+        np.cumsum(lengths, out=flat[1:])
+        first_entry = np.cumsum([0] + [int(flat[k]) for k in live])
+        steps_of = [sum(count > r for count in live) for r in range(rows)]
+        index = (np.concatenate([np.asarray(first_row[:t]) + r
+                                 for r, t in enumerate(steps_of)]),
+                 np.concatenate([(first_entry[:t, None] + flat[r]
+                                  + np.arange(lengths[r])).ravel()
+                                 for r, t in enumerate(steps_of)]))
+        quantities = [q[index[k >= 3]] for k, q in enumerate(quantities)]
+        sequences = [[(t, q.shape[1]) for q in quantities[:3]]
+                     + [(t, int(lengths[r]))] * 2
+                     for r, t in enumerate(steps_of)]
+    outs, lo = [], [0] * 5
+    for shapes in sequences:
+        for k, (count, width_k) in enumerate(shapes):
+            size = count * width_k
+            block = quantities[k].reshape(-1)[lo[k]:lo[k] + size]
+            outs.append(Tensor(block.reshape(count, width_k), grad))
+            lo[k] += size
+    outs += [Tensor(c, grad), Tensor(cov, grad), Tensor(scores, grad)]
+    outs = tuple(outs)
+
+    def backward(*grads) -> None:
+        g_cell, g_next_cov, g_scores = grads[-3:]
+        stacked = []  # per quantity, step-major, or None where none reached
+        for k in range(5):
+            parts = grads[k:-3:5]
+            if all(g is None for g in parts):
+                stacked.append(None)
+                continue
+            blocks = [np.zeros(shapes[k]) if g is None else g
+                      for g, shapes in zip(parts, sequences)]
+            if index is None:
+                stacked.append(blocks[0])
+                continue
+            # a matrix's blocks stack as rows, a flat vector's as entries
+            g_all = np.concatenate(blocks, axis=None if k >= 3 else 0)
+            g_step = np.empty_like(g_all)
+            g_step[index[k >= 3]] = g_all
+            stacked.append(g_step)
+        entry_at = first_row if bounds is None else first_entry
+
+        def part(k: int, t: int) -> np.ndarray | None:
+            at = first_row if k < 3 else entry_at
+            g = stacked[k]
+            return None if g is None else g[at[t]:at[t + 1]]
+
+        emb, wx, dec, v_terms, enc = [], [], [], [], []
+        carry_h = carry_c = carry_ctx = carry_cov = None
+        for t in range(len(cache) - 1, -1, -1):
+            (x, h_prev, c_prev, gates, tc, h_t, _, cov_t, att, tanh_f,
+             layout) = cache[t]
+            count = live[t]
+            last = t == len(cache) - 1
+            g_h = _carried(part(1, t), carry_h, h_t.shape)
+            g_ctx = _carried(part(2, t), carry_ctx, (count, d))
+            g_c = g_cell if last else _carried(None, carry_c, h_t.shape)
+            g_cov = (g_next_cov if last
+                     else _carried(None, carry_cov, cov_t.shape))
+            # the attention: its own gradient, the context's, the coverage's
+            g_a = part(3, t)
+            if g_ctx is not None:
+                if layout is None:
+                    g_a = _plus(g_a, g_ctx @ enc_states.data.T)
+                    spread = att
+                else:
+                    g_a = _plus(g_a, np.einsum(
+                        "ij,ij->i", g_ctx[layout.row_of],
+                        enc_states.data[layout.pos]))
+                    spread = np.zeros((count, n))
+                    spread[layout.row_of, layout.pos] = att
+                if enc_states.requires_grad:
+                    enc.append((spread, g_ctx))
+            g_a = _plus(g_cov, g_a)
+            ds = g_scores if last else None
+            if g_a is not None:
+                if layout is None:
+                    # one row takes the vector dot of the one-row softmax
+                    inner = (np.dot(g_a[0], att[0]) if count == 1
+                             else np.einsum("ij,ij->i", g_a, att)[:, None])
+                    ds = _plus(att * (g_a - inner), ds)
+                else:
+                    inner = np.add.reduceat(g_a * att, layout.offsets[:-1])
+                    ds = _plus(att * (g_a - inner[layout.row_of]), ds)
+            g_cov_in = _plus(part(4, t), g_cov)
+            if ds is not None:
+                ds = ds.reshape(-1, 1)
+                if v.requires_grad:
+                    v_terms.append((tanh_f, ds))
+                g_f = (ds @ v.data.T) * (1.0 - tanh_f * tanh_f)
+                if cov_w is not None:
+                    g_cov_in = _plus(g_cov_in,
+                                     (g_f @ cov_w.data).reshape(cov_t.shape))
+                    if cov_w.requires_grad:
+                        _accumulate(cov_w, g_f.T @ cov_t.reshape(-1))
+                if attn_b.requires_grad:
+                    _accumulate(attn_b, g_f.sum(axis=0))
+                if layout is None:
+                    g_f = g_f.reshape(count, n, width)
+                    if enc_proj.requires_grad:
+                        _accumulate(enc_proj, g_f.sum(axis=0))
+                    g_dec = g_f.sum(axis=1)
+                else:
+                    if enc_proj.requires_grad:
+                        if enc_proj.grad is None:
+                            enc_proj.grad = np.zeros(enc_proj.shape)
+                        np.add.at(enc_proj.grad, layout.pos, g_f)
+                    g_dec = np.add.reduceat(g_f, layout.offsets[:-1], axis=0)
+                g_h = _plus(g_h, g_dec @ dec_W.data.T)
+                if dec_W.requires_grad:
+                    dec.append((h_t, g_dec))
+            # the cell, its input product, then the embedding and context
+            g_x = part(0, t)
+            carry_h = carry_c = None
+            if g_h is not None or g_c is not None:
+                dz, dc_prev = _cell_backward(g_h, g_c, gates, tc, c_prev)
+                g_x = _plus(g_x, dz @ W_x.data.T)
+                if W_x.requires_grad:
+                    wx.append((x, dz))
+                if W_h.requires_grad:
+                    _accumulate(W_h, h_prev.T @ dz)
+                if b.requires_grad:
+                    _accumulate(b, dz.sum(axis=0))
+                if t:
+                    carry_h, carry_c = dz @ W_h.data.T, dc_prev
+                else:
+                    if hidden.requires_grad:
+                        _accumulate(hidden, dz @ W_h.data.T)
+                    if cell.requires_grad:
+                        _accumulate(cell, dc_prev)
+            carry_ctx = None
+            if g_x is not None:
+                if embedding.requires_grad:
+                    emb.append((ids[t], g_x[:, :d_emb]))
+                carry_ctx = g_x[:, d_emb:]
+                if not t and context.requires_grad:
+                    _accumulate_copy(context, carry_ctx)
+            carry_cov = g_cov_in
+            if not t and g_cov_in is not None and coverage.requires_grad:
+                _accumulate_copy(coverage, g_cov_in)
+        # one term each, stacked from the last step, as the per-step nodes
+        # filed theirs
+        for tensor, terms in ((W_x, wx), (dec_W, dec), (v, v_terms),
+                              (enc_states, enc)):
+            if terms:
+                pending = _pending_for(tensor)
+                pending.lhs.append(_stack([a for a, _ in terms]))
+                pending.grads.append(_stack([g for _, g in terms]))
+        if emb:
+            pending = _pending_for(embedding)
+            pending.rows.append(_stack([i for i, _ in emb]))
+            pending.row_grads.append(np.concatenate([g for _, g in emb]))
+
+    _record("decoder_scan", outs, backward)
+    sequences_out = [outs[5 * k:5 * k + 5] for k in range(len(sequences))]
+    return sequences_out, outs[-3:]
+
+
+def pointer_head(hidden, context, x, attention, out_W, out_b, ctx_w, state_w,
+                 x_w, gate_b, ids, size: int, gold=None, coverage=None,
+                 coverage_weight: float = 0.0, floor: float = 0.0):
+    """The pointer-generator output head over R rows of one document, one
+    node:
+
+        P_vocab = softmax([hidden; context] @ out_W + out_b)
+        p_gen = sigmoid((context @ ctx_w + hidden @ state_w) + (x @ x_w + gate_b))
+        final = p_gen * P_vocab + (1 - p_gen) * copy
+
+    over the extended vocabulary of ``size`` ids, where ``copy[r][ids[i]]``
+    sums ``attention[r, i]`` over source positions i in ascending order.
+    These are the IEEE operations of the composition from ``concat``,
+    ``matmul``, ``add_rowvec``, ``softmax``, ``generation_gate`` and
+    ``pointer_mix`` nodes in ``tests/oracles.py``, so every row is bitwise
+    its value there.
+
+    Without ``gold`` it returns (final (R, size), p_gen (R, 1)). With
+    ``gold``, one id per row, and ``coverage`` (R, n), it returns the
+    teacher-forced loss of the rows instead, with its two sums:
+
+        (loss, nll_sum, cov_sum), loss = (nll_sum + cov_sum * coverage_weight) / R
+
+    ``nll_sum`` folds ``-log(max(final[r, gold[r]], floor))`` and
+    ``cov_sum`` each row's sum of ``minimum(attention, coverage)``, both in
+    row order, as ``loss_from_rows`` in ``tests/oracles.py`` does. Only the
+    gold entries of ``final`` are formed, each the composition's value: a
+    gold's copy mass is the left fold of its positions' attention. The
+    backward computes every gradient with the composition's expressions;
+    the gold gradient is sparse, and the sums over its zero entries, which
+    the composition forms, are exact, so the gradients are bitwise its
+    gradients too."""
+    (hidden, context, x, attention, out_W, out_b, ctx_w, state_w, x_w,
+     gate_b) = (_as_tensor(t) for t in (hidden, context, x, attention, out_W,
+                                        out_b, ctx_w, state_w, x_w, gate_b))
+    idx = np.asarray(ids, dtype=np.intp)
+    rows = hidden.shape[0] if hidden.data.ndim == 2 else -1
+    vocab = out_b.shape[0] if out_b.data.ndim == 1 else -1
+    d_h = hidden.shape[1] if rows >= 0 else -1
+    gate_rows = ((context, ctx_w), (hidden, state_w), (x, x_w))
+    if (rows < 1 or vocab < 1 or size < vocab or idx.ndim != 1
+            or context.data.ndim != 2
+            or out_W.shape != (d_h + context.shape[1], vocab)
+            or attention.shape != (rows, idx.size) or gate_b.shape != ()
+            or any(r.data.ndim != 2 or w.data.ndim != 1
+                   or r.shape != (rows, w.size) for r, w in gate_rows)
+            or (idx.size and (idx.min() < 0 or idx.max() >= size))):
+        raise ShapeError(
+            f"pointer_head: shapes hidden {hidden.shape}, context "
+            f"{context.shape}, x {x.shape}, attention {attention.shape}, "
+            f"out_W {out_W.shape}, out_b {out_b.shape}, gate weights "
+            f"{[w.shape for _, w in gate_rows]}, gate_b {gate_b.shape}, ids "
+            f"{idx.shape} within {size} do not fit")
+    inputs = (hidden, context, x, attention, out_W, out_b, ctx_w, state_w,
+              x_w, gate_b)
+    cat = np.concatenate([hidden.data, context.data], axis=1)
+    gen = _softmax_data(_matmul_data(cat, out_W.data) + out_b.data[None, :])
+    # the three dot products as one fold, each padded with -0.0 terms, which
+    # add nothing, past its own length
+    terms = np.full((max(w.size for _, w in gate_rows), 3, rows), -0.0)
+    for i, (r, w) in enumerate(gate_rows):
+        np.multiply(w.data[:, None], r.data.T, out=terms[:w.size, i])
+    dots = _fold(terms)
+    p = _sigmoid_data((dots[0] + dots[1]) + (dots[2] + gate_b.data))[:, None]
+    q = 1.0 - p
+    att = attention.data
+
+    def head_backward(dlogits, dp) -> None:
+        # p_gen's gate, then the vocabulary projection and its input rows
+        if dp is not None:
+            g_sum = dp * p * (1.0 - p)
+            for r, w in gate_rows:
+                if r.requires_grad:
+                    _accumulate(r, g_sum @ w.data[None, :])
+                if w.requires_grad:
+                    _accumulate(w, (r.data.T @ g_sum).reshape(w.shape))
+            if gate_b.requires_grad:
+                _accumulate(gate_b, g_sum.sum())
+        if dlogits is None:
+            return
+        if out_b.requires_grad:
+            _accumulate(out_b, dlogits.sum(axis=0))
+        if out_W.requires_grad:
+            terms = _pending_for(out_W)
+            terms.lhs.append(cat)
+            terms.grads.append(dlogits)
+        if hidden.requires_grad or context.requires_grad:
+            g_cat = dlogits @ out_W.data.T
+            if hidden.requires_grad:
+                _accumulate_copy(hidden, g_cat[:, :d_h])
+            if context.requires_grad:
+                _accumulate_copy(context, g_cat[:, d_h:])
+
+    if gold is None:
+        copy = np.zeros((rows, size))
+        np.add.at(copy, (np.arange(rows)[:, None], idx[None, :]), att)
+        final = np.zeros((rows, size))
+        np.multiply(gen, p, out=final[:, :vocab])
+        copy *= q
+        final += copy
+        grad = any(t.requires_grad for t in inputs)
+        outs = (Tensor(final, grad), Tensor(p, grad))
+
+        def backward(g_final, g_p) -> None:
+            dlogits = None
+            if g_final is not None:
+                g_gen, g_copy = g_final[:, :vocab], g_final[:, idx]
+                g_vd = g_gen * p
+                if attention.requires_grad:
+                    _accumulate(attention, g_copy * q)
+                g_p = _plus(g_p, (np.einsum("ij,ij->i", g_gen, gen)
+                                  - np.einsum("ij,ij->i", g_copy, att))[:, None])
+                dlogits = gen * (g_vd - np.einsum("ij,ij->i", g_vd, gen)[:, None])
+            head_backward(dlogits, g_p)
+
+        _record("pointer_head", outs, backward)
+        return outs
+
+    golds = np.asarray(gold, dtype=np.intp)
+    coverage = _as_tensor(coverage)
+    if (golds.shape != (rows,) or golds.min() < 0 or golds.max() >= size
+            or coverage.shape != attention.shape):
+        raise ShapeError(f"pointer_head: gold ids {golds.shape} within {size}"
+                         f" and coverage {coverage.shape} do not fit "
+                         f"{rows} rows of attention {attention.shape}")
+    every = np.arange(rows)
+    matched = idx[None, :] == golds[:, None]             # (R, n)
+    # a gold's copy mass: 0.0, then its positions' attention in order
+    terms = np.zeros((rows, idx.size + 1))
+    terms[:, 1:] = np.where(matched, att, -0.0)
+    copied = np.add.accumulate(terms, axis=1)[:, -1]
+    generated = golds < vocab
+    hit = (every[generated], golds[generated])
+    picked = np.zeros(rows)
+    picked[generated] = gen[hit] * p[generated, 0]
+    picked += copied * q[:, 0]
+    prob = np.maximum(picked, floor)
+    nll_sum = np.add.accumulate(np.log(prob) * -1.0)[-1]
+    taken = att <= coverage.data
+    cov_sum = np.add.accumulate(np.minimum(att, coverage.data).sum(axis=-1))[-1]
+    loss = Tensor((nll_sum + cov_sum * coverage_weight) * (1.0 / rows),
+                  any(t.requires_grad for t in inputs + (coverage,)))
+
+    def backward(g) -> None:
+        g_add = g * (1.0 / rows)
+        g_cov = np.broadcast_to(g_add * coverage_weight, att.shape)
+        if attention.requires_grad:
+            _accumulate(attention, g_cov * taken)
+        if coverage.requires_grad:
+            _accumulate(coverage, g_cov * ~taken)
+        g_pick = ((np.broadcast_to(g_add, (rows,)) * -1.0) / prob) * (
+            picked >= floor)
+        # the mixture's gradient: only the gold entries are nonzero
+        g_copy = np.where(matched, g_pick[:, None], 0.0)
+        if attention.requires_grad:
+            _accumulate(attention, g_copy * q)
+        g_vd = np.zeros((rows, vocab))
+        g_vd[hit] = g_pick[generated] * p[generated, 0]
+        dgen = np.zeros(rows)
+        dgen[generated] = g_pick[generated] * gen[hit]
+        inner = np.zeros(rows)
+        inner[generated] = g_vd[hit] * gen[hit]
+        # sums whose other terms are +0.0: x + 0.0, as the dense sums give
+        dp = ((dgen + 0.0) - np.einsum("ij,ij->i", g_copy, att))[:, None]
+        np.subtract(g_vd, (inner + 0.0)[:, None], out=g_vd)
+        head_backward(np.multiply(gen, g_vd, out=g_vd), dp)
+
+    _record("pointer_head", loss, backward)
+    return loss, float(nll_sum), float(cov_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ __all__ = [
     "decode_step",
     "ForcedRows",
     "teacher_force",
-    "coverage_loss",
     "make_step_fn",
     "greedy_decode",
     "beam_search",
@@ -130,9 +129,6 @@ class DecodeContext:
     n_oov: int                  # tokens, and the document's OOV count; a
                                 # batch's heads take them per document
     attn_v: Tensor              # (d_attn, 1) attention scoring vector
-    # state row r's source rows (start, stop) of a batch's stacked states;
-    # None: every row attends over all of them
-    spans: list[tuple[int, int]] | None = None
 
     @property
     def n(self) -> int:
@@ -187,12 +183,11 @@ def prepare_decoder(
     enc_states: Tensor,
     example: EncodedExample | None,
     params: ModelParams,
-    spans: list[tuple[int, int]] | None = None,
 ) -> DecodeContext:
     """The decode context of one example, or (``example`` None) of a
-    lockstep batch whose documents' states are stacked in ``enc_states``,
-    state row r's at ``spans[r]``; the attention projection is one product
-    over the stacked rows either way."""
+    lockstep batch whose documents' states are stacked in ``enc_states``;
+    the attention projection is one product over the stacked rows either
+    way."""
     return DecodeContext(
         enc_states=enc_states,
         enc_attn_proj=ad.matmul(enc_states, params.attn["enc_W"]),
@@ -200,7 +195,6 @@ def prepare_decoder(
                         np.asarray(example.source_ext_ids, dtype=np.intp)),
         n_oov=0 if example is None else len(example.oov_tokens),
         attn_v=ad.reshape(params.attn["v"], (params.config.d_attn, 1)),
-        spans=spans,
     )
 
 
@@ -273,6 +267,24 @@ def initial_state(
     )
 
 
+def _scan(
+    state: StepState,
+    steps: Sequence[Sequence[int]],
+    ctx: DecodeContext,
+    params: ModelParams,
+    spans: list[tuple[int, int]] | None = None,
+):
+    """``ad.decoder_scan`` of the model from ``state``: step t reads the
+    embedding ids ``steps[t]``."""
+    dec_cell, attn = params.dec_cell, params.attn
+    return ad.decoder_scan(
+        params.embedding, steps, state.hidden, state.cell, state.prev_context,
+        state.coverage, dec_cell["W_x"], dec_cell["W_h"], dec_cell["b"],
+        attn["dec_W"], ctx.enc_attn_proj, attn["b"],
+        attn["cov_w"] if params.config.use_coverage else None, ctx.attn_v,
+        ctx.enc_states, spans)
+
+
 def recurrence_step(
     state: StepState,
     y_prev: Sequence[int],
@@ -281,32 +293,21 @@ def recurrence_step(
     mask: ContentMask | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, StepState]:
     """The recurrent half of one decoder step for all R rows of ``state``:
-    embedding, LSTM cell, and coverage attention with its context.
+    embedding (an OOV id reads UNK's row), LSTM cell, and coverage attention
+    with its context, as one ``ad.decoder_scan`` step.
 
     ``y_prev`` holds each row's previous token. Returns (LSTM input rows
     ``[embedding; previous context]``, attention rows (R, n), copy-attention
     rows (R, n), next state). The copy rows are the attention rows unless
-    ``mask`` changes them. Under ``ctx.spans`` row r attends over its own
-    document's states, ``ctx.spans[r]``, and attention and coverage are
-    flat (``ad.coverage_attention``).
+    ``mask`` changes them.
     """
-    config = params.config
     rows = state.hidden.shape[0]
     if len(y_prev) != rows:
         raise ValueError(f"{len(y_prev)} previous tokens for {rows} state rows")
-
-    input_ids = [y if y < config.vocab_size else UNK_ID for y in y_prev]
-    emb = ad.gather_rows(params.embedding, input_ids)
-    x = ad.concat([emb, state.prev_context], axis=1)
-    dec_cell = params.dec_cell
-    hidden, cell = ad.lstm_cell(ad.matmul(x, dec_cell["W_x"]), state.hidden,
-                                state.cell, dec_cell["W_h"], dec_cell["b"])
-    attn = params.attn
-    attention, context, coverage, scores = ad.coverage_attention(
-        hidden, attn["dec_W"], ctx.enc_attn_proj, attn["b"], state.coverage,
-        attn["cov_w"] if config.use_coverage else None, ctx.attn_v,
-        ctx.enc_states, None if ctx.spans is None else ctx.spans[:rows],
-    )
+    vocab_size = params.config.vocab_size
+    ((x, hidden, context, attention, _),), (cell, coverage, scores) = _scan(
+        state, [[y if y < vocab_size else UNK_ID for y in y_prev]], ctx,
+        params)
     copy_attention = (attention if mask is None
                       else _masked_copy_attention(attention, scores, mask))
     return x, attention, copy_attention, StepState(hidden, cell, coverage,
@@ -354,28 +355,29 @@ def output_head(
     source_ext_ids: Sequence[int],
     n_oov: int,
     params: ModelParams,
-) -> tuple[Tensor, Tensor]:
+    gold: Sequence[int] | None = None,
+    coverage: Tensor | None = None,
+    coverage_weight: float = 0.0,
+):
     """The output half of the decoder over R steps' rows of one document
-    at once.
+    at once, one ``ad.pointer_head`` node.
 
     ``hidden`` (R, d_dec), ``context`` (R, d), ``x`` (R, d_emb + d) and
     ``copy_attention`` (R, n) hold one row per step; the document's n
     source tokens have the extended ids ``source_ext_ids``. Returns the
     final distributions over the extended vocabulary (R, vocab_size +
     n_oov) and p_gen (R, 1). Every row is bitwise what the head gives that
-    step alone.
+    step alone. Given the ``gold`` extended id of each row and the
+    ``coverage`` before each step, returns the teacher-forced loss of the
+    rows and its two sums instead (``ad.pointer_head``), each probability
+    floored at ``PROB_FLOOR`` before its log.
     """
-    out = params.out_proj
-    vocab_logits = ad.add_rowvec(
-        ad.matmul(ad.concat([hidden, context], axis=1), out["W"]), out["b"]
-    )
-    vocab_dist = ad.softmax(vocab_logits)
-    pg = params.pgen
-    p_gen = ad.generation_gate(context, hidden, x, pg["ctx_w"], pg["state_w"],
-                               pg["x_w"], pg["b"])
-    final = ad.pointer_mix(vocab_dist, copy_attention, p_gen, source_ext_ids,
-                           params.config.vocab_size + n_oov)
-    return final, p_gen
+    out, pg = params.out_proj, params.pgen
+    return ad.pointer_head(
+        hidden, context, x, copy_attention, out["W"], out["b"], pg["ctx_w"],
+        pg["state_w"], pg["x_w"], pg["b"], source_ext_ids,
+        params.config.vocab_size + n_oov, gold, coverage, coverage_weight,
+        PROB_FLOOR)
 
 
 def decode_step(
@@ -411,20 +413,19 @@ def teacher_force(
     encoded: tuple[EncodedBatch, GatedDocument],
     params: ModelParams,
 ) -> list[ForcedRows]:
-    """The teacher-forced decoder recurrence of every example, in lockstep.
+    """The teacher-forced decoder recurrence of every example, in lockstep,
+    as one ``ad.decoder_scan`` node.
 
     ``encoded`` is the examples' ``encode_batch``. The examples become the
     rows of one state, longest target first (ties in input order), over
     their gated and final states, which are gathered into that order when
     it is not the encoder's; each row attends over its own document's
-    states (``ad.coverage_attention`` with spans; one example needs none).
-    Step t makes one ``recurrence_step`` over the rows of the examples
-    whose target is still longer than t, fed their gold tokens, and an
-    example whose target has ended drops out of the state. Every row is
-    bitwise its example's recurrence alone, and the gradients are summed
-    over the rows in that order. One ``ad.by_document`` node regroups the
-    steps' rows, and each example's come back, in input order, as the rows
-    its output head and loss read.
+    states (spans; one example needs none). Step t runs the rows of the
+    examples whose target is still longer than t, fed their gold tokens,
+    and an example whose target has ended drops out of the state. Every
+    row is bitwise its example's recurrence alone, and the gradients are
+    summed over the rows in that order. Each example's rows come back, in
+    input order, as the rows its output head and loss read.
     """
     batch, gated = encoded
     order = sorted(range(len(examples)),
@@ -446,36 +447,16 @@ def teacher_force(
     if len(stacked) > 1:
         bounds = np.cumsum([0] + lengths).tolist()
         spans = list(zip(bounds, bounds[1:]))
-    ctx = prepare_decoder(enc_states, None, params, spans)
+    ctx = prepare_decoder(enc_states, None, params)
     state = initial_state(EncodedDocument(None, sum(lengths), finals), params,
                           spans)
-    steps = []
-    for t in range(len(inputs[0])):
-        live = sum(len(ids) > t for ids in inputs)
-        if live < len(state.hidden.data):
-            # the ended documents are the last rows, and their coverage last
-            kept = (live, live, sum(lengths[:live]), live)
-            state = StepState(*(
-                ad.split_rows(tensor, (keep, len(tensor.data) - keep))[0]
-                for tensor, keep in zip((state.hidden, state.cell,
-                                         state.coverage, state.prev_context),
-                                        kept)))
-        coverage = state.coverage
-        x, attention, _, state = recurrence_step(
-            state, [ids[t] for ids in inputs[:live]], ctx, params)
-        steps.append((x, state.hidden, state.prev_context, attention,
-                      coverage))
+    steps = [[ids[t] for ids in inputs if len(ids) > t]
+             for t in range(len(inputs[0]))]
+    sequences, _ = _scan(state, steps, ctx, params, spans)
     rows: list = [None] * len(examples)
-    for k, parts in zip(order, ad.by_document(steps, lengths)):
+    for k, parts in zip(order, sequences):
         rows[k] = ForcedRows(*parts)
     return rows
-
-
-def coverage_loss(attention: Tensor, coverage: Tensor) -> Tensor:
-    """Sum of elementwise minima between a step's attention and the
-    coverage accumulated BEFORE it; zero on the first step. Given one row
-    per step, one sum per step."""
-    return ad.sum_rows(ad.minimum(attention, coverage))
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,7 @@ from .corpus import EncodedExample
 # decode_step and encode_document are bound here only because
 # perfbench/tracing.py wraps training.decode_step and training.encode_document
 from .decoder import (
-    PROB_FLOOR,
     ForcedRows,
-    coverage_loss,
     decode_step,
     encode_batch,
     encode_document,
@@ -75,7 +73,6 @@ __all__ = [
     "NonFiniteLossError",
     "sequence_loss",
     "batch_gradients",
-    "loss_from_rows",
     "adagrad_step",
     "clip_gradients",
     "train",
@@ -143,37 +140,6 @@ class LossStats:
         return self.nll + self.coverage
 
 
-def loss_from_rows(
-    final: Tensor,
-    gold_ids: Sequence[int],
-    attention: Tensor,
-    coverage: Tensor,
-    coverage_weight: float,
-) -> tuple[Tensor, LossStats]:
-    """Token-averaged NLL plus weighted coverage penalty, one row per step.
-
-    ``final`` holds each step's distribution over the extended vocabulary,
-    ``attention`` and ``coverage`` each step's attention and the coverage
-    before it. The per-step terms are summed in step order, one addition at
-    a time, as a step-by-step loss would sum them.
-    """
-    if not gold_ids:
-        raise ValueError("empty decoding target")
-    steps = len(gold_ids)
-    p = ad.maximum(ad.pick_rows(final, gold_ids), PROB_FLOOR)
-    nll_sum = ad.fold_sum(ad.mul(ad.log(p), -1.0))
-    cov_sum = ad.fold_sum(coverage_loss(attention, coverage))
-    loss = ad.mul(
-        ad.add(nll_sum, ad.mul(cov_sum, coverage_weight)), 1.0 / steps
-    )
-    stats = LossStats(
-        nll=float(nll_sum.data) / steps,
-        coverage=coverage_weight * float(cov_sum.data) / steps,
-        steps=steps,
-    )
-    return loss, stats
-
-
 def sequence_loss(
     example: EncodedExample,
     params: ModelParams,
@@ -190,12 +156,15 @@ def sequence_loss(
         raise ValueError("example has an empty target")
     rows = encoded or teacher_force(
         [example], encode_batch([example], params), params)[0]
-    final, _ = output_head(rows.hidden, rows.context, rows.x, rows.attention,
-                           example.source_ext_ids, len(example.oov_tokens),
-                           params)
     golds = example.target_ext_ids[1:]    # extended ids are what we must emit
-    return loss_from_rows(final, golds, rows.attention, rows.coverage,
-                          coverage_weight)
+    loss, nll_sum, cov_sum = output_head(
+        rows.hidden, rows.context, rows.x, rows.attention,
+        example.source_ext_ids, len(example.oov_tokens), params, golds,
+        rows.coverage, coverage_weight)
+    steps = len(golds)
+    return loss, LossStats(nll=nll_sum / steps,
+                           coverage=coverage_weight * cov_sum / steps,
+                           steps=steps)
 
 
 class NonFiniteLossError(ArithmeticError):

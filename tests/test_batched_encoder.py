@@ -29,7 +29,7 @@ from synsum.decoder import encode_batch, encode_document, encode_documents
 from synsum.encoder import encode
 from synsum.gate import document_vector
 from synsum.model import ModelConfig, ModelParams
-from oracles import lstm_scan, same_bits, sum_all
+from oracles import lstm_scan, same_bits, split_rows, sum_all
 from test_lstm_cell import composed_scan
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
@@ -250,13 +250,15 @@ def test_toy_four_document_batch_tape_size():
     tokens, 4 decoder steps each). Its batch tape records 24 encoder nodes,
     where the per-direction scans and the composed graph convolutions
     recorded 55: one ``bilstm_scan`` for both directions and one
-    ``gcn_layer`` a layer. Then 30 for the decoder recurrence of the four in
+    ``gcn_layer`` a layer. Then 10 for the decoder recurrence of the four in
     lockstep: 3 ``gather_rows`` putting the gated and the two final states
     in target order (the encoder stacks 0, 2, 1, 3), the attention
-    projection and ``v``'s reshape, 4 for the initial state, 5 a step and
-    one ``by_document``. No ``split_rows`` cuts the batch into documents and
-    no ``concat`` stacks them again. Each document's head and loss record
-    17 on a tape of their own."""
+    projection and ``v``'s reshape, 4 for the initial state and one
+    ``decoder_scan`` for all the steps, where the composition recorded 5 a
+    step and one ``by_document`` (30 in all). No ``split_rows`` cuts the
+    batch into documents and no ``concat`` stacks them again. Each
+    document's head and loss record one ``pointer_head`` on a tape of their
+    own, where the composition recorded 17."""
     docs = syn.generate_documents(seed=7, size=4)
     vocab = build_vocabulary(docs, cap=syn.default_vocab_cap())
     batch = [encode_example(d, vocab) for d in docs]
@@ -276,28 +278,30 @@ def test_toy_four_document_batch_tape_size():
     recurrence_ops = [node.op for node in recurrence]
     assert [ex.n for ex in batch] == [18, 14, 18, 14]
     assert encoded[0].order == (0, 2, 1, 3)
-    assert nodes == [24, 30, 17, 17, 17, 17]
+    assert nodes == [24, 10, 1, 1, 1, 1]
     assert ops.count("bilstm_scan") == 1 and ops.count("gcn_layer") == 2
-    assert "split_rows" not in ops
+    assert "split_rows" not in ops and "concat" not in recurrence_ops
     assert recurrence_ops[:3] == ["gather_rows"] * 3
-    # the one concat a step joins the embedding and the previous context
-    assert recurrence_ops.count("concat") == 4
-    assert recurrence_ops.count("coverage_attention") == 4
-    assert recurrence[-1].op == "by_document"
+    assert recurrence_ops.count("decoder_scan") == 1
+    assert recurrence[-1].op == "decoder_scan"
 
 
 def test_decoder_tapes_are_freed_one_by_one():
-    """A 4-document batch at V = 2,000 peaks below 1.5 times a 1-document
+    """A 4-document batch at V = 6,000 peaks below 1.5 times a 1-document
     one: each document's decoder tape is freed before the next is built.
 
     The targets are 31 steps, as long as a v20k document's. With the
     4-step targets of ``mixed_corpus`` a decoder tape (about 0.5 MB) is
     smaller than ``dec/out_W``'s gradient and the 1.5 MB product that adds
     a second document's terms to it, and the ratio cannot tell merged tapes
-    (1.9) from separate ones (1.7). At 31 steps it is 3.1 against 1.3.
+    (1.9) from separate ones (1.7). At 31 steps and V = 2,000 the composed
+    head read 3.1 against 1.3; the fused head (``ad.pointer_head``) keeps
+    far less, and there it reads 2.1 against 1.7 (3.6 and 5.4 MB against
+    7.5 MB with every head tape kept). At V = 6,000 the head's V-wide rows
+    dominate again: 1.9 against 1.4.
     """
     docs = syn.generate_documents(seed=11, size=24)
-    vocab, _ = mixed_corpus(2000)
+    vocab, _ = mixed_corpus(6000)
     references = [t for d in docs for t in d.reference]
     batch = [
         encode_example(Document(sentences=docs[k].sentences,
@@ -430,7 +434,7 @@ def test_split_rows_grad_check_and_one_block_records_nothing():
     probes = [rng.normal(size=(n, 2)) for n in (1, 3, 2)]
 
     def f(p):
-        parts = ad.split_rows(p["x"], (1, 3, 2))
+        parts = split_rows(p["x"], (1, 3, 2))
         # the middle block is left unreached
         return ad.add(sum_all(ad.mul(parts[0], probes[0])),
                       sum_all(ad.mul(parts[2], probes[2])))
@@ -438,10 +442,10 @@ def test_split_rows_grad_check_and_one_block_records_nothing():
     report = ad.grad_check(f, {"x": x}, eps=1e-6, tol=1e-8)
     assert report.ok, str(report)
     with Tape() as tape:
-        assert ad.split_rows(x, (6,)) == (x,)
+        assert split_rows(x, (6,)) == (x,)
     assert tape.nodes == []
     with pytest.raises(ad.ShapeError):
-        ad.split_rows(x, (2, 3))
+        split_rows(x, (2, 3))
 
 
 def test_segment_softmax_and_pool_are_bitwise_per_segment():

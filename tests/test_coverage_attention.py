@@ -29,8 +29,19 @@ from synsum.decoder import (
     recurrence_step,
 )
 from synsum.model import ModelConfig, ModelParams
-from synsum.training import loss_from_rows, sequence_loss
-from oracles import outer, same_bits, stack, sum_all
+from synsum.training import sequence_loss
+from oracles import (
+    composed_recurrence_step,
+    coverage_attention,
+    generation_gate,
+    loss_from_rows,
+    lstm_cell,
+    outer,
+    pointer_mix,
+    same_bits,
+    stack,
+    sum_all,
+)
 from test_beam_equivalence import assert_same_search, scalar_beam_search
 from test_output_head import CASES, case_model, oov_corpus
 
@@ -51,7 +62,7 @@ def composed_recurrence(state, y_prev, ctx, params, mask=None):
     emb = ad.gather_rows(params.embedding, [input_id])
     x = ad.concat([emb, state.prev_context], axis=1)
     dec_cell = params.dec_cell
-    hidden, cell = ad.lstm_cell(ad.matmul(x, dec_cell["W_x"]), state.hidden,
+    hidden, cell = lstm_cell(ad.matmul(x, dec_cell["W_x"]), state.hidden,
                                 state.cell, dec_cell["W_h"], dec_cell["b"])
     attn = params.attn
     dec_proj = ad.reshape(ad.matmul(hidden, attn["dec_W"]), (config.d_attn,))
@@ -99,7 +110,7 @@ def composed_head(hidden, context, x, copy_attention, ctx, params):
     vocab_dist = ad.softmax(ad.add_rowvec(
         ad.matmul(ad.concat([hidden, context], axis=1), out["W"]), out["b"]))
     p_gen = composed_gate(context, hidden, x, params)
-    final = ad.pointer_mix(vocab_dist, copy_attention, p_gen,
+    final = pointer_mix(vocab_dist, copy_attention, p_gen,
                            ctx.source_ext_ids,
                            params.config.vocab_size + ctx.n_oov)
     return final, p_gen
@@ -156,7 +167,7 @@ def attention_inputs(rng, rows, n=5, width=4, d_dec=3, d=6, coverage=True):
 
 
 def call_attention(p):
-    return ad.coverage_attention(p["hidden"], p["dec_W"], p["enc_proj"],
+    return coverage_attention(p["hidden"], p["dec_W"], p["enc_proj"],
                                  p["b"], p["coverage"], p.get("cov_w"),
                                  p["v"], p["enc_states"])
 
@@ -201,7 +212,7 @@ def test_generation_gate_grad_check_and_bitwise_composition(rows):
         return sum_all(ad.mul(fn(p["context"], p["hidden"], p["x"]), probe))
 
     def fused(c, h, x):
-        return ad.generation_gate(c, h, x, params.pgen["ctx_w"],
+        return generation_gate(c, h, x, params.pgen["ctx_w"],
                                   params.pgen["state_w"], params.pgen["x_w"],
                                   params.pgen["b"])
 
@@ -232,12 +243,19 @@ def test_coverage_attention_rejects_bad_shapes():
             call_attention(bad)
 
 
-def test_one_recurrence_step_records_five_nodes():
+def test_one_recurrence_step_records_one_node():
+    """One ``ad.decoder_scan`` node, where the composition records five:
+    ``gather_rows``, ``concat``, ``matmul``, ``lstm_cell`` and
+    ``coverage_attention``."""
     params, examples = case_model("toy-oov")
     enc, _, ctx = encode_document(examples[0], params)
     state = initial_state(enc, params)
     with Tape() as tape:
         recurrence_step(state, [examples[0].target_ids[0]], ctx, params)
+    assert [node.op for node in tape.nodes] == ["decoder_scan"]
+    with Tape() as tape:
+        composed_recurrence_step(state, [examples[0].target_ids[0]], ctx,
+                                 params)
     assert [node.op for node in tape.nodes] == [
         "gather_rows", "concat", "matmul", "lstm_cell", "coverage_attention"]
 

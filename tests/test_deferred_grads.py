@@ -32,25 +32,25 @@ def test_output_weight_gradient_is_one_product_over_the_steps(vocab_size,
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
                          seed=4)
     out_W = params.out_proj["W"]
-    steps = []
-    real_matmul = ad.matmul
+    filed = []
+    real_pending_for = ad._pending_for
 
-    def recording_matmul(a, b):
-        out = real_matmul(a, b)
-        if b is out_W:
-            steps.append((a.data.copy(), out))
-        return out
+    def recording_pending_for(t):
+        terms = real_pending_for(t)
+        if t is out_W:
+            filed.append(terms)
+        return terms
 
-    monkeypatch.setattr(ad, "matmul", recording_matmul)
+    monkeypatch.setattr(ad, "_pending_for", recording_pending_for)
     example = examples[0]
     with Tape() as tape:
         loss, _ = sequence_loss(example, params, 1.0)
         tape.backward(loss)
-    # the output head projects the stacked rows of every step at once
-    assert len(steps) == 1
-    (A, out), = steps
+    # the output head projects the stacked rows of every step at once, and
+    # files one term: those rows and their logits' gradient
+    assert len(filed) == 1 and len(filed[0].lhs) == 1
+    A, G = filed[0].lhs[0], filed[0].grads[0]
     assert A.shape == (len(example.target_ids) - 1, out_W.shape[0])
-    G = out.grad
     scale = max(np.abs(t.grad).max() for t in params.named_tensors().values()
                 if t.grad is not None)
     assert np.abs(out_W.grad - A.T @ G).max() <= 1e-12 * scale

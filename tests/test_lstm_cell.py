@@ -24,7 +24,16 @@ from synsum.corpus import Vocabulary, build_vocabulary, encode_example
 from synsum.decoder import decode_step, encode_document, initial_state
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
-from oracles import lstm_scan, same_bits, slice_cols, sum_all
+import oracles
+from oracles import (
+    composed_decode_step,
+    composed_sequence_loss,
+    lstm_cell,
+    lstm_scan,
+    same_bits,
+    slice_cols,
+    sum_all,
+)
 
 TOY_WIDTHS = dict(d_emb=16, d_h=16, d_g=32, gcn_layers=2, d_dec=32, d_attn=32)
 
@@ -77,11 +86,12 @@ def composed_bilstm(x, params, lengths=None):
 
 @pytest.fixture
 def composed_model(monkeypatch):
-    """Route the encoder and the decoder through the composed oracle."""
+    """Route the encoder, and the composed decoder of ``oracles.py``,
+    through the single-primitive cell."""
 
     def use():
         monkeypatch.setattr(encoder, "bilstm", composed_bilstm)
-        monkeypatch.setattr(ad, "lstm_cell", composed_cell)
+        monkeypatch.setattr(oracles, "lstm_cell", composed_cell)
 
     return use
 
@@ -130,7 +140,7 @@ def test_lstm_cell_gradients_match_finite_differences(reached, rows):
     probe_c = rng.uniform(-1, 1, (rows or 1, 3))
 
     def f(p):
-        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        h, c = lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
         terms = []
         if reached in ("both", "h"):
             terms.append(sum_all(ad.mul(h, probe_h)))
@@ -146,7 +156,7 @@ def test_lstm_cell_unreached_outputs_leave_no_gradient():
     rng = np.random.default_rng(0)
     p = random_cell(rng, d=2)
     with Tape() as tape:
-        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        h, c = lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
         loss = sum_all(ad.mul(p["h"], 1.0))  # the cell's outputs unused
         tape.backward(loss)
     assert h.grad is None and c.grad is None
@@ -157,7 +167,7 @@ def test_lstm_cell_is_one_tape_node():
     rng = np.random.default_rng(0)
     p = random_cell(rng, d=4)
     with Tape() as tape:
-        ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
     assert [node.op for node in tape.nodes] == ["lstm_cell"]
 
 
@@ -167,10 +177,10 @@ def test_lstm_cell_rejects_bad_shapes():
     rng = np.random.default_rng(0)
     p = random_cell(rng, d=3, rows=2)
     with pytest.raises(ad.ShapeError):
-        ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
     two_states = rng.normal(size=(2, 2, 3))
     with pytest.raises(ad.ShapeError):
-        ad.lstm_cell(p["x_proj"].data[:1], *two_states, p["W_h"], p["b"])
+        lstm_cell(p["x_proj"].data[:1], *two_states, p["W_h"], p["b"])
 
 
 @pytest.mark.parametrize("d", [1, 3, 6, 16, 32])
@@ -179,7 +189,7 @@ def test_lstm_cell_forward_bitwise_equals_composition(d, scale):
     rng = np.random.default_rng(d * 100 + int(scale))
     for _ in range(20):
         p = random_cell(rng, d, scale=scale)
-        h, c = ad.lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
+        h, c = lstm_cell(p["x_proj"], p["h"], p["c"], p["W_h"], p["b"])
         h_ref, c_ref = composed_cell(p["x_proj"], p["h"], p["c"], p["W_h"],
                                      p["b"])
         assert same_bits(h.data, h_ref.data)
@@ -214,21 +224,21 @@ def test_decode_step_bitwise_equals_composition(vocab_size, composed_model):
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
                          seed=2)
 
-    def run():
+    def run(step):
         outputs = []
         for example in examples:
             enc, _, ctx = encode_document(example, params)
             state = initial_state(enc, params)
             for y_prev in example.target_ids[:-1]:
-                final, attention, p_gen, state = decode_step(
-                    state, y_prev, ctx, params)
+                final, attention, p_gen, state = step(state, y_prev, ctx,
+                                                      params)
                 outputs.append((final.data, attention.data, p_gen.data,
                                 state.hidden.data, state.cell.data))
         return outputs
 
-    fused = run()
+    fused = run(decode_step)
     composed_model()
-    composed = run()
+    composed = run(composed_decode_step)
     for got, expected in zip(fused, composed, strict=True):
         assert all(same_bits(a, b) for a, b in zip(got, expected, strict=True))
 
@@ -240,21 +250,21 @@ def test_sequence_loss_bitwise_and_gradients_close(vocab_size, composed_model):
                          seed=6)
     named = params.named_tensors()
 
-    def run():
+    def run(loss_fn):
         results = []
         for example in examples:
             params.zero_grads()
             with Tape() as tape:
-                loss, _ = sequence_loss(example, params, 1.0)
+                loss, _ = loss_fn(example, params, 1.0)
                 tape.backward(loss)
             grads = {name: t.grad.copy() for name, t in named.items()
                      if t.grad is not None}
             results.append((loss.data, grads))
         return results
 
-    fused = run()
+    fused = run(sequence_loss)
     composed_model()
-    composed = run()
+    composed = run(composed_sequence_loss)
     for (loss, grads), (loss_ref, grads_ref) in zip(fused, composed,
                                                     strict=True):
         assert same_bits(loss, loss_ref)
@@ -273,7 +283,10 @@ def test_toy_width_sequence_loss_tape_size():
     the teacher-forced steps' rows, in place of five concatenations, to 96,
     and one scan node for both directions (in place of two and three
     concatenations) and one node per graph convolution layer (in place of
-    13) to 68; a change that re-inflates the tape should fail here first."""
+    13) to 68, and one scan node for the decoder recurrence (in place of
+    five a step and one regrouping node) and one node for the output head
+    and the loss (in place of 17) to 32; a change that re-inflates the tape
+    should fail here first."""
     vocab, examples = corpus(seed=7, size=2)
     example = examples[0]
     params = ModelParams(ModelConfig(vocab_size=vocab.size, **TOY_WIDTHS),
@@ -282,8 +295,9 @@ def test_toy_width_sequence_loss_tape_size():
         sequence_loss(example, params, 1.0)
     ops = [node.op for node in tape.nodes]
     assert (vocab.size, example.n, len(example.target_ids)) == (22, 18, 5)
-    assert ops.count("lstm_cell") == len(example.target_ids) - 1
+    assert ops.count("decoder_scan") == 1
+    assert ops.count("pointer_head") == 1
     assert ops.count("bilstm_scan") == 1
     assert ops.count("gcn_layer") == params.config.gcn_layers
-    assert "slice_cols" not in ops
-    assert len(ops) == 68
+    assert "slice_cols" not in ops and "lstm_cell" not in ops
+    assert len(ops) == 32

@@ -28,7 +28,21 @@ from synsum.decoder import (
 from synsum.model import ModelConfig, ModelParams
 from synsum.training import sequence_loss
 from oracles import (
-    outer, pick, same_bits, scatter_sum_vec, stack, sub, sum_all,
+    fold_sum,
+    log,
+    lstm_cell,
+    maximum,
+    minimum,
+    outer,
+    pick,
+    pick_rows,
+    pointer_mix,
+    same_bits,
+    scatter_sum_vec,
+    stack,
+    sub,
+    sum_all,
+    sum_rows,
 )
 from test_lstm_cell import TOY_WIDTHS
 
@@ -49,7 +63,7 @@ def composed_decode_step(state, y_prev, ctx, params, mask=None):
     emb = ad.gather_rows(params.embedding, [input_id])
     x = ad.concat([emb, state.prev_context], axis=1)
     cell = params.dec_cell
-    hidden, c = ad.lstm_cell(ad.matmul(x, cell["W_x"]), state.hidden,
+    hidden, c = lstm_cell(ad.matmul(x, cell["W_x"]), state.hidden,
                              state.cell, cell["W_h"], cell["b"])
     attn = params.attn
     dec_proj = ad.reshape(ad.matmul(hidden, attn["dec_W"]), (config.d_attn,))
@@ -180,8 +194,8 @@ def composed_sequence_loss(example, params, coverage_weight):
         coverage = ad.reshape(state.coverage, (ctx.n,))
         final, attention, _, state = composed_decode_step(state, y_prev, ctx,
                                                           params)
-        nll = ad.mul(ad.log(ad.maximum(pick(final, gold), 1e-12)), -1.0)
-        cov = sum_all(ad.minimum(attention, coverage))
+        nll = ad.mul(log(maximum(pick(final, gold), 1e-12)), -1.0)
+        cov = sum_all(minimum(attention, coverage))
         nll_sum = nll if nll_sum is None else ad.add(nll_sum, nll)
         cov_sum = cov if cov_sum is None else ad.add(cov_sum, cov)
     steps = len(example.target_ids) - 1
@@ -249,7 +263,7 @@ def test_pointer_mix_grad_check():
     }
 
     def f(p):
-        out = ad.pointer_mix(p["vocab"], p["attention"], p["p_gen"], ids, 7)
+        out = pointer_mix(p["vocab"], p["attention"], p["p_gen"], ids, 7)
         return sum_all(ad.mul(out, probe))
 
     report = ad.grad_check(f, params, tol=1e-6)
@@ -262,7 +276,7 @@ def test_pointer_mix_rows_bitwise_equal_composition():
     vocab = rng.dirichlet(np.ones(9), size=4)
     attention = rng.dirichlet(np.ones(6), size=4)
     p_gen = rng.uniform(0, 1, (4, 1))
-    out = ad.pointer_mix(Tensor(vocab), Tensor(attention), Tensor(p_gen), ids, 11)
+    out = pointer_mix(Tensor(vocab), Tensor(attention), Tensor(p_gen), ids, 11)
     for r in range(4):
         p = Tensor(p_gen[r, 0])
         gen = ad.concat([Tensor(vocab[r]), Tensor(np.zeros(2))])
@@ -274,11 +288,11 @@ def test_pointer_mix_rows_bitwise_equal_composition():
 def test_pointer_mix_rejects_bad_shapes():
     vocab, attention = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
     with pytest.raises(ad.ShapeError):
-        ad.pointer_mix(vocab, attention, Tensor(np.ones(2)), [0, 1, 2], 4)
+        pointer_mix(vocab, attention, Tensor(np.ones(2)), [0, 1, 2], 4)
     with pytest.raises(ad.ShapeError):
-        ad.pointer_mix(vocab, attention, Tensor(np.ones((2, 1))), [0, 1], 4)
+        pointer_mix(vocab, attention, Tensor(np.ones((2, 1))), [0, 1], 4)
     with pytest.raises(IndexError):
-        ad.pointer_mix(vocab, attention, Tensor(np.ones((2, 1))), [0, 1, 4], 4)
+        pointer_mix(vocab, attention, Tensor(np.ones((2, 1))), [0, 1, 4], 4)
 
 
 def test_row_softmax_grad_check():
@@ -309,24 +323,24 @@ def test_pick_rows_grad_check_and_values():
     rng = np.random.default_rng(3)
     params = {"x": rand(rng, (4, 6))}
     cols = [5, 0, 5, 2]
-    picked = ad.pick_rows(params["x"], cols).data
+    picked = pick_rows(params["x"], cols).data
     assert same_bits(picked, params["x"].data[np.arange(4), cols])
     report = ad.grad_check(
-        lambda p: sum_all(ad.mul(ad.pick_rows(p["x"], cols),
+        lambda p: sum_all(ad.mul(pick_rows(p["x"], cols),
                                     Tensor([1.0, -2.0, 0.5, 3.0]))),
         params, tol=1e-6)
     assert report.ok, str(report)
     with pytest.raises(IndexError):
-        ad.pick_rows(params["x"], [0, 1, 2, 6])
+        pick_rows(params["x"], [0, 1, 2, 6])
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 18, 90, 129, 2000])
 def test_sum_rows_bitwise_equals_vector_sum(width):
     x = np.random.default_rng(width).normal(size=(6, width))
-    sums = ad.sum_rows(Tensor(x)).data
+    sums = sum_rows(Tensor(x)).data
     for r in range(6):
         assert sums[r].tobytes() == x[r].sum().tobytes()
-    assert ad.sum_rows(Tensor(x[0])).data.tobytes() == x[0].sum().tobytes()
+    assert sum_rows(Tensor(x[0])).data.tobytes() == x[0].sum().tobytes()
 
 
 def test_fold_sum_is_a_left_fold():
@@ -335,20 +349,20 @@ def test_fold_sum_is_a_left_fold():
         total = x[0]
         for v in x[1:]:
             total = total + v
-        assert ad.fold_sum(Tensor(x)).data.tobytes() == total.tobytes()
+        assert fold_sum(Tensor(x)).data.tobytes() == total.tobytes()
 
 
 @pytest.mark.parametrize("name,build", [
-    ("sum_rows", lambda p: ad.sum_rows(ad.mul(p["x"], p["x"]))),
-    ("fold_sum", lambda p: ad.fold_sum(ad.sum_rows(ad.tanh(p["x"])))),
-    ("stack", lambda p: ad.sum_rows(ad.reshape(ad.mul(
+    ("sum_rows", lambda p: sum_rows(ad.mul(p["x"], p["x"]))),
+    ("fold_sum", lambda p: fold_sum(sum_rows(ad.tanh(p["x"])))),
+    ("stack", lambda p: sum_rows(ad.reshape(ad.mul(
         s := stack([p["x"], ad.tanh(p["x"]), Tensor(np.ones((3, 4)))]),
         s), (9, 4)))),
 ])
 def test_reduction_and_stack_grad_check(name, build):
     rng = np.random.default_rng(5)
     params = {"x": rand(rng, (3, 4))}
-    report = ad.grad_check(lambda p: ad.fold_sum(ad.reshape(build(p), (-1,))),
+    report = ad.grad_check(lambda p: fold_sum(ad.reshape(build(p), (-1,))),
                            params, tol=1e-6)
     assert report.ok, str(report)
 
@@ -387,7 +401,7 @@ def test_teacher_forced_head_records_one_mixture_node():
     with Tape() as tape:
         forced_head(example, params)
     ops = [node.op for node in tape.nodes]
-    assert ops.count("pointer_mix") == 1
-    assert ops.count("softmax") == 1  # attention is in coverage_attention
-    assert ops.count("coverage_attention") == len(example.target_ids) - 1
-    assert "pick" not in ops and "scatter_sum_vec" not in ops
+    # the recurrence is one scan node, the head and its mixture one node
+    assert ops.count("decoder_scan") == 1
+    assert ops.count("pointer_head") == 1
+    assert "softmax" not in ops and "pointer_mix" not in ops

@@ -18,13 +18,12 @@ from synsum.training import (
     adagrad_step,
     clip_gradients,
     load_checkpoint,
-    loss_from_rows,
     params_from_checkpoint,
     save_checkpoint,
     sequence_loss,
     train,
 )
-from oracles import stack
+from oracles import loss_from_rows, stack
 
 
 # ---------------------------------------------------------------------------
