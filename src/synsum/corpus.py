@@ -170,11 +170,24 @@ class Vocabulary:
     def load(cls, path: str | Path, data: bytes | None = None) -> "Vocabulary":
         """The vocabulary file at ``path``, or parsed from ``data``, its
         bytes already read (so that a caller hashes exactly what it parses).
+
+        The bytes are decoded once, newlines translated as text mode does
+        (``\r\n`` and ``\r`` to ``\n``) and split once: the lines of
+        ``read_lines``. Bytes that are not UTF-8 go through ``read_lines``,
+        whose error names the file and the line.
         """
-        id_to_token = list(RESERVED_TOKENS)
-        for _, line in read_lines(path, data):
-            id_to_token.append(line.rstrip("\n"))
-        token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
+        if data is None:
+            data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            lines = [line.rstrip("\n") for _, line in read_lines(path, data)]
+        else:
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            if not lines[-1]:  # the final newline ends a line, none follows
+                lines.pop()
+        id_to_token = list(RESERVED_TOKENS) + lines
+        token_to_id = dict(zip(id_to_token, range(len(id_to_token))))
         return cls(token_to_id=token_to_id, id_to_token=id_to_token)
 
 
@@ -299,22 +312,19 @@ def build_vocabulary(docs: Iterable[Document], cap: int) -> Vocabulary:
         raise ValueError(
             f"cap must exceed the {len(RESERVED_TOKENS)} reserved tokens, got {cap}"
         )
+    # a Counter keeps its keys in order of first appearance
     counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
     n_docs = 0
     for doc in docs:
         n_docs += 1
         for sent in doc.sentences:
-            for tok in sent.tokens:
-                counts[tok] += 1
-                first_seen.setdefault(tok, len(first_seen))
-        for tok in doc.reference:
-            counts[tok] += 1
-            first_seen.setdefault(tok, len(first_seen))
+            counts.update(sent.tokens)
+        counts.update(doc.reference)
     if n_docs == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
 
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    # sorted is stable, reversed too: ties keep the order of first appearance
+    ranked = sorted(counts, key=counts.__getitem__, reverse=True)
     kept = ranked[: cap - len(RESERVED_TOKENS)]
     id_to_token = list(RESERVED_TOKENS) + kept
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}

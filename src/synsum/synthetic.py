@@ -135,7 +135,13 @@ def generate_documents(
 
     template = grammar.template_types()
     used_entities: set[str] = set()
-    pool_size: int | None = None  # counted at the first rejected draw
+    pool_size: int | None = None  # counted at a rejected draw, when needed
+    # prefix-free syllables make a distinct name of every three, so at least
+    # this many names are not template words; below it nothing needs counting
+    distinct = set(grammar.syllables)
+    prefix_free = not any(a != b and b.startswith(a)
+                          for a in distinct for b in distinct)
+    surely_left = len(distinct) ** 3 - len(template) if prefix_free else 0
 
     def fresh_entity() -> str:
         nonlocal pool_size
@@ -144,6 +150,8 @@ def generate_documents(
             if name not in used_entities and name not in template:
                 used_entities.add(name)
                 return name
+            if len(used_entities) < surely_left:
+                continue
             if pool_size is None:
                 pool_size = len({
                     "".join(parts)

@@ -26,6 +26,8 @@ byte for byte, and ``same_bits`` the byte comparison.
 
 from __future__ import annotations
 
+import itertools
+import random
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,7 +51,14 @@ from synsum.autodiff import (
     _sigmoid_data,
     _softmax_data,
 )
-from synsum.corpus import UNK_ID
+from synsum import synthetic as syn
+from synsum.corpus import (
+    RESERVED_TOKENS,
+    UNK_ID,
+    Document,
+    Vocabulary,
+    read_lines,
+)
 from synsum.decoder import (
     PROB_FLOOR,
     ForcedRows,
@@ -1198,3 +1207,84 @@ def matmul_fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc = acc + term
             out[i, j] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# corpus and generator references
+
+
+def build_vocabulary_oracle(docs, cap: int):
+    """``corpus.build_vocabulary`` counting token by token, ranked by
+    (-count, first appearance)."""
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    for doc in docs:
+        tokens = [t for sent in doc.sentences for t in sent.tokens]
+        for tok in tokens + list(doc.reference):
+            counts[tok] = counts.get(tok, 0) + 1
+            first_seen.setdefault(tok, len(first_seen))
+    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    id_to_token = list(RESERVED_TOKENS) + ranked[:cap - len(RESERVED_TOKENS)]
+    return Vocabulary(token_to_id={t: i for i, t in enumerate(id_to_token)},
+                      id_to_token=id_to_token)
+
+
+def vocabulary_load_oracle(path, data=None):
+    """``corpus.Vocabulary.load`` through ``read_lines``, line by line."""
+    id_to_token = list(RESERVED_TOKENS)
+    for _, line in read_lines(path, data):
+        id_to_token.append(line.rstrip("\n"))
+    return Vocabulary(token_to_id={t: i for i, t in enumerate(id_to_token)},
+                      id_to_token=id_to_token)
+
+
+def generate_documents_oracle(seed: int, size: int, grammar=None):
+    """``synthetic.generate_documents`` counting the entity-name pool at the
+    first rejected draw, whatever the syllables."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    grammar = grammar or syn.GrammarConfig()
+    rng = random.Random(seed)
+    verbs = syn._Deck(grammar.verbs, rng)
+    objects = syn._Deck(grammar.objects, rng)
+    adjectives = syn._Deck(grammar.adjectives, rng)
+    places = syn._Deck(grammar.places, rng)
+    template = grammar.template_types()
+    used_entities: set[str] = set()
+    pool_size = None
+    docs = []
+
+    def fresh_entity() -> str:
+        nonlocal pool_size
+        while True:
+            name = "".join(rng.choice(grammar.syllables) for _ in range(3))
+            if name not in used_entities and name not in template:
+                used_entities.add(name)
+                return name
+            if pool_size is None:
+                pool_size = len({
+                    "".join(parts)
+                    for parts in itertools.product(grammar.syllables, repeat=3)
+                } - template)
+            if len(used_entities) >= pool_size:
+                raise ValueError(
+                    f"syllable pool {grammar.syllables} makes only "
+                    f"{pool_size} entity names; all are used after "
+                    f"{len(docs)} of {size} documents"
+                )
+
+    for index in range(size):
+        entity = fresh_entity()
+        verb = verbs.deal()
+        obj = objects.deal()
+        place = places.deal()
+        sentences = [syn._fact(entity, verb, obj),
+                     syn._echo(obj, adjectives.deal()), syn._place(place)]
+        if index % grammar.distractor_every == 0:
+            sentences.append(syn._distractor(fresh_entity(), verbs.deal()))
+        rng.shuffle(sentences)
+        reference = [entity, verb, obj]
+        if grammar.copy_place:
+            reference.append(place)
+        docs.append(Document(sentences=sentences, reference=reference))
+    return docs

@@ -22,6 +22,11 @@ from synsum.corpus import (
     load_corpus,
     write_corpus,
 )
+from oracles import (
+    build_vocabulary_oracle,
+    generate_documents_oracle,
+    vocabulary_load_oracle,
+)
 
 
 def make_doc(sent_tokens, reference):
@@ -270,26 +275,73 @@ def test_vocabulary_load_names_file_and_line_of_a_non_utf8_byte(tmp_path):
         Vocabulary.load(path)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b" ", b"\n", b"\r",
-                                      b"\r\n", b"\xff", b"\xc3", b"\x00"]),
+                                      b"\r\n", b"\xff", b"\xc3", b"\x00",
+                                      b"\xef\xbb\xbf"]),
                      max_size=40).map(b"".join))
 def test_vocabulary_parsed_from_its_bytes_is_the_file_loaded(tmp_path_factory,
                                                              data):
     """What ``synsum decode`` hashes and parses, the bytes read once, gives
-    the vocabulary of loading the file, or the same named error: newlines
-    translated, non-UTF-8 bytes reported with file and line."""
+    the vocabulary of loading the file, and of reading it line by line
+    (``vocabulary_load_oracle``), or the same named error: newlines
+    translated (``\r``, ``\r\n``), empty lines and a missing final newline
+    kept as text mode keeps them, a byte-order mark kept in the first token,
+    non-UTF-8 bytes reported with file and line."""
     path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
     path.write_bytes(data)
 
-    def load(*args):
+    def load(loader, *args):
         try:
-            vocab = Vocabulary.load(*args)
+            vocab = loader(*args)
         except cp.CorpusFormatError as exc:
             return str(exc)
         return vocab.id_to_token, vocab.token_to_id
 
-    assert load(path, data) == load(path)
+    want = load(vocabulary_load_oracle, path)
+    assert load(Vocabulary.load, path, data) == want
+    assert load(Vocabulary.load, path) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(st.tuples(
+    st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+             min_size=1, max_size=3),
+    st.lists(st.sampled_from("abcdefgh"), max_size=4)), min_size=1,
+    max_size=6), cap=st.integers(5, 14))
+def test_vocabulary_ranks_ties_by_first_appearance_as_the_oracle(docs, cap):
+    """Frequent ties among few token types: the vocabulary is the one the
+    token-by-token count ranks by (-count, first appearance)."""
+    corpus = [make_doc(sentences, reference) for sentences, reference in docs]
+    got = build_vocabulary(corpus, cap=cap)
+    want = build_vocabulary_oracle(corpus, cap=cap)
+    assert got.id_to_token == want.id_to_token
+    assert got.token_to_id == want.token_to_id
+
+
+@settings(max_examples=120, deadline=None)
+@given(syllables=st.lists(st.sampled_from(["x", "y", "zz", "th", "e", "i",
+                                           "t", "xy", "ee"]),
+                          min_size=1, max_size=4),
+       size=st.integers(1, 30), every=st.integers(1, 3),
+       seed=st.integers(0, 1000))
+def test_entity_pool_runs_out_at_the_oracles_draw(syllables, size, every,
+                                                  seed):
+    """Syllable pools of 1 to 64 names, prefix-free (``x``, ``y``, ``zz``)
+    or not (``t``, ``th``; ``x``, ``xy``), some making template words
+    (``the``, ``it``), with corpora that use them up: the documents, or the
+    error and the draw it fires at, are the oracle's, which counts the pool
+    at the first rejected draw."""
+    grammar = syn.GrammarConfig(syllables=syllables, distractor_every=every)
+
+    def generate(fn):
+        try:
+            return fn(seed, size, grammar)
+        except ValueError as exc:
+            return str(exc)
+
+    assert generate(syn.generate_documents) == generate(
+        generate_documents_oracle)
 
 
 def test_read_lines_splits_and_numbers_lines_as_text_mode_does(tmp_path):
