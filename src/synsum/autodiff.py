@@ -1508,8 +1508,10 @@ def pointer_head(hidden, context, x, attention, out_W, out_b, ctx_w, state_w,
             _accumulate(coverage, g_cov * ~taken)
         g_pick = ((np.broadcast_to(g_add, (rows,)) * -1.0) / prob) * (
             picked >= floor)
-        # the mixture's gradient: only the gold entries are nonzero
-        g_copy = np.where(matched, g_pick[:, None], 0.0)
+        # the mixture's gradient: only the gold entries are nonzero. The
+        # composition's g[:, ids] is column-major, and einsum's order of sums
+        # follows the layout, so this is built column-major too
+        g_copy = np.asfortranarray(np.where(matched, g_pick[:, None], 0.0))
         if attention.requires_grad:
             _accumulate(attention, g_copy * q)
         g_vd = np.zeros((rows, vocab))
