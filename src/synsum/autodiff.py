@@ -25,13 +25,11 @@ A backward hands a gradient array it made to the tensor it is for, which
 keeps it as its ``grad``; a view, or an array another tensor receives too,
 is copied first, so no two tensors' gradients share memory.
 
-A primitive may have several outputs: ``lstm_cell`` records one node for
-the new hidden and cell state together, ``bilstm_scan`` one node for both
-directions' states and final states, ``split_rows`` one node for all the
-blocks it cuts a tensor into, ``by_document`` one node for every document's
-rows of a lockstep scan. Its backward receives one gradient per output,
-``None`` for an output that nothing downstream reached, and is skipped only
-when no output was reached.
+A primitive may have several outputs: ``bilstm_scan`` records one node for
+both directions' states and final states, ``decoder_scan`` one node for
+every sequence's rows and the last step's state. Its backward receives one
+gradient per output, ``None`` for an output that nothing downstream
+reached, and is skipped only when no output was reached.
 
 Tapes can be chained. ``backward()`` without a loss starts from the
 gradients already on the tape's tensors, so a tape whose outputs a later
@@ -40,23 +38,15 @@ encoder of a minibatch and its decoder recurrence, all documents in
 lockstep, on one tape, and each document's output head and loss on one
 more, which is backpropagated and freed before the next document's is
 built; it leaves its gradients on the document's rows of the recurrence
-(``by_document``'s outputs). The batch tape is backpropagated last: head
+(``decoder_scan``'s outputs). The batch tape is backpropagated last: head
 tapes, then the recurrence, then the encoder.
 
 Row-wise primitives (``matmul`` with several rows, ``softmax`` of a matrix,
-``sum_rows``, ``pick_rows``, ``pointer_mix``, ``coverage_attention``,
-``generation_gate``, ``lstm_cell``) give each row bitwise the value the
-one-row or vector form gives it, and the segment primitives
-(``segment_softmax``, ``segment_pool``, ``bilstm_scan``) give each segment
-of rows the value it has alone, so stacking the rows of several decoder
-steps, beam hypotheses or documents into one call never changes a forward
-value.
-``coverage_attention`` with ``spans`` is both: each row attends over its
-own document's segment of the stacked encoder rows, on ragged (flat)
-coverage. Each row's softmax sums exactly its own positions, never padded
-(``np.sum`` blocks its pairwise sum by the row length, and a +0.0 pad turns
-a -0.0 sum into +0.0); its context, a left fold, may run on past them over
--0.0 terms, which leave every sum as it is.
+``pointer_head``) give each row bitwise the value the one-row form gives
+it, and the segment primitives (``segment_softmax``, ``segment_pool``,
+``bilstm_scan``, ``decoder_scan``) give each segment of rows the value it
+has alone, so stacking the rows of several decoder steps, beam hypotheses
+or documents into one call never changes a forward value.
 
 The encoder is two such nodes. ``bilstm_scan`` steps both directions of a
 BiLSTM together over a batch of documents, longest first: their input
@@ -70,10 +60,28 @@ class it multiplies only the class's distinct source rows, sums their
 messages into zeros with ``np.add.at`` in edge order, skips a class with no
 edges, adds the classes in order, then the bias, then the rectifier.
 
-The compositions a fused primitive is checked against use some primitives that
-nothing else needs (``sub``, ``sum_all``, ``slice_cols``, ``scatter_sum_vec``,
-``relu``, ``scatter_rows_sum``, the per-direction ``lstm_scan`` and more);
-those live with the tests, in ``tests/oracles.py``.
+The decoder is two more. ``decoder_scan`` runs T steps of the recurrence
+(embedding, LSTM cell, coverage attention) over R rows that drop out as
+their sequences end: one search step, or a teacher-forced minibatch whose
+rows each attend over their own document's segment of the stacked encoder
+rows, on ragged (flat) coverage. Each row's softmax sums exactly its own
+positions, never padded (``np.sum`` blocks its pairwise sum by the row
+length, and a +0.0 pad turns a -0.0 sum into +0.0); its context, a left
+fold, may run on past them over -0.0 terms, which leave every sum as it
+is. ``h @ dec_W`` of a step and ``h @ W_h`` of the next are one product,
+each entry its own fold. Its backward is one pass of backpropagation
+through time that sums every term as the five-node step composition did:
+weight and bias terms one step at a time from the last, and one stacked
+term each for what that composition filed per step. ``pointer_head`` is a
+document's output head (vocabulary softmax, p_gen, copy mixture) and, given
+the golds, its teacher-forced loss, whose sums fold in step order; only
+the gold entries of the final distribution are formed.
+
+The compositions a fused primitive is checked against use primitives that
+nothing else needs (``lstm_cell``, ``coverage_attention``, ``split_rows``,
+``by_document``, ``generation_gate``, ``pointer_mix``, ``pick_rows``,
+``fold_sum``, the per-direction ``lstm_scan`` and more); those live with
+the tests, in ``tests/oracles.py``.
 
 The forward matrix product is one left fold per output entry: its k
 products summed in ascending order from product 0, bitwise the triple loop
@@ -85,8 +93,8 @@ head's (rows x V) product).
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``gcn_layer``'s rectifier uses
-subgradient 0 at 0; ``minimum``/``maximum`` give the tie subgradient to
-their first argument.
+subgradient 0 at 0; ``pointer_head``'s coverage minimum gives the tie
+subgradient to the attention.
 """
 
 from __future__ import annotations
@@ -825,11 +833,6 @@ def clip(x, lo: float, hi: float) -> Tensor:
     return out
 
 
-def _cell_forward(xs, h_prev, c_prev, W_h, b):
-    """One cell step of R rows on arrays: (h', c', gates, tanh(c'))."""
-    return _cell_gates((xs + _matmul_data(h_prev, W_h)) + b[None, :], c_prev)
-
-
 def _cell_gates(z, c_prev):
     """The cell arithmetic from its pre-activations ``z`` (..., 4d) on:
     (h', c', gates, tanh(c')), elementwise over any leading axes."""
@@ -842,21 +845,44 @@ def _cell_gates(z, c_prev):
     return o * tc, c_new, gates, tc
 
 
-def _cell_backward(dh, dc, gates, tc, c_prev):
-    """``dz`` and the input cell state's gradient of one cell step, from its
-    outputs' gradients (``None`` for one that nothing reached), elementwise
-    over any leading axes."""
+def _cell_factors(gates, tc, c_prev):
+    """What the cell's backward reads of its forward, elementwise over any
+    leading axes, formed once for any number of steps: (gates, Y, Z, W,
+    1 - tanh(c')**2). Gate block by block, with (i, f, g, o) the gates,
+
+        dz = dc * g * i * (1 - i),  dc * c * f * (1 - f),
+             dc * i * (1 - g * g),  dh * tanh(c') * o * (1 - o)
+
+    is ``((X * Y) * Z) * W`` with ``X = [dc, dc, dc, dh]``, ``Y = [g, c, i,
+    tanh(c')]``, ``Z = [i, f, 1 - g * g, o]`` and ``W = [1 - i, 1 - f, 1,
+    1 - o]``: the same products in the same order, the third block's last
+    one exact."""
     d = tc.shape[-1]
     i, f, g, o = (gates[..., k * d:(k + 1) * d] for k in range(4))
+    Y = np.concatenate([g, c_prev, i, tc], axis=-1)
+    Z = gates.copy()
+    Z[..., 2 * d:3 * d] = 1.0 - g * g
+    W = 1.0 - gates
+    W[..., 2 * d:3 * d] = 1.0
+    return gates, Y, Z, W, 1.0 - tc * tc
+
+
+def _cell_backward(dh, dc, factors):
+    """``dz`` and the input cell state's gradient of one cell step, from its
+    outputs' gradients (``None`` for one that nothing reached) and its
+    ``_cell_factors``, elementwise over any leading axes."""
+    gates, Y, Z, W, dtc = factors
+    d = dtc.shape[-1]
     if dh is not None:
-        dc_h = dh * o * (1.0 - tc * tc)
+        dc_h = dh * gates[..., 3 * d:] * dtc
         dc = dc_h if dc is None else dc + dc_h
-    dz = np.empty_like(gates)
-    dz[..., :d] = dc * g * i * (1.0 - i)
-    dz[..., d:2 * d] = dc * c_prev * f * (1.0 - f)
-    dz[..., 2 * d:3 * d] = dc * i * (1.0 - g * g)
-    dz[..., 3 * d:] = 0.0 if dh is None else dh * tc * o * (1.0 - o)
-    return dz, dc * f
+    dz = np.concatenate([dc, dc, dc, dc if dh is None else dh], axis=-1)
+    dz *= Y
+    dz *= Z
+    dz *= W
+    if dh is None:
+        dz[..., 3 * d:] = 0.0
+    return dz, dc * gates[..., d:2 * d]
 
 
 def bilstm_scan(
@@ -867,7 +893,7 @@ def bilstm_scan(
     W_x`` of the forward and the backward direction): one node, whose
     backward runs backpropagation through time.
 
-    From zero states, step t runs ``lstm_cell``'s arithmetic over the
+    From zero states, step t runs the LSTM cell's arithmetic over the
     documents still running, each on its row at position t (from the end
     for the backward direction), both directions at once. The input
     projections are gathered once into a time-major (T, 2, B, 4d) buffer,
@@ -909,13 +935,13 @@ def bilstm_scan(
     b = np.stack([b_fw.data, b_bw.data])[:, None, :]
     hs = np.zeros((steps + 1, 2, docs, d))  # hs[t]: the states step t reads
     cs = np.zeros((steps + 1, 2, docs, d))
-    cache = []  # per step: gates, tanh(c')
+    gate_buf = np.zeros((steps, 2, docs, 4 * d))
+    tc_buf = np.zeros((steps, 2, docs, d))
     for k in range(steps):
         m = live[k]
-        h, c, gates, tc = _cell_gates(
+        h, c, gate_buf[k, :, :m], tc_buf[k, :, :m] = _cell_gates(
             (xs[k, :, :m] + _matmul_stack(hs[k, :, :m], W)) + b, cs[k, :, :m])
         hs[k + 1, :, :m], cs[k + 1, :, :m] = h, c
-        cache.append((gates, tc))
     states = np.empty((total, 2 * d))
     states[rows_fw, :d] = hs[1:, 0][valid]
     states[rows_bw, d:] = hs[1:, 1][valid]
@@ -938,12 +964,12 @@ def bilstm_scan(
             ds[:, 0][valid] = d_states[rows_fw, :d]
             ds[:, 1][valid] = d_states[rows_bw, d:]
         dzs = np.empty((steps, 2, docs, 4 * d))
+        factors = _cell_factors(gate_buf, tc_buf, cs[:-1])
         for k in range(steps - 1, -1, -1):
             m = live[k]
             dh = dh_next[:, :m] if ds is None else ds[k, :, :m] + dh_next[:, :m]
-            gates, tc = cache[k]
-            dz, dc_next[:, :m] = _cell_backward(dh, dc_next[:, :m], gates, tc,
-                                                cs[k, :, :m])
+            dz, dc_next[:, :m] = _cell_backward(
+                dh, dc_next[:, :m], [a[k, :, :m] for a in factors])
             dzs[k, :, :m] = dz
             if k:
                 dh_next[0, :m] = dz[0] @ W_fw.data.T
@@ -986,8 +1012,8 @@ class _SpanLayout:
     encoder rows: row r over rows ``bounds[r] = (start, stop)``, on flat
     coverage, row r's entries after row r - 1's."""
 
-    __slots__ = ("rows", "total", "offsets", "row_of", "pos", "groups",
-                 "inside", "outside", "sources")
+    __slots__ = ("rows", "total", "offsets", "row_of", "pos", "distinct",
+                 "groups", "inside", "outside", "sources")
 
     def __init__(self, bounds: np.ndarray, enc_states: np.ndarray):
         starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
@@ -997,6 +1023,7 @@ class _SpanLayout:
         self.row_of = np.repeat(np.arange(self.rows), lengths)  # per entry
         self.pos = (np.arange(self.total)                       # its source row
                     + (starts - self.offsets[:-1])[self.row_of])
+        self.distinct = np.unique(self.pos).size == self.total
         # a softmax sums the rows of one length as one block
         self.groups = []
         for n in sorted(set(lengths.tolist())):
@@ -1118,7 +1145,8 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
         raise ShapeError(f"decoder_scan: steps of {live} rows; each step "
                          f"needs 1 to as many rows as the step before")
     vocab, d_emb = embedding.shape if embedding.data.ndim == 2 else (0, -1)
-    if min(map(min, ids)) < 0 or max(map(max, ids)) >= vocab:
+    # on the ids as given: Python's min and max of a list are the cheapest
+    if min(map(min, steps)) < 0 or max(map(max, steps)) >= vocab:
         raise ShapeError(f"decoder_scan: an input id lies outside the "
                          f"{vocab} rows of the embedding")
     rows = live[0]
@@ -1193,32 +1221,28 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
                   if len(cache) > 1 else cache[0][k] for k in (0, 5, 6, 8, 7)]
     first_row = list(itertools.accumulate(live, initial=0))
     if bounds is None:
-        index = None
-        sequences = [[(sum(live), q.shape[1]) for q in quantities]]
+        index = first_entry = None
+        outs = [Tensor(q, grad) for q in quantities]  # one sequence
     else:
-        lengths = bounds[:, 1] - bounds[:, 0]
-        flat = np.zeros(rows + 1, dtype=np.intp)
-        np.cumsum(lengths, out=flat[1:])
-        first_entry = np.cumsum([0] + [int(flat[k]) for k in live])
+        lengths = (bounds[:, 1] - bounds[:, 0]).tolist()
+        flat = list(itertools.accumulate(lengths, initial=0))
+        first_entry = list(itertools.accumulate((flat[k] for k in live),
+                                                initial=0))
         steps_of = [sum(count > r for count in live) for r in range(rows)]
         index = (np.concatenate([np.asarray(first_row[:t]) + r
                                  for r, t in enumerate(steps_of)]),
-                 np.concatenate([(first_entry[:t, None] + flat[r]
-                                  + np.arange(lengths[r])).ravel()
+                 np.concatenate([(np.asarray(first_entry[:t])[:, None]
+                                  + flat[r] + np.arange(lengths[r])).ravel()
                                  for r, t in enumerate(steps_of)]))
         quantities = [q[index[k >= 3]] for k, q in enumerate(quantities)]
-        sequences = [[(t, q.shape[1]) for q in quantities[:3]]
-                     + [(t, int(lengths[r]))] * 2
-                     for r, t in enumerate(steps_of)]
-    outs, lo = [], [0] * 5
-    for shapes in sequences:
-        for k, (count, width_k) in enumerate(shapes):
-            size = count * width_k
-            block = quantities[k].reshape(-1)[lo[k]:lo[k] + size]
-            outs.append(Tensor(block.reshape(count, width_k), grad))
-            lo[k] += size
-    outs += [Tensor(c, grad), Tensor(cov, grad), Tensor(scores, grad)]
-    outs = tuple(outs)
+        outs, row, entry = [], 0, 0
+        for t, n_r in zip(steps_of, lengths):
+            outs += [Tensor(q[row:row + t], grad) for q in quantities[:3]]
+            outs += [Tensor(q[entry:entry + t * n_r].reshape(t, n_r), grad)
+                     for q in quantities[3:]]
+            row, entry = row + t, entry + t * n_r
+    outs = tuple(outs) + (Tensor(c, grad), Tensor(cov, grad),
+                          Tensor(scores, grad))
 
     def backward(*grads) -> None:
         g_cell, g_next_cov, g_scores = grads[-3:]
@@ -1228,8 +1252,8 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
             if all(g is None for g in parts):
                 stacked.append(None)
                 continue
-            blocks = [np.zeros(shapes[k]) if g is None else g
-                      for g, shapes in zip(parts, sequences)]
+            blocks = [np.zeros(out.shape) if g is None else g
+                      for g, out in zip(parts, outs[k:-3:5])]
             if index is None:
                 stacked.append(blocks[0])
                 continue
@@ -1238,13 +1262,16 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
             g_step = np.empty_like(g_all)
             g_step[index[k >= 3]] = g_all
             stacked.append(g_step)
-        entry_at = first_row if bounds is None else first_entry
+        entry_at = first_entry or first_row
 
         def part(k: int, t: int) -> np.ndarray | None:
             at = first_row if k < 3 else entry_at
             g = stacked[k]
             return None if g is None else g[at[t]:at[t + 1]]
 
+        factors = _cell_factors(*(
+            np.concatenate([entry[k] for entry in cache]) if len(cache) > 1
+            else cache[0][k] for k in (3, 4, 2)))
         emb, wx, dec, v_terms, enc = [], [], [], [], []
         carry_h = carry_c = carry_ctx = carry_cov = None
         for t in range(len(cache) - 1, -1, -1):
@@ -1304,7 +1331,10 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
                     if enc_proj.requires_grad:
                         if enc_proj.grad is None:
                             enc_proj.grad = np.zeros(enc_proj.shape)
-                        np.add.at(enc_proj.grad, layout.pos, g_f)
+                        if layout.distinct:  # np.add.at's sum, much faster
+                            enc_proj.grad[layout.pos] += g_f
+                        else:
+                            np.add.at(enc_proj.grad, layout.pos, g_f)
                     g_dec = np.add.reduceat(g_f, layout.offsets[:-1], axis=0)
                 g_h = _plus(g_h, g_dec @ dec_W.data.T)
                 if dec_W.requires_grad:
@@ -1313,7 +1343,8 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
             g_x = part(0, t)
             carry_h = carry_c = None
             if g_h is not None or g_c is not None:
-                dz, dc_prev = _cell_backward(g_h, g_c, gates, tc, c_prev)
+                dz, dc_prev = _cell_backward(g_h, g_c, [
+                    a[first_row[t]:first_row[t + 1]] for a in factors])
                 g_x = _plus(g_x, dz @ W_x.data.T)
                 if W_x.requires_grad:
                     wx.append((x, dz))
@@ -1352,8 +1383,7 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
             pending.row_grads.append(np.concatenate([g for _, g in emb]))
 
     _record("decoder_scan", outs, backward)
-    sequences_out = [outs[5 * k:5 * k + 5] for k in range(len(sequences))]
-    return sequences_out, outs[-3:]
+    return [outs[k:k + 5] for k in range(0, len(outs) - 3, 5)], outs[-3:]
 
 
 def pointer_head(hidden, context, x, attention, out_W, out_b, ctx_w, state_w,

@@ -11,30 +11,32 @@ vocabulary with a copy distribution over source positions:
 
 over the extended vocabulary (fixed vocabulary plus this document's
 temporary OOV ids). Coverage is the running sum of past attention
-distributions; attending where coverage is already high is penalized by
-``coverage_loss``.
+distributions; attending where coverage is already high is penalized by the
+coverage loss, the sum of ``minimum(attention, coverage before the step)``.
 
 A decoder state (``StepState``) holds R rows: one per live hypothesis in
 beam search, one for a document decoded greedily, one per document of a
 minibatch under teacher forcing. A step has two halves, each over all R
-rows at once. The recurrence (``recurrence_step``: embedding, LSTM cell,
-and ``ad.coverage_attention``, one tape node for the attention, its context
-and the coverage update) carries the state from step to step, five tape
-nodes a step. The output head (``output_head``: the vocabulary projection
-of ``[hidden; context]``, its softmax, p_gen, the copy scatter and the
+rows at once and each one tape node. The recurrence (``recurrence_step``,
+one ``ad.decoder_scan`` step: embedding, LSTM cell, coverage attention with
+its context and the coverage update) carries the state from step to step.
+The output head (``output_head``, one ``ad.pointer_head``: the vocabulary
+projection of ``[hidden; context]``, its softmax, p_gen and the copy
 mixture) takes any number of one document's rows, and nothing in the
 recurrence reads it. ``decode_step`` runs both halves.
 
-Teacher forcing (``teacher_force``) runs the recurrence of a minibatch in
-lockstep: the documents, longest target first, are the rows of one state
-over the batch's encoder states, read whole (``encode_batch``) and
-gathered into that order when it is not the encoder's; each row attends
-over its own document's (``DecodeContext.spans``), and a document whose
-target has ended drops out of the state. One ``ad.by_document`` node regroups the
-steps' rows by document, and each document's head then runs once over
-the rows of all its T steps, so its vocabulary projection is one (T x k)
-by (k x V) product. One document alone is a batch of one. Every row is
-bitwise the value of that row's step run alone.
+Teacher forcing (``teacher_force``) runs the whole recurrence of a
+minibatch as one ``ad.decoder_scan`` node, in lockstep: the documents,
+longest target first, are the rows of one state over the batch's encoder
+states, read whole (``encode_batch``) and gathered into that order when it
+is not the encoder's; each row attends over its own document's, and a
+document whose target has ended drops out of the state. The node hands each
+document its rows in step order, and each document's head and loss then run
+as one ``ad.pointer_head`` over the rows of all its T steps, so its
+vocabulary projection is one (T x k) by (k x V) product and its loss sums
+fold in step order. One document alone is a batch of one. Every row is
+bitwise the value of that row's step run alone, and every value and
+gradient bitwise the per-step composition's in ``tests/oracles.py``.
 
 At inference a content-selector mask can restrict the copy distribution to
 source tokens scoring at least a threshold, row by row; the attention used

@@ -3,19 +3,24 @@
 The per-example loss is the token-averaged negative log-likelihood of the
 gold summary under teacher forcing plus a weighted coverage penalty:
 
-    (1/T) * sum over steps of [ -log(final(gold)) + weight * coverage_loss ]
+    (1/T) * sum over steps of [ -log(final(gold))
+                                + weight * sum(minimum(attention, coverage)) ]
 
 with the predicted probability floored at 1e-12 before the log. Batch
 gradients average the per-example gradients. A minibatch encodes all its
 documents in one forward over their stacked rows and runs their
 teacher-forced decoder recurrence in lockstep (``decoder.teacher_force``),
-both on one tape. Each document's output head and loss then get a tape of
-their own, which is backpropagated and freed before the next document's
-head is built (``batch_gradients``): at a realistic vocabulary the head is
-most of the memory. The batch tape's backward pass runs last, from the
-gradients the head tapes left on the documents' rows of the recurrence,
-and carries them through the recurrence into the encoder. Every
-document's loss is bitwise its loss alone.
+both on one tape, the recurrence as one ``ad.decoder_scan`` node. Each
+document's output head and loss then get a tape of their own, one
+``ad.pointer_head`` node and the batch mean's scaling, which is
+backpropagated and freed before the next document's head is built
+(``batch_gradients``): at a realistic vocabulary the head is most of the
+memory. The batch tape's backward pass runs last, from the gradients the
+head tapes left on the documents' rows of the recurrence, and carries them
+through the recurrence into the encoder. Every document's loss is bitwise
+its loss alone, and each sum of the loss folds in step order: the NLL
+terms, then the coverage terms, each document's row sums of
+``minimum(attention, coverage)`` summed pairwise within the row.
 
 Adagrad follows the accumulator form: acc += g^2, theta -= lr * g /
 sqrt(acc), with every accumulator initialized to a positive constant so no

@@ -1,10 +1,13 @@
 """Autodiff primitives and graph helpers that only the tests use.
 
 The primitives are the composition oracles of the fused-op tests: a fused
-primitive (``lstm_cell``, ``coverage_attention``, ``pointer_mix``, ...) is
-checked bitwise against the same IEEE operations composed from these
-nodes, and each of them is grad-checked on its own. They record on the
-active tape exactly like the primitives of ``synsum.autodiff``.
+primitive (``bilstm_scan``, ``gcn_layer``, ``decoder_scan``,
+``pointer_head``) is checked bitwise against the same IEEE operations
+composed from these nodes, and each of them is grad-checked on its own.
+Some (``lstm_cell``, ``coverage_attention``, ``pointer_mix``, ...) were the
+package's own fused primitives once, and are still checked against finer
+compositions. They record on the active tape exactly like the primitives of
+``synsum.autodiff``.
 ``composed_bilstm`` is the oracle of ``ad.bilstm_scan``: one per-direction
 ``lstm_scan`` node each (the encoder's scan before both directions were
 joined) and three ``concat``. ``composed_gcn_layer`` is the oracle of
@@ -12,6 +15,16 @@ joined) and three ``concat``. ``composed_gcn_layer`` is the oracle of
 ``scatter_rows_sum``, joined by ``add``, then ``add_rowvec`` and ``relu``;
 ``composed_gcn_stack`` stacks it, and ``gcn_layer`` calls the fused node
 with the class-keyed edges and weights of ``encoder.gcn_stack``.
+``composed_recurrence_step``, ``composed_teacher_force`` (five nodes a
+step, ``split_rows`` where a document ends, one ``by_document``),
+``composed_output_head``, ``loss_from_rows`` and the decode step, sequence
+loss and batch gradients built from them are the oracles of
+``ad.decoder_scan`` and ``ad.pointer_head``: the decoder as it was composed
+before, one primitive a node.
+``build_vocabulary_oracle``, ``vocabulary_load_oracle`` and
+``generate_documents_oracle`` are the vocabulary count, the vocabulary
+file's line-by-line parse and the generator's entity pool as they were
+written before their fast paths.
 ``edge_tuples`` lists a graph's edges as (src, dst, class, label) tuples
 and ``graph_from_edges`` builds a graph from such tuples;
 ``graph_from_record`` reads back a record of ``graph.export_graph``, and
@@ -41,7 +54,8 @@ from synsum.autodiff import (
     _as_tensor,
     _binary_shapes,
     _cell_backward,
-    _cell_forward,
+    _cell_factors,
+    _cell_gates,
     _fold,
     _matmul_data,
     _pending_for,
@@ -71,6 +85,11 @@ from synsum.decoder import (
 from synsum.encoder import EncodedDocument
 from synsum.graph import DocumentGraph, EdgeClass
 from synsum.training import LossStats
+
+
+def _cell_forward(xs, h_prev, c_prev, W_h, b):
+    """One cell step of R rows on arrays: (h', c', gates, tanh(c'))."""
+    return _cell_gates((xs + _matmul_data(h_prev, W_h)) + b[None, :], c_prev)
 
 
 def sub(a, b) -> Tensor:
@@ -814,7 +833,8 @@ def lstm_cell(x_proj, h, c, W_h, b) -> tuple[Tensor, Tensor]:
     c_out = Tensor(c_data, h_out.requires_grad)
 
     def backward(dh: np.ndarray | None, dc: np.ndarray | None) -> None:
-        dz, dc_prev = _cell_backward(dh, dc, gates, tc, c_prev)
+        dz, dc_prev = _cell_backward(dh, dc,
+                                     _cell_factors(gates, tc, c_prev))
         if x_proj.requires_grad:
             _accumulate(x_proj, dz)
         if h.requires_grad:
@@ -1045,8 +1065,8 @@ def lstm_scan(
             live = len(rows)
             dh = (dh_next[:live] if d_states is None
                   else d_states[rows] + dh_next[:live])
-            dz, dc_next[:live] = _cell_backward(dh, dc_next[:live], gates, tc,
-                                                c_in)
+            dz, dc_next[:live] = _cell_backward(
+                dh, dc_next[:live], _cell_factors(gates, tc, c_in))
             dz_all[rows] = dz
             h_all[rows] = h_in
             if t:
