@@ -55,7 +55,9 @@ step t's documents are a leading slice, ``h @ W_h`` of both directions is
 one fold (each direction's bitwise its own product), the cell arithmetic
 runs once on (2, live, ·) arrays, and the states are scattered back to the
 row layout once; backpropagation through time runs in the same time-major
-layout. ``gcn_layer`` is one typed-edge graph convolution layer: per edge
+layout. Both scans form what the cell's backward reads of the forward
+(``_cell_factors``) once for all their steps, so a step's backward is three
+whole-width products, the cell's own products in their own order. ``gcn_layer`` is one typed-edge graph convolution layer: per edge
 class it multiplies only the class's distinct source rows, sums their
 messages into zeros with ``np.add.at`` in edge order, skips a class with no
 edges, adds the classes in order, then the bias, then the rectifier.

@@ -275,7 +275,7 @@ def test_vocabulary_load_names_file_and_line_of_a_non_utf8_byte(tmp_path):
         Vocabulary.load(path)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b" ", b"\n", b"\r",
                                       b"\r\n", b"\xff", b"\xc3", b"\x00",
                                       b"\xef\xbb\xbf"]),
@@ -303,7 +303,7 @@ def test_vocabulary_parsed_from_its_bytes_is_the_file_loaded(tmp_path_factory,
     assert load(Vocabulary.load, path) == want
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(docs=st.lists(st.tuples(
     st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
              min_size=1, max_size=3),
