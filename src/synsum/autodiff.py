@@ -1277,8 +1277,7 @@ def decoder_scan(embedding, steps, hidden, cell, context, coverage, W_x, W_h,
         emb, wx, dec, v_terms, enc = [], [], [], [], []
         carry_h = carry_c = carry_ctx = carry_cov = None
         for t in range(len(cache) - 1, -1, -1):
-            (x, h_prev, c_prev, gates, tc, h_t, _, cov_t, att, tanh_f,
-             layout) = cache[t]
+            x, h_prev, _, _, _, h_t, _, cov_t, att, tanh_f, layout = cache[t]
             count = live[t]
             last = t == len(cache) - 1
             g_h = _carried(part(1, t), carry_h, h_t.shape)

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synsum import autodiff as ad
@@ -81,6 +81,12 @@ def gradients(params, run):
 @settings(max_examples=40, deadline=None)
 @given(documents=documents_strategy, coverage=st.booleans(),
        seed=st.integers(0, 2**16))
+# golds whose copy mass sums 2 to 6 source positions, in and out of the
+# vocabulary, where the order of the sum shows in the last bits
+@example(documents=[(["w0"] * 5 + ["w1"], ["w0", "w1"]),
+                    (["w9"] * 6 + ["w2"] * 2, ["w9", "w2", "w9"]),
+                    (["w10", "w3"] * 4, ["w10", "w3", "w10"])],
+         coverage=False, seed=0)
 def test_lockstep_batch_is_bitwise_the_composition(documents, coverage,
                                                    seed):
     """1-6 documents of 1-9 source rows and targets of 1-8 steps (ties
