@@ -59,8 +59,10 @@ layout. Both scans form what the cell's backward reads of the forward
 (``_cell_factors``) once for all their steps, so a step's backward is three
 whole-width products, the cell's own products in their own order. ``gcn_layer`` is one typed-edge graph convolution layer: per edge
 class it multiplies only the class's distinct source rows, sums their
-messages into zeros with ``np.add.at`` in edge order, skips a class with no
-edges, adds the classes in order, then the bias, then the rectifier.
+messages into zeros in edge order (as ``np.add.at`` would, one indexed add
+for each rank of an edge among its destination's edges), skips a class
+with no edges, adds the classes in order, then the bias, then the
+rectifier.
 
 The decoder is two more. ``decoder_scan`` runs T steps of the recurrence
 (embedding, LSTM cell, coverage attention) over R rows that drop out as
@@ -88,10 +90,11 @@ the tests, in ``tests/oracles.py``.
 The forward matrix product is one left fold per output entry: its k
 products summed in ascending order from product 0, bitwise the triple loop
 of ``tests/oracles.py`` (up to the sign and payload of a NaN, which IEEE 754
-leaves to the hardware). By output size, ``_matmul_data`` folds with
-``np.add.accumulate`` (one entry), with chunked ``np.add.reduce`` (up to
-2,560 entries) or with a Python loop over k (wider, such as the output
-head's (rows x V) product).
+leaves to the hardware). ``_matmul_data`` folds a one-entry output with
+``np.add.accumulate``, a one-column product as its transpose, and every
+other product with ``np.einsum``, whose loop is that fold once a -0.0 fix-up
+is applied; an import-time probe checks that, and where it fails every
+product is a Python loop over k adding one rank-1 term at a time.
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``gcn_layer``'s rectifier uses
@@ -368,38 +371,56 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # primitives
 
 
-# A product whose output (rows x cols) has 2 to 2,560 entries folds its k
-# rank-1 terms a chunk at a time: it multiplies up to 32,768 terms (256 KB)
-# into one C-ordered (k, rows, cols) buffer and sums the chunk with
-# np.add.reduce along axis 0. NumPy sums pairwise only along the fast memory
-# axis, which axis 0 of that buffer never is when it has two or more output
-# entries, so each entry is the plain sum in k order. initial=-0.0, the IEEE
-# additive identity, keeps a fold of -0.0 terms at -0.0 (reduce starts from
-# +0.0 otherwise), and each chunk after the first starts from the running
-# sum, added into its first term as the loop adds it. The buffer is written
-# with out= because a broadcast product picks its own layout, which puts k
-# innermost when cols is 1. A one-entry output has no other axis, so it
-# folds by add.accumulate; larger outputs multiply each term inside a
-# k-loop. Timed on a 2-vCPU Xeon guest (interleaved, best of 30), reduce
-# against the k-loop, and against add.accumulate of all terms at once:
-# (1 x 80) @ (80 x 128) 0.020 against 0.11 and 0.044 ms, (4 x 80) @
-# (80 x 128) 0.085 against 0.16 and 0.28 ms, (72 x 32) @ (32 x 32) 0.11
-# against 0.13 ms. Near the limit neither wins: (2 x 96) @ (96 x 1,280)
-# 0.32 against 0.25 ms, (72 x 64) @ (64 x 64) 0.41 against 0.48 ms,
-# (288 x 32) @ (32 x 32) 0.45 against 0.43 ms.
-_REDUCE_MAX_OUT = 2560
-_REDUCE_MAX_TERMS = 32_768
-# Column-block width of a multi-row product's k-loop. Timed on a 2 MB-L2
-# Xeon for (21 x 96) @ (96 x 20,000): 58-65 ms unblocked, 28-37 ms with
-# 4,096-column blocks (a 21-row block and its temporary, 2 x 688 KB, stay
-# in L2), 31-49 ms at 3,000-6,000, 43 ms at 8,192 (they no longer fit),
-# and 75-120 ms at 512-2,500 (strided updates of short rows). One-row
-# products stay unblocked: blocking them was slower.
-_BLOCK_COLS = 4096
+# The forward product is the left fold of each entry's k products in
+# ascending order, from product 0. np.einsum("srk,skc->src") with C-ordered
+# operands and two or more columns runs exactly that: NumPy's iterator puts
+# c innermost and visits k in ascending order outside it, so each output
+# entry gets one multiply and one add per k, in k order. It starts each
+# entry from +0.0 rather than from product 0, which differs only where every
+# product is -0.0 (the fold is then -0.0, einsum's sum +0.0); a fix-up
+# restores those entries. With one column the iterator would run k
+# innermost, in a kernel that sums in several accumulators, so that product
+# is folded as its transpose: products commute exactly, so each entry keeps
+# its terms in their order. A one-entry output folds by add.accumulate.
+# Whether einsum folds this way depends on how NumPy built its kernels (a
+# fused multiply-add or a reordered sum would change values), so an import
+# -time probe checks it on a case whose fold, fused sum and reordered sums
+# all differ; if the probe fails, the product is the definition itself, a
+# loop over k adding one rank-1 term at a time.
 # Column-block width in which a flush adds its product into a gradient that
 # already exists: at dec/out_W's 96 rows a block is 393 KB, where the whole
 # product at V = 20,000 is 15 MB.
 _FLUSH_COLS = 512
+
+
+def _einsum_folds() -> bool:
+    """Whether ``np.einsum("srk,skc->src")`` is the ascending left fold of
+    each entry's products, for 2 and for 8,193 columns. Row 0 sums -1 + x *
+    x with x = 1 + 2**-30, which a fused multiply-add makes 2**-60 larger;
+    row 1 sums 2**53, 0, seven 1s, -2**53 and 0.5, which gives 0.5 in this
+    order only (2**53 + 1 rounds back to 2**53)."""
+    x = 1.0 + 2.0 ** -30
+    a = np.zeros((2, 11))
+    a[0, :2] = -1.0, x
+    a[1] = [2.0 ** 53, 0, 1, 1, 1, 1, 1, 1, 1, -2.0 ** 53, 0.5]
+    b = np.ones(11)
+    b[1] = x
+    want = []
+    for row in a.tolist():
+        terms = [p * q for p, q in zip(row, b.tolist())]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        want.append(acc)
+    for cols in (2, 8193):
+        got = np.einsum("srk,skc->src", np.stack([a, a[::-1]]),
+                        np.broadcast_to(b[None, :, None], (2, 11, cols)).copy())
+        if not (got == np.array([want, want[::-1]])[:, :, None]).all():
+            return False
+    return True
+
+
+_EINSUM_FOLDS = _einsum_folds()
 
 
 def matmul(a, b) -> Tensor:
@@ -434,57 +455,32 @@ def _matmul_data(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     stacking rows into one call never changes a value."""
     rows, inner = av.shape
     cols = bv.shape[1]
-    entries = rows * cols
-    if inner == 0 or entries == 0:
+    if inner == 0 or rows * cols == 0:
         return np.zeros((rows, cols))
-    if entries == 1:
+    if rows * cols == 1:
         return np.add.accumulate(av[0] * bv[:, 0])[-1:, None].copy()
-    if entries <= _REDUCE_MAX_OUT:
-        step = _REDUCE_MAX_TERMS // entries
-        terms = np.empty((min(step, inner), rows, cols))
-        out_data = None
-        for lo in range(0, inner, step):
-            chunk = terms[:min(step, inner - lo)]  # term lo + k is chunk[k]
-            np.multiply(av.T[lo:lo + step, :, None], bv[lo:lo + step, None, :],
-                        out=chunk)
-            if out_data is not None:
-                np.add(out_data, chunk[0], out=chunk[0])
-            out_data = np.add.reduce(chunk, axis=0, initial=-0.0)
-        return out_data
-    block = _BLOCK_COLS if rows > 1 else cols
-    out_data = np.empty((rows, cols))
-    tmp = np.empty((rows, min(block, cols)))
-    for lo in range(0, cols, block):
-        out_block = out_data[:, lo:lo + block]
-        b_block = bv[:, lo:lo + block]
-        tmp_block = tmp[:, :out_block.shape[1]]
-        np.multiply(av[:, 0, None], b_block[0], out=out_block)
-        for k in range(1, inner):
-            np.multiply(av[:, k, None], b_block[k], out=tmp_block)
-            out_block += tmp_block
-    return out_data
+    if cols == 1:
+        return _matmul_data(bv.T, av.T).T
+    return _matmul_stack(av[None], bv[None])[0]
 
 
 def _matmul_stack(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """``av[i] @ bv[i]`` for each i of a leading axis, each bitwise
-    ``_matmul_data(av[i], bv[i])``: every branch of that is the left fold
-    over k of each entry's products, which this forms for all of them at
-    once, a chunk of (k, i, rows, cols) terms and one reduce at a time.
-    Needs k >= 1 and two or more output entries in all."""
-    stack, rows, inner = av.shape
-    cols = bv.shape[2]
-    step = max(1, _REDUCE_MAX_TERMS // (stack * rows * cols))
-    terms = np.empty((min(step, inner), stack, rows, cols))
-    a_k = av.transpose(2, 0, 1)[:, :, :, None]
-    b_k = bv.transpose(1, 0, 2)[:, :, None, :]
-    out_data = None
-    for lo in range(0, inner, step):
-        chunk = terms[:min(step, inner - lo)]  # term lo + k is chunk[k]
-        np.multiply(a_k[lo:lo + step], b_k[lo:lo + step], out=chunk)
-        if out_data is not None:
-            np.add(out_data, chunk[0], out=chunk[0])
-        out_data = np.add.reduce(chunk, axis=0, initial=-0.0)
-    return out_data
+    ``_matmul_data(av[i], bv[i])``. Needs k >= 1 and two or more columns."""
+    av, bv = np.ascontiguousarray(av), np.ascontiguousarray(bv)
+    if not _EINSUM_FOLDS:
+        out = av[:, :, :1] * bv[:, None, 0]
+        for k in range(1, av.shape[2]):
+            out += av[:, :, k, None] * bv[:, None, k]
+        return out
+    out = np.einsum("srk,skc->src", av, bv)
+    zero = out == 0
+    if zero.any():
+        s, r, c = np.nonzero(zero)
+        terms = av[s, r] * bv[s, :, c]
+        negative = ((terms == 0) & np.signbit(terms)).all(axis=1)
+        out[s[negative], r[negative], c[negative]] = -0.0
+    return out
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
@@ -731,6 +727,21 @@ def _segments(lengths: Sequence[int], total: int,
     return list(zip(bounds, bounds[1:]))
 
 
+def _scatter_groups(keys: np.ndarray, n: int) -> list:
+    """The edges of ``keys`` (values in [0, n)) in groups with no key twice
+    in a group, each key's edges in successive groups in edge order. Adding
+    the groups one after another into zeros, one indexed add each, sums
+    each key's terms as ``np.add.at`` does: from 0.0, in edge order."""
+    counts = np.bincount(keys, minlength=n)
+    if counts.max() <= 1:
+        return [slice(None)]
+    order = np.argsort(keys, kind="stable")
+    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys[order]]
+    order = order[np.argsort(rank, kind="stable")]
+    bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def gcn_layer(h, edges, weights, bias) -> Tensor:
     """One typed-edge graph convolution over the rows of ``h``, one node:
 
@@ -741,8 +752,9 @@ def gcn_layer(h, edges, weights, bias) -> Tensor:
     its matrix, in the same order. A class multiplies only its distinct
     source rows; every row of a product is the fold of the one-row product,
     so which rows are multiplied together never changes a value. Each class
-    sums its messages into zeros with ``np.add.at``, in edge order; a class
-    with no edges is skipped; the classes are added in order, then the bias,
+    sums its messages into zeros in edge order, bitwise ``np.add.at``'s sum
+    (``_scatter_groups``), and its backward sums over sources the same way;
+    a class with no edges is skipped; the classes are added in order, then the bias,
     then the rectifier (subgradient 0 at 0). These are the IEEE operations
     of the composition from ``matmul``, ``scatter_rows_sum``, ``add``,
     ``add_rowvec`` and ``relu`` nodes. The backward files each weight's
@@ -775,8 +787,10 @@ def gcn_layer(h, edges, weights, bias) -> Tensor:
     agg = None
     for src, dst, w in classes:
         sources, inverse = np.unique(src, return_inverse=True)
+        messages = _matmul_data(h.data[sources], w.data)
         summed = np.zeros((n, out_width))
-        np.add.at(summed, dst, _matmul_data(h.data[sources], w.data)[inverse])
+        for group in _scatter_groups(dst, n):
+            summed[dst[group]] += messages[inverse[group]]
         if agg is None:
             agg = summed
         else:
@@ -793,7 +807,8 @@ def gcn_layer(h, edges, weights, bias) -> Tensor:
             _accumulate(bias, g.sum(axis=0))
         for src, dst, w in reversed(classes):
             dx = np.zeros((n, out_width))
-            np.add.at(dx, src, g[dst])
+            for group in _scatter_groups(src, n):
+                dx[src[group]] += g[dst[group]]
             if h.requires_grad:
                 _accumulate(h, dx @ w.data.T)
             if w.requires_grad:

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,9 +91,7 @@ def test_matmul_matches_triple_loop_oracle():
 @pytest.mark.parametrize("inner,width", [(64, 512), (64, 513), (64, 2560),
                                          (64, 2561), (1, 3), (1, 600)])
 def test_one_row_matmul_matches_triple_loop_oracle(inner, width):
-    # widths on both sides of the switch between the two one-row fold paths
-    # (2,560), and two whose 64 terms fill one chunk exactly (512) or
-    # straddle two (513)
+    # one-row products of one and of 64 terms, narrow and wide
     rng = np.random.default_rng(inner * 1000 + width)
     a = rng.normal(size=(1, inner))
     b = rng.normal(size=(inner, width))
@@ -115,66 +116,143 @@ _ORACLE_OPS = 70_000  # multiply-adds per case, to keep the Python loop quick
 
 @st.composite
 def fold_shapes(draw):
-    """(rows, inner, cols) on every branch of ``_matmul_data`` and at its
-    limits: one entry (accumulate), one column and one row (reduce), the
-    reduce limit and the column block on both sides (reduce, k-loop), and
-    inner axes that fill one chunk of terms exactly or straddle two."""
-    limit, block = ad._REDUCE_MAX_OUT, ad._BLOCK_COLS
-    near = draw(st.integers(-1, 1))
-    kind = draw(st.sampled_from(
-        ["entry", "column", "row", "reduce limit", "block", "small"]))
+    """(rows, inner, cols) on every route of ``_matmul_data``: one entry
+    (accumulate), one column (the transposed product), one row, and columns
+    on both sides of einsum's 8,192-element buffer and at the V = 20k head,
+    with inner axes of 1 and of 97 or more where the Python oracle allows."""
+    kind = draw(st.sampled_from(["entry", "column", "row", "wide", "small"]))
     if kind == "entry":
         rows, cols = 1, 1
     elif kind == "column":
         rows, cols = draw(st.integers(2, 40)), 1
     elif kind == "row":
-        rows, cols = 1, draw(st.sampled_from([2, 3, 129, limit + near, 3000]))
-    elif kind == "reduce limit":
-        rows = draw(st.integers(2, 6))
-        cols = limit // rows + near
-    elif kind == "block":
-        rows, cols = 2, block + near
+        rows, cols = 1, draw(st.sampled_from([2, 3, 129, 3000]))
+    elif kind == "wide":
+        rows = draw(st.integers(1, 3))
+        cols = draw(st.sampled_from([8191, 8192, 8193, 20_000]))
     else:
-        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 64))
-    step = ad._REDUCE_MAX_TERMS // (rows * cols)
-    inner = draw(st.sampled_from([
-        1, draw(st.integers(2, 24)), step, step + 1, 2 * step + 1]))
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(2, 64))
+    inner = draw(st.sampled_from(
+        [1, draw(st.integers(2, 24)), draw(st.integers(97, 160))]))
     if rows * cols * inner > _ORACLE_OPS:
-        inner = draw(st.integers(1, 24))
+        inner = draw(st.integers(1, max(1, _ORACLE_OPS // (rows * cols))))
     return rows, inner, cols
 
 
-@settings(max_examples=300, deadline=None)
-@given(shape=fold_shapes(), seed=st.integers(0, 2**32 - 1),
-       values=st.sampled_from(["normal", "specials", "signed zeros"]),
-       layout=st.sampled_from(["C", "F", "strided"]))
-def test_matmul_forward_is_the_term_zero_fold_byte_for_byte(shape, seed,
-                                                            values, layout):
+def _fold_operand(rng, shape, common, values, layout):
+    if values == "signed zeros":  # most folds are of -0.0 terms only
+        x = np.where(rng.random(shape) < 0.9, common, -common)
+    else:
+        x = rng.normal(size=shape)
+        if values == "specials":
+            mask = rng.random(shape) < 0.4
+            x[mask] = rng.choice(_SPECIALS, mask.sum())
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.full((2 * shape[0], 3 * shape[1]), 7.0)
+        wide[::2, ::3] = x
+        return wide[::2, ::3]
+    return x
+
+
+_FOLD_VALUES = st.sampled_from(["normal", "specials", "signed zeros"])
+_FOLD_LAYOUTS = st.sampled_from(["C", "F", "strided"])
+
+
+def _check_fold(einsum_folds, shape, seed, values, layout):
     rows, inner, cols = shape
     rng = np.random.default_rng(seed)
-
-    def operand(shape, common):
-        if values == "signed zeros":  # most folds are of -0.0 terms only
-            x = np.where(rng.random(shape) < 0.9, common, -common)
-        else:
-            x = rng.normal(size=shape)
-            if values == "specials":
-                mask = rng.random(shape) < 0.4
-                x[mask] = rng.choice(_SPECIALS, mask.sum())
-        if layout == "F":
-            return np.asfortranarray(x)
-        if layout == "strided":
-            wide = np.full((2 * shape[0], 3 * shape[1]), 7.0)
-            wide[::2, ::3] = x
-            return wide[::2, ::3]
-        return x
-
-    a, b = operand((rows, inner), -0.0), operand((inner, cols), 1.0)
-    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+    a = _fold_operand(rng, (rows, inner), -0.0, values, layout)
+    b = _fold_operand(rng, (inner, cols), 1.0, values, layout)
+    with np.errstate(invalid="ignore"), \
+            patch.object(ad, "_EINSUM_FOLDS", einsum_folds):
         # Tensor makes its data C-ordered; the fused primitives hand the
         # fold views of any layout
         got = ad._matmul_data(a, b)
     assert same_bits(_nan_canonical(got), _nan_canonical(matmul_fold(a, b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=fold_shapes(), seed=st.integers(0, 2**32 - 1),
+       values=_FOLD_VALUES, layout=_FOLD_LAYOUTS)
+def test_matmul_forward_is_the_term_zero_fold_byte_for_byte(shape, seed,
+                                                            values, layout):
+    _check_fold(True, shape, seed, values, layout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=fold_shapes(), seed=st.integers(0, 2**32 - 1),
+       values=_FOLD_VALUES, layout=_FOLD_LAYOUTS)
+def test_the_loop_over_k_is_the_term_zero_fold_byte_for_byte(shape, seed,
+                                                              values, layout):
+    # the route every product takes where einsum fails the probe
+    _check_fold(False, shape, seed, values, layout)
+
+
+@pytest.mark.parametrize("einsum_folds", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(stack=st.integers(1, 3), rows=st.integers(1, 6),
+       inner=st.sampled_from([1, 2, 7, 97]), cols=st.sampled_from([2, 3, 33]),
+       seed=st.integers(0, 2**32 - 1), values=_FOLD_VALUES,
+       layout=_FOLD_LAYOUTS)
+def test_matmul_stack_is_each_slice_s_term_zero_fold(
+        einsum_folds, stack, rows, inner, cols, seed, values, layout):
+    rng = np.random.default_rng(seed)
+    a = [_fold_operand(rng, (rows, inner), -0.0, values, layout)
+         for _ in range(stack)]
+    b = [_fold_operand(rng, (inner, cols), 1.0, values, layout)
+         for _ in range(stack)]
+    with np.errstate(invalid="ignore"), \
+            patch.object(ad, "_EINSUM_FOLDS", einsum_folds):
+        got = ad._matmul_stack(np.stack(a), np.stack(b))
+    want = np.stack([matmul_fold(x, y) for x, y in zip(a, b)])
+    assert same_bits(_nan_canonical(got), _nan_canonical(want))
+
+
+def _fused_einsum(subscripts, a, b):
+    """einsum as a fused multiply-add kernel: each product is added to the
+    running sum with one rounding. Exact rationals, once for each distinct
+    pair of a row and a column."""
+    out = np.empty(a.shape[:2] + b.shape[2:])
+    sums = {}
+    for s, r, c in np.ndindex(out.shape):
+        key = (a[s, r].tobytes(), b[s, :, c].tobytes())
+        if key not in sums:
+            acc = Fraction(0)
+            for x, y in zip(a[s, r].tolist(), b[s, :, c].tolist()):
+                acc = Fraction(float(acc + Fraction(x) * Fraction(y)))
+            sums[key] = float(acc)
+        out[s, r, c] = sums[key]
+    return out
+
+
+def _pairwise_einsum(subscripts, a, b):
+    """einsum summing each entry's products pairwise: neighbours first."""
+    terms = a[:, :, :, None] * b[:, None, :, :]
+    while terms.shape[2] > 1:
+        odd = terms[:, :, 2 * (terms.shape[2] // 2):]
+        terms = np.concatenate(
+            [terms[:, :, 0:-1:2] + terms[:, :, 1::2], odd], axis=2)
+    return terms[:, :, 0]
+
+
+def _reversed_einsum(subscripts, a, b, _einsum=np.einsum):
+    """einsum summing each entry's products from the last."""
+    return _einsum(subscripts, a[:, :, ::-1], b[:, ::-1])
+
+
+def test_the_einsum_probe_passes_numpy_s_einsum_here():
+    # the kernels this NumPy runs fold in order; on a build where they do
+    # not, the probe routes every product to the loop over k instead
+    assert ad._einsum_folds() and ad._EINSUM_FOLDS
+
+
+@pytest.mark.parametrize("fake", [_fused_einsum, _pairwise_einsum,
+                                  _reversed_einsum])
+def test_the_einsum_probe_rejects_fused_and_reordered_sums(fake):
+    with patch.object(np, "einsum", fake):
+        assert not ad._einsum_folds()
 
 
 def test_matmul_shape_mismatch_names_both_shapes():

@@ -29,6 +29,7 @@ from synsum.model import ModelConfig, ModelParams
 from oracles import (
     GCN_CLASSES,
     composed_bilstm,
+    composed_gcn_layer,
     composed_gcn_stack,
     gcn_layer,
     same_bits,
@@ -279,6 +280,48 @@ def test_gcn_layer_is_one_node_and_an_unreached_one_leaves_no_gradient():
     assert [node.op for node in tape.nodes] == ["gcn_layer", "mul", "sum_all"]
     assert h.grad is None
     assert all(layer[key].grad is None for key in GCN_CLASSES)
+
+
+def _nan_canonical(x):
+    return np.where(np.isnan(x), np.nan, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+       values=st.sampled_from(["normal", "signed zeros", "specials"]))
+def test_gcn_layer_sums_repeated_edges_as_np_add_at(seed, n, values):
+    """Random edges repeat destinations and sources; the composition's
+    ``scatter_rows_sum`` sums them with ``np.add.at``. With "signed zeros"
+    every message is -0.0 (h is -0.0, the weights positive), which
+    ``np.add.at`` into zeros makes +0.0."""
+    rng = np.random.default_rng(seed)
+    edges = {key: tuple(rng.integers(0, n, (2, int(rng.integers(0, 3 * n))))
+                        .tolist()) for key in GCN_CLASSES}
+    edges["self"] = (list(range(n)) * 2, list(range(n)) * 2)
+    layer = gcn_inputs(rng)
+    if values == "signed zeros":
+        h_data = np.full((n, 3), -0.0)
+        for key in GCN_CLASSES:
+            np.abs(layer[key].data, out=layer[key].data)
+    else:
+        h_data = rng.normal(size=(n, 3))
+        if values == "specials":
+            mask = rng.random((n, 3)) < 0.3
+            h_data[mask] = rng.choice(
+                [0.0, -0.0, np.inf, -np.inf, np.nan], mask.sum())
+    probe = rng.uniform(-1, 1, (n, 4))
+    results = []
+    for layer_fn in (gcn_layer, composed_gcn_layer):
+        h = Tensor(h_data, requires_grad=True)
+        ad.zero_grads(layer.values())
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            out = layer_fn(h, edges, layer)
+            tape.backward(sum_all(ad.mul(out, probe)))
+        results.append([out.data, h.grad]
+                       + [layer[key].grad for key in (*GCN_CLASSES, "bias")])
+    for got, want in zip(*results):  # a class with no edges: None twice
+        assert (got is None and want is None) or same_bits(
+            _nan_canonical(got), _nan_canonical(want))
 
 
 GCN_ERRORS = {
