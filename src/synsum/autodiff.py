@@ -59,10 +59,8 @@ layout. Both scans form what the cell's backward reads of the forward
 (``_cell_factors``) once for all their steps, so a step's backward is three
 whole-width products, the cell's own products in their own order. ``gcn_layer`` is one typed-edge graph convolution layer: per edge
 class it multiplies only the class's distinct source rows, sums their
-messages into zeros in edge order (as ``np.add.at`` would, one indexed add
-for each rank of an edge among its destination's edges), skips a class
-with no edges, adds the classes in order, then the bias, then the
-rectifier.
+messages into zeros in edge order, ``np.add.at``'s sums, skips a class with
+no edges, adds the classes in order, then the bias, then the rectifier.
 
 The decoder is two more. ``decoder_scan`` runs T steps of the recurrence
 (embedding, LSTM cell, coverage attention) over R rows that drop out as
@@ -90,11 +88,9 @@ the tests, in ``tests/oracles.py``.
 The forward matrix product is one left fold per output entry: its k
 products summed in ascending order from product 0, bitwise the triple loop
 of ``tests/oracles.py`` (up to the sign and payload of a NaN, which IEEE 754
-leaves to the hardware). ``_matmul_data`` folds a one-entry output with
-``np.add.accumulate``, a one-column product as its transpose, and every
-other product with ``np.einsum``, whose loop is that fold once a -0.0 fix-up
-is applied; an import-time probe checks that, and where it fails every
-product is a Python loop over k adding one rank-1 term at a time.
+leaves to the hardware). ``_matmul_data`` folds with ``np.einsum``, whose
+loop is that fold up to a -0.0 fix-up: an import-time probe checks it, and
+where it fails each product is a loop over k, one rank-1 term at a time.
 
 Shape rules are strict: elementwise primitives accept exactly-matching shapes
 or a scalar on one side, nothing else. ``gcn_layer``'s rectifier uses
@@ -371,53 +367,36 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # primitives
 
 
-# The forward product is the left fold of each entry's k products in
-# ascending order, from product 0. np.einsum("srk,skc->src") with C-ordered
-# operands and two or more columns runs exactly that: NumPy's iterator puts
-# c innermost and visits k in ascending order outside it, so each output
-# entry gets one multiply and one add per k, in k order. It starts each
-# entry from +0.0 rather than from product 0, which differs only where every
-# product is -0.0 (the fold is then -0.0, einsum's sum +0.0); a fix-up
-# restores those entries. With one column the iterator would run k
-# innermost, in a kernel that sums in several accumulators, so that product
-# is folded as its transpose: products commute exactly, so each entry keeps
-# its terms in their order. A one-entry output folds by add.accumulate.
-# Whether einsum folds this way depends on how NumPy built its kernels (a
-# fused multiply-add or a reordered sum would change values), so an import
-# -time probe checks it on a case whose fold, fused sum and reordered sums
-# all differ; if the probe fails, the product is the definition itself, a
-# loop over k adding one rank-1 term at a time.
 # Column-block width in which a flush adds its product into a gradient that
 # already exists: at dec/out_W's 96 rows a block is 393 KB, where the whole
 # product at V = 20,000 is 15 MB.
 _FLUSH_COLS = 512
 
 
+# np.einsum("srk,skc->src") on C-ordered operands with two or more columns
+# is the forward fold: NumPy's iterator runs c innermost and k in ascending
+# order outside it, one multiply and one add per term. It starts each entry
+# from +0.0, not from product 0, which differs only where every product is
+# -0.0; a fix-up restores those. With one column k would run innermost, in a
+# kernel with several accumulators, so that product is folded as its
+# transpose. Whether einsum folds depends on how NumPy built its kernels, so
+# an import-time probe checks it; where it fails, every product is the loop
+# over k.
 def _einsum_folds() -> bool:
     """Whether ``np.einsum("srk,skc->src")`` is the ascending left fold of
-    each entry's products, for 2 and for 8,193 columns. Row 0 sums -1 + x *
-    x with x = 1 + 2**-30, which a fused multiply-add makes 2**-60 larger;
-    row 1 sums 2**53, 0, seven 1s, -2**53 and 0.5, which gives 0.5 in this
-    order only (2**53 + 1 rounds back to 2**53)."""
+    each entry's products, at 2 and at 8,193 columns. Row 0 sums -1 + x * x
+    with x = 1 + 2**-30, 2**-60 more when fused; row 1 sums 2**53, 0, seven
+    1s, -2**53 and 0.5, which is 0.5 in this order only."""
     x = 1.0 + 2.0 ** -30
-    a = np.zeros((2, 11))
-    a[0, :2] = -1.0, x
-    a[1] = [2.0 ** 53, 0, 1, 1, 1, 1, 1, 1, 1, -2.0 ** 53, 0.5]
+    a = np.array([[-1.0, x] + [0.0] * 9,
+                  [2.0 ** 53, 0.0] + [1.0] * 7 + [-2.0 ** 53, 0.5]])
     b = np.ones(11)
     b[1] = x
-    want = []
-    for row in a.tolist():
-        terms = [p * q for p, q in zip(row, b.tolist())]
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = acc + term
-        want.append(acc)
-    for cols in (2, 8193):
-        got = np.einsum("srk,skc->src", np.stack([a, a[::-1]]),
-                        np.broadcast_to(b[None, :, None], (2, 11, cols)).copy())
-        if not (got == np.array([want, want[::-1]])[:, :, None]).all():
-            return False
-    return True
+    want = np.array([list(itertools.accumulate(row * b))[-1] for row in a])
+    return all((np.einsum("srk,skc->src", np.stack([a, a[::-1]]),
+                          np.tile(b[:, None], (2, 1, cols)))
+                == np.stack([want, want[::-1]])[:, :, None]).all()
+               for cols in (2, 8193))
 
 
 _EINSUM_FOLDS = _einsum_folds()
