@@ -173,7 +173,7 @@ def _check_fold(einsum_folds, shape, seed, values, layout):
     assert same_bits(_nan_canonical(got), _nan_canonical(matmul_fold(a, b)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(shape=fold_shapes(), seed=st.integers(0, 2**32 - 1),
        values=_FOLD_VALUES, layout=_FOLD_LAYOUTS)
 def test_matmul_forward_is_the_term_zero_fold_byte_for_byte(shape, seed,
@@ -181,7 +181,7 @@ def test_matmul_forward_is_the_term_zero_fold_byte_for_byte(shape, seed,
     _check_fold(True, shape, seed, values, layout)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(shape=fold_shapes(), seed=st.integers(0, 2**32 - 1),
        values=_FOLD_VALUES, layout=_FOLD_LAYOUTS)
 def test_the_loop_over_k_is_the_term_zero_fold_byte_for_byte(shape, seed,
